@@ -143,26 +143,25 @@ class GameStats:
         return int(self.equal[q_a.value, q_b.value]) / n
 
 
-def quantum_round(rng: np.random.Generator, q_a: Question, q_b: Question) -> tuple[bool, bool]:
-    """Play one entangled round; True means yes (spin up along the question axis).
+def quantum_answers(
+    q_a: np.ndarray, q_b: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Answers of the entangled strategy, one round per entry; True means yes.
 
-    Consumes a single uniform draw from ``rng`` and inverts the cumulative
-    outcome distribution for the question pair, so identical questions always
-    give identical answers (their cross terms are exactly zero).
+    Each round inverts the cumulative outcome distribution of its question
+    pair at its uniform draw in ``u``, so identical questions always give
+    identical answers (their cross terms are exactly zero).
     """
-    u = rng.random()
-    k = int(np.searchsorted(_CUMULATIVE[q_a.value, q_b.value], u, side="right"))
-    k = min(k, 3)
-    return k < 2, k % 2 == 0
+    k = np.minimum(np.sum(_CUMULATIVE[q_a, q_b] <= u[:, None], axis=1), 3)
+    return k < 2, (k & 1) == 0  # outcomes uu, ud, du, dd: A up for k < 2, B up for even k
 
 
 def _play_block(strategy, rng: np.random.Generator, size: int):
     q_a = rng.integers(0, 3, size=size)
     q_b = rng.integers(0, 3, size=size)
     if isinstance(strategy, QuantumStrategy):
-        u = rng.random(size)
-        k = np.minimum(np.sum(_CUMULATIVE[q_a, q_b] <= u[:, None], axis=1), 3)
-        equal = (k == 0) | (k == 3)
+        yes_a, yes_b = quantum_answers(q_a, q_b, rng.random(size))
+        equal = yes_a == yes_b
     elif isinstance(strategy, LhvStrategy):
         lut = strategy._answer_lut()
         equal = lut[q_a] == lut[q_b]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -32,12 +33,21 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {text}")
+    return value
+
+
 def load_config(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        config = json.loads(path.read_text(encoding="utf-8"))
+        config = json.loads(
+            path.read_text(encoding="utf-8"), parse_float=_finite, parse_constant=_finite
+        )
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(config, dict):
@@ -113,19 +123,34 @@ def potential_from_config(section, where) -> grid.PotentialSpec:
         raise ConfigError(f"{where}: {err}") from err
 
 
+def _grid_run_from_config(config: dict, where: str) -> tuple:
+    """Grid, packets, optional potential and stepping, in CollisionFixture order.
+
+    Values the solvers would only refuse mid-run are rejected here.
+    """
+    spec = grid_spec_from_config(config["grid"], f"{where}.grid")
+    packets = [packet_from_config(config[k], f"{where}.{k}") for k in ("packet_a", "packet_b")]
+    potential = None
+    if "potential" in config:
+        potential = potential_from_config(config["potential"], f"{where}.potential")
+        if spec.length_a != spec.length_b:
+            raise ConfigError(f"{where}: an interaction needs equal length_a and length_b")
+    dt = float(_number(config, "dt", where))
+    if dt <= 0:
+        raise ConfigError(f"config key 'dt' in {where} must be positive")
+    n_steps = _integer(config, "n_steps", where)
+    sample_every = _integer(config, "sample_every", where)
+    for key, value in (("n_steps", n_steps), ("sample_every", sample_every)):
+        if value < 1:
+            raise ConfigError(f"config key '{key}' in {where} must be a positive integer")
+    return (spec, *packets, potential, dt, n_steps, sample_every)
+
+
 def collision_fixture_from_config(config: dict, where: str) -> islands.CollisionFixture:
     for key in ("grid", "packet_a", "packet_b", "potential", "dt", "n_steps", "sample_every"):
         if key not in config:
             raise ConfigError(f"missing config key '{key}' in {where}")
-    return islands.CollisionFixture(
-        spec=grid_spec_from_config(config["grid"], f"{where}.grid"),
-        packet_a=packet_from_config(config["packet_a"], f"{where}.packet_a"),
-        packet_b=packet_from_config(config["packet_b"], f"{where}.packet_b"),
-        potential=potential_from_config(config["potential"], f"{where}.potential"),
-        dt=float(_number(config, "dt", where)),
-        n_steps=_integer(config, "n_steps", where),
-        sample_every=_integer(config, "sample_every", where),
-    )
+    return islands.CollisionFixture(*_grid_run_from_config(config, where))
 
 
 def _state_from_config(section, where, renormalize: bool) -> states.PureState:
@@ -430,21 +455,17 @@ def cmd_evolve(args) -> int:
         {"grid", "packet_a", "packet_b", "dt", "n_steps", "sample_every"},
         {"potential", "oracle", "seed"},
     )
-    spec = grid_spec_from_config(config["grid"], "evolve config grid")
-    packet_a = packet_from_config(config["packet_a"], "evolve config packet_a")
-    packet_b = packet_from_config(config["packet_b"], "evolve config packet_b")
-    potential = (
-        potential_from_config(config["potential"], "evolve config potential")
-        if "potential" in config
-        else None
+    spec, packet_a, packet_b, potential, dt, n_steps, sample_every = _grid_run_from_config(
+        config, "evolve config"
     )
-    dt = float(_number(config, "dt", "evolve config"))
-    n_steps = _integer(config, "n_steps", "evolve config")
-    sample_every = _integer(config, "sample_every", "evolve config")
     if "oracle" in config:
         _check_keys(
             config["oracle"], "evolve config oracle", {"entropy_bits_final", "tolerance"}
         )
+    try:
+        psi = grid.init_product(packet_a, packet_b, spec)
+    except grid.PacketTooWideError as err:
+        raise ConfigError(str(err)) from err
 
     out = _prepare_out(args)
     outputs = ["trajectory.csv", "evolve.json"]
@@ -452,10 +473,6 @@ def cmd_evolve(args) -> int:
         out / "manifest.json", run_manifest("evolve", config, config.get("seed"), outputs)
     )
 
-    try:
-        psi = grid.init_product(packet_a, packet_b, spec)
-    except grid.PacketTooWideError as err:
-        raise ConfigError(str(err)) from err
     trajectory = grid.evolve_split_step(psi, potential, dt, n_steps, sample_every)
     write_csv(out / "trajectory.csv", grid.GridTrajectory.CSV_HEADER, trajectory.rows())
     summary = {
@@ -507,18 +524,17 @@ def cmd_islands(args) -> int:
             "min_fidelity",
         }
         _check_keys(config["thresholds"], "islands config thresholds", set(), allowed)
+    if "oracle" in config:
+        optional = {"note", "reduction_factor", "min_fidelity", "trajectory_deviation"}
+        _check_keys(config["oracle"], "islands config oracle", {"max_entropy_bits"}, optional)
 
     write_points = config.get("write_trajectories", False)
     if not isinstance(write_points, bool):
         raise ConfigError("config key 'write_trajectories' must be true or false")
-    if kind == "test_particle":
-        ratios = config.get("mass_ratios")
-        if not ratios:
-            raise ConfigError("test_particle scan needs 'mass_ratios'")
-    else:
-        ratios = config.get("width_ratios")
-        if not ratios:
-            raise ConfigError("material_point scan needs 'width_ratios'")
+    ratio_key = "mass_ratios" if kind == "test_particle" else "width_ratios"
+    ratios = config.get(ratio_key)
+    if not ratios:
+        raise ConfigError(f"{kind} scan needs '{ratio_key}'")
 
     out = _prepare_out(args)
     outputs = ["islands.csv", "islands.json"]
@@ -526,10 +542,8 @@ def cmd_islands(args) -> int:
         outputs += [f"islands_point_{k}.csv" for k in range(len(ratios))]
     write_json(out / "manifest.json", run_manifest("islands", config, seed, outputs))
 
-    if kind == "test_particle":
-        result = islands.test_particle_scan(ratios, base, seed=seed, threads=args.threads)
-    else:
-        result = islands.material_point_scan(ratios, base, seed=seed, threads=args.threads)
+    scan = islands.test_particle_scan if kind == "test_particle" else islands.material_point_scan
+    result = scan(ratios, base, threads=args.threads)
 
     write_csv(out / "islands.csv", islands.RegimeScanResult.CSV_HEADER, result.rows())
     if write_points:
@@ -539,18 +553,11 @@ def cmd_islands(args) -> int:
                 islands.CollisionRun.POINT_CSV_HEADER,
                 run.point_rows(),
             )
-    write_json(
-        out / "islands.json",
-        {
-            "kind": kind,
-            "seed": seed,
-            "parameters": [float(p) for p in result.parameters],
-            "max_entropy_bits": [float(v) for v in result.max_entropy_bits],
-            "final_fidelity": [float(v) for v in result.final_fidelity],
-            "min_fidelity": [float(v) for v in result.min_fidelity],
-            "trajectory_deviation": [float(v) for v in result.trajectory_deviation],
-        },
+    columns = (
+        "parameters", "max_entropy_bits", "final_fidelity", "min_fidelity", "trajectory_deviation"
     )
+    summary = {name: getattr(result, name).tolist() for name in columns}
+    write_json(out / "islands.json", {"kind": kind, "seed": seed, **summary})
     for row in result.rows():
         print(
             f"parameter {row[0]:g}: max entropy {row[1]:.6f} bits, "

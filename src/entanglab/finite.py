@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _spectrum_entropy
+from .measures import spectrum_entropy
+from .output import column_rows
 from .states import Ket, PureState
 
 HERMITIAN_TOL = 1e-10
@@ -67,10 +68,7 @@ class FiniteTrajectory:
 
     def rows(self):
         """CSV rows (time, entropy, norm)."""
-        return [
-            (float(t), float(s), float(n))
-            for t, s, n in zip(self.times, self.entropies, self.norms)
-        ]
+        return column_rows(self.times, self.entropies, self.norms)
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,7 @@ def _entropy_series(vectors: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     stack = vectors.T.reshape(-1, d_a, d_b)
     singulars = np.linalg.svd(stack, compute_uv=False)
     base = min(d_a, d_b)
-    return np.array([_spectrum_entropy(s**2, base) for s in singulars])
+    return np.array([spectrum_entropy(s**2, base) for s in singulars])
 
 
 def evolve_finite(

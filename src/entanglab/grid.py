@@ -25,8 +25,10 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .measures import spectrum_entropy
+from .output import column_rows
+
 NORM_TOL = 1e-8
-SPECTRUM_FLOOR = 1e-14
 DEFAULT_RANK_BOUND = 64
 
 POTENTIAL_KINDS = ("gaussian_well", "gaussian_barrier", "soft_coulomb")
@@ -181,7 +183,7 @@ class Wavefunction2P:
 
     @staticmethod
     def norm_of(grid: np.ndarray, spec: GridSpec) -> float:
-        return float(np.sum(np.abs(grid) ** 2) * spec.dx_a * spec.dx_b)
+        return float(np.sum(np.abs(grid) ** 2 * (spec.dx_a * spec.dx_b)))
 
     def norm(self) -> float:
         return self.norm_of(self.grid, self.spec)
@@ -223,23 +225,17 @@ class GridTrajectory:
     )
 
     def rows(self):
-        return [
-            tuple(
-                float(column[k])
-                for column in (
-                    self.times,
-                    self.norms,
-                    self.energies,
-                    self.entropy_bits,
-                    self.entropy_normalized,
-                    self.x_a,
-                    self.x_b,
-                    self.p_a,
-                    self.p_b,
-                )
-            )
-            for k in range(self.times.size)
-        ]
+        return column_rows(
+            self.times,
+            self.norms,
+            self.energies,
+            self.entropy_bits,
+            self.entropy_normalized,
+            self.x_a,
+            self.x_b,
+            self.p_a,
+            self.p_b,
+        )
 
 
 def gaussian_wave(x: np.ndarray, packet: GaussianPacket, dx: float) -> np.ndarray:
@@ -301,23 +297,23 @@ def iterate_split_step(
             yield step, grid.copy()
 
 
-def entanglement_spectrum(psi: Wavefunction2P) -> np.ndarray:
-    """Squared Schmidt coefficients (descending) of the discretized state."""
-    scale = math.sqrt(psi.spec.dx_a * psi.spec.dx_b)
-    s = np.linalg.svd(psi.grid * scale, compute_uv=False)
+def _schmidt_weights(grid: np.ndarray, spec: GridSpec) -> np.ndarray:
+    s = np.linalg.svd(grid * math.sqrt(spec.dx_a * spec.dx_b), compute_uv=False)
     return s**2
 
 
+def entanglement_spectrum(psi: Wavefunction2P) -> np.ndarray:
+    """Squared Schmidt coefficients (descending) of the discretized state."""
+    return _schmidt_weights(psi.grid, psi.spec)
+
+
 def spectrum_bits(p: np.ndarray) -> float:
-    """Base-2 entropy of a Schmidt weight vector; weights below 1e-14 are dust."""
-    p = p[p > SPECTRUM_FLOOR]
-    if p.size == 0:
-        return 0.0
-    return float(-np.sum(p * np.log2(p)))
+    """Base-2 entropy of a Schmidt weight vector; weights at or below 1e-14 are dust."""
+    return spectrum_entropy(p)
 
 
 def entanglement_entropy_bits(psi: Wavefunction2P) -> float:
-    """Base-2 entropy of the Schmidt spectrum; weights below 1e-14 are dropped."""
+    """Base-2 entropy of the Schmidt spectrum; weights at or below 1e-14 are dropped."""
     return spectrum_bits(entanglement_spectrum(psi))
 
 
@@ -348,6 +344,27 @@ def _observables_from_grid(
     return Observables(x_a, x_b, p_a, p_b, kinetic + potential_energy)
 
 
+class GridSample(NamedTuple):
+    """Everything recorded about one sampled amplitude grid."""
+
+    norm: float
+    x_a: float
+    x_b: float
+    p_a: float
+    p_b: float
+    energy: float
+    entropy_bits: float
+
+
+def sample_grid(grid: np.ndarray, spec: GridSpec, v_matrix: np.ndarray | None) -> GridSample:
+    """The per-sample probe of every grid driver; ``v_matrix`` is None when free."""
+    return GridSample(
+        Wavefunction2P.norm_of(grid, spec),
+        *_observables_from_grid(grid, spec, v_matrix),
+        entropy_bits=spectrum_bits(_schmidt_weights(grid, spec)),
+    )
+
+
 def ehrenfest_observables(
     psi: Wavefunction2P, potential: PotentialSpec | None = None
 ) -> Observables:
@@ -367,35 +384,24 @@ def evolve_split_step(
     dt: float,
     n_steps: int,
     sample_every: int,
-    rank_bound: int = DEFAULT_RANK_BOUND,
 ) -> GridTrajectory:
     """Evolve and record norm, energy, entanglement, and Ehrenfest means."""
     spec = psi.spec
     v_matrix = None if potential is None else potential_on_grid(spec, potential)
-    times, norms, energies, bits, x_a, x_b, p_a, p_b = ([] for _ in range(8))
-    final_grid = None
+    times, samples = [], []
     for step, grid in iterate_split_step(psi, potential, dt, n_steps, sample_every):
         times.append(step * dt)
-        norms.append(Wavefunction2P.norm_of(grid, spec))
-        obs = _observables_from_grid(grid, spec, v_matrix)
-        energies.append(obs.energy)
-        x_a.append(obs.x_a)
-        x_b.append(obs.x_b)
-        p_a.append(obs.p_a)
-        p_b.append(obs.p_b)
-        scale = math.sqrt(spec.dx_a * spec.dx_b)
-        bits.append(spectrum_bits(np.linalg.svd(grid * scale, compute_uv=False) ** 2))
-        final_grid = grid
-    bits_arr = np.array(bits)
+        samples.append(sample_grid(grid, spec, v_matrix))
+    norms, x_a, x_b, p_a, p_b, energies, bits = np.array(samples).T
     return GridTrajectory(
         times=np.array(times),
-        norms=np.array(norms),
-        energies=np.array(energies),
-        entropy_bits=bits_arr,
-        entropy_normalized=bits_arr / math.log2(rank_bound),
-        x_a=np.array(x_a),
-        x_b=np.array(x_b),
-        p_a=np.array(p_a),
-        p_b=np.array(p_b),
-        final_state=Wavefunction2P(final_grid, spec),
+        norms=norms,
+        energies=energies,
+        entropy_bits=bits,
+        entropy_normalized=bits / math.log2(DEFAULT_RANK_BOUND),
+        x_a=x_a,
+        x_b=x_b,
+        p_a=p_a,
+        p_b=p_b,
+        final_state=Wavefunction2P(grid, spec),
     )

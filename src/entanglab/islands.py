@@ -19,7 +19,6 @@ negligible entanglement.  Two such regimes are scanned here:
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -36,8 +35,9 @@ from .grid import (
     iterate_split_step,
     minimal_image,
     potential_on_grid,
-    spectrum_bits,
+    sample_grid,
 )
+from .output import column_rows
 
 FACTOR_NORM_TOL = 1e-8
 
@@ -55,13 +55,12 @@ class HartreePair:
         b = np.array(self.psi_b, dtype=complex)
         if a.shape != (self.spec.n_a,) or b.shape != (self.spec.n_b,):
             raise ValueError("factor lengths must match the grid spec")
-        if abs(np.sum(np.abs(a) ** 2) * self.spec.dx_a - 1.0) > FACTOR_NORM_TOL:
-            raise ValueError("factor A is not normalized")
-        if abs(np.sum(np.abs(b) ** 2) * self.spec.dx_b - 1.0) > FACTOR_NORM_TOL:
-            raise ValueError("factor B is not normalized")
         for name, arr in (("psi_a", a), ("psi_b", b)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        for side, norm in zip("AB", self.norms()):
+            if abs(norm - 1.0) > FACTOR_NORM_TOL:
+                raise ValueError(f"factor {side} is not normalized")
 
     def norms(self) -> tuple[float, float]:
         return (
@@ -166,13 +165,16 @@ def hartree_evolve(
     return HartreeTrajectory(np.array(times), tuple(pairs))
 
 
+def _overlap_fidelity(grid: np.ndarray, a: np.ndarray, b: np.ndarray, spec: GridSpec) -> float:
+    amp = (a.conj() @ grid @ b.conj()) * (spec.dx_a * spec.dx_b)
+    return float(abs(amp) ** 2)
+
+
 def hartree_fidelity(full: Wavefunction2P, pair: HartreePair) -> float:
     """Squared overlap |<psi_A (x) psi_B | Psi>|^2 by lattice quadrature."""
     if full.spec != pair.spec:
         raise ValueError("grid mismatch between full state and mean-field pair")
-    amp = pair.psi_a.conj() @ full.grid @ pair.psi_b.conj()
-    amp *= full.spec.dx_a * full.spec.dx_b
-    return float(abs(amp) ** 2)
+    return _overlap_fidelity(full.grid, pair.psi_a, pair.psi_b, full.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +296,7 @@ class CollisionRun:
     )
 
     def point_rows(self):
-        columns = (
+        return column_rows(
             self.times,
             self.norms,
             self.energies,
@@ -305,9 +307,6 @@ class CollisionRun:
             self.classical_x_a,
             self.classical_x_b,
         )
-        return [
-            tuple(float(col[k]) for col in columns) for k in range(self.times.size)
-        ]
 
 
 def run_collision(fixture: CollisionFixture) -> CollisionRun:
@@ -328,25 +327,13 @@ def run_collision(fixture: CollisionFixture) -> CollisionRun:
         fixture.sample_every,
     )
     v_matrix = potential_on_grid(spec, fixture.potential)
-    kinetic = spec.kinetic_grid()
-    scale = math.sqrt(spec.dx_a * spec.dx_b)
-    area = spec.dx_a * spec.dx_b
-    times, bits, fid, xs_a, xs_b, norms, energies = ([] for _ in range(7))
+    times, samples, fid = [], [], []
     for (step, grid), (step_h, a, b) in zip(full, mean_field):
         assert step == step_h
         times.append(step * fixture.dt)
-        weight = np.abs(grid) ** 2 * area
-        norms.append(float(weight.sum()))
-        momentum_weight = np.abs(np.fft.fft2(grid)) ** 2
-        momentum_weight /= momentum_weight.sum()
-        energies.append(
-            float(np.sum(kinetic * momentum_weight) + np.sum(v_matrix * weight))
-        )
-        xs_a.append(float(np.sum(spec.x_a[:, None] * weight)))
-        xs_b.append(float(np.sum(spec.x_b[None, :] * weight)))
-        bits.append(spectrum_bits(np.linalg.svd(grid * scale, compute_uv=False) ** 2))
-        overlap = (a.conj() @ grid @ b.conj()) * area
-        fid.append(float(abs(overlap) ** 2))
+        samples.append(sample_grid(grid, spec, v_matrix))
+        fid.append(_overlap_fidelity(grid, a, b, spec))
+    norms, x_a, x_b, _, _, energies, bits = np.array(samples).T
     cl_times, cl_a, cl_b, drift = classical_two_body(
         fixture.packet_a.center,
         fixture.packet_a.momentum / spec.m_a,
@@ -362,12 +349,12 @@ def run_collision(fixture: CollisionFixture) -> CollisionRun:
     assert cl_times.size == len(times)
     return CollisionRun(
         times=np.array(times),
-        entropy_bits=np.array(bits),
+        entropy_bits=bits,
         fidelity=np.array(fid),
-        x_a=np.array(xs_a),
-        x_b=np.array(xs_b),
-        norms=np.array(norms),
-        energies=np.array(energies),
+        x_a=x_a,
+        x_b=x_b,
+        norms=norms,
+        energies=energies,
         classical_x_a=cl_a,
         classical_x_b=cl_b,
         classical_energy_drift=drift,
@@ -394,16 +381,13 @@ class RegimeScanResult:
     )
 
     def rows(self):
-        return [
-            (
-                float(self.parameters[k]),
-                float(self.max_entropy_bits[k]),
-                float(self.final_fidelity[k]),
-                float(self.min_fidelity[k]),
-                float(self.trajectory_deviation[k]),
-            )
-            for k in range(self.parameters.size)
-        ]
+        return column_rows(
+            self.parameters,
+            self.max_entropy_bits,
+            self.final_fidelity,
+            self.min_fidelity,
+            self.trajectory_deviation,
+        )
 
 
 def _scan(fixtures: list[CollisionFixture], parameters, threads: int) -> RegimeScanResult:
@@ -441,24 +425,19 @@ def material_point_fixture(base: CollisionFixture, width_ratio: float) -> Collis
     )
 
 
-def test_particle_scan(
-    mass_ratios, base: CollisionFixture, seed: int = 0, threads: int = 1
-) -> RegimeScanResult:
+def test_particle_scan(mass_ratios, base: CollisionFixture, threads: int = 1) -> RegimeScanResult:
     """Scan the mass ratio m_A / m_B downward from comparable masses.
 
     B starts at rest and localized; the lighter the probe relative to its
     target, the less which-path information the target acquires, and the
-    maximum entanglement along the run falls.  The scan is deterministic;
-    ``seed`` only tags the output for provenance.
+    maximum entanglement along the run falls.  The scan is deterministic.
     """
     ratios = sorted((float(r) for r in mass_ratios), reverse=True)
     fixtures = [test_particle_fixture(base, r) for r in ratios]
     return _scan(fixtures, ratios, threads)
 
 
-def material_point_scan(
-    width_ratios, base: CollisionFixture, seed: int = 0, threads: int = 1
-) -> RegimeScanResult:
+def material_point_scan(width_ratios, base: CollisionFixture, threads: int = 1) -> RegimeScanResult:
     """Scan packet width over interaction range downward (all ratios < 1).
 
     Narrow packets see an effectively linear interaction across their

@@ -20,6 +20,7 @@ TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 STATE_EIGENVALUE_FLOOR = -1e-8
 SCHMIDT_TRIM = 1e-14
+SPECTRUM_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -132,12 +133,18 @@ def schmidt_number(decomposition: SchmidtDecomposition, cutoff: float) -> int:
     return int(np.sum(decomposition.coefficients > cutoff))
 
 
-def _spectrum_entropy(probabilities: np.ndarray, base: float) -> float:
-    p = np.clip(np.asarray(probabilities, dtype=float), 0.0, None)
-    p = p[p > 0.0]
+def spectrum_entropy(weights: np.ndarray, base: float = 2.0) -> float:
+    """Entropy -sum p log_base p of a weight spectrum, with 0 log 0 = 0.
+
+    Weights at or below 1e-14 are dust: they are dropped, and with them any
+    negative rounding noise.  A base below 2 has no room for uncertainty and
+    gives 0.
+    """
+    p = np.asarray(weights, dtype=float)
+    p = p[p > SPECTRUM_FLOOR]
     if p.size == 0 or base < 2:
         return 0.0
-    return float(-np.sum(p * np.log(p)) / np.log(base))
+    return float(-np.sum(p * np.log2(p)) / np.log2(base))
 
 
 def von_neumann_entropy(rho: DensityMatrix, base: float | None = None) -> float:
@@ -145,13 +152,14 @@ def von_neumann_entropy(rho: DensityMatrix, base: float | None = None) -> float:
 
     The base defaults to the matrix dimension, which normalizes the result to
     [0, 1]: zero for a pure projector, one for the maximally mixed state.
-    Eigenvalues in [-1e-10, 0) are numerical noise and are clipped to zero; an
-    eigenvalue below -1e-8 means the input is not a state and is an error.
+    Eigenvalues at or below 1e-14, negative noise included, are dropped as
+    dust; an eigenvalue below -1e-8 means the input is not a state and is an
+    error.
     """
     eigenvalues = np.linalg.eigvalsh(rho.matrix)
     if eigenvalues[0] < STATE_EIGENVALUE_FLOOR:
         raise ValueError(f"not a state: eigenvalue {eigenvalues[0]:.3e} < {STATE_EIGENVALUE_FLOOR}")
-    return _spectrum_entropy(eigenvalues, rho.dim if base is None else base)
+    return spectrum_entropy(eigenvalues, rho.dim if base is None else base)
 
 
 def coherence(rho: DensityMatrix, base: float | None = None) -> float:
@@ -166,11 +174,8 @@ def entanglement(state: PureState) -> float:
     computed from the Schmidt spectrum, whose squares are the common reduced
     eigenvalues.
     """
-    base = min(state.d_a, state.d_b)
-    if base < 2:
-        return 0.0
     s = np.linalg.svd(state.amplitudes, compute_uv=False)
-    return _spectrum_entropy(s**2, base)
+    return spectrum_entropy(s**2, min(state.d_a, state.d_b))
 
 
 def is_factorizable(state: PureState, tol: float) -> tuple[bool, PureState]:

@@ -25,6 +25,11 @@ def format_value(value) -> str:
     return str(value)
 
 
+def column_rows(*columns) -> list[tuple]:
+    """Parallel numeric columns turned into rows of Python scalars."""
+    return list(zip(*(np.asarray(column).tolist() for column in columns)))
+
+
 def write_csv(path, header, rows) -> None:
     path = Path(path)
     lines = [",".join(header)]

@@ -71,11 +71,9 @@ def test_criterion_3_perfect_correlations():
         assert abs(p.ud) <= 1e-12
         assert abs(p.du) <= 1e-12
     sampler = np.random.default_rng(33)
-    mismatches = 0
-    for _ in range(100_000):
-        q = bg.QUESTIONS[int(sampler.integers(0, 3))]
-        a, b = bg.quantum_round(sampler, q, q)
-        mismatches += a != b
+    q = sampler.integers(0, 3, size=100_000)
+    a, b = bg.quantum_answers(q, q, sampler.random(100_000))
+    mismatches = int(np.count_nonzero(a != b))
     assert mismatches == 0
     report(3, "perfect same-axis correlations", "[mismatches=0 over 1e5 rounds]")
 
@@ -234,6 +232,18 @@ def test_criterion_8_regime_scans():
     # mean-field fidelity decays only where entanglement appears
     for scan in (tp, mp):
         assert np.all(scan.min_fidelity >= 1.0 - 2.0 * scan.max_entropy_bits)
+    # committed refined ladders (2x resolution, dt/2)
+    for scan, config, tolerances in (
+        (tp, tp_config, {"max_entropy_bits": 1e-6}),
+        (
+            mp,
+            mp_config,
+            {"max_entropy_bits": 1e-4, "min_fidelity": 1e-4, "trajectory_deviation": 1e-3},
+        ),
+    ):
+        for name, tol in tolerances.items():
+            reference = np.array(config["oracle"][name])
+            assert np.max(np.abs(getattr(scan, name) - reference)) < tol, name
     report(
         8,
         "regime scans",

@@ -308,6 +308,49 @@ class TestIslandsCommand:
         assert main(["islands", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+def _set(section, key, value):
+    def change(config):
+        (config if section is None else config[section])[key] = value
+
+    return change
+
+
+INVALID_GRID_RUNS = {
+    "nan_dt": _set(None, "dt", math.nan),
+    "infinite_strength": _set("potential", "strength", math.inf),
+    "negative_n_steps": _set(None, "n_steps", -5),
+    "zero_sample_every": _set(None, "sample_every", 0),
+    "unequal_boxes_with_potential": _set("grid", "length_b", 32.0),
+}
+
+
+GRID_COMMANDS = {
+    "evolve": tiny_grid_config(),
+    "islands": tiny_grid_config(kind="material_point", width_ratios=[0.5], seed=0),
+}
+
+
+class TestInvalidGridRunsExitBeforeManifest:
+    @pytest.mark.parametrize("case", sorted(INVALID_GRID_RUNS))
+    @pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+    def test_config_error_and_no_manifest(self, tmp_path, capsys, command, case):
+        config = json.loads(json.dumps(GRID_COMMANDS[command]))
+        INVALID_GRID_RUNS[case](config)
+        path = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_unknown_islands_oracle_key(self, tmp_path, capsys):
+        config = tiny_grid_config(
+            kind="material_point", width_ratios=[0.5], seed=0, oracle={"max_entropy": [0.1]}
+        )
+        path = write_config(tmp_path, "c.json", config)
+        assert main(["islands", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "'max_entropy'" in capsys.readouterr().err
+
+
 class TestManifestAndReproducibility:
     def test_manifest_written_with_hash_and_outputs(self, tmp_path):
         config = write_config(

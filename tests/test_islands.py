@@ -7,6 +7,7 @@ from entanglab.grid import (
     GaussianPacket,
     GridSpec,
     PotentialSpec,
+    evolve_split_step,
     gaussian_wave,
     init_product,
     minimal_image,
@@ -217,6 +218,29 @@ class TestCollisionRun:
         a = run_collision(fixture)
         b = run_collision(swapped)
         assert abs(a.max_entropy_bits - b.max_entropy_bits) < 1e-9
+
+
+class TestDriversAgree:
+    def test_collision_run_matches_grid_trajectory(self):
+        fixture = small_fixture(
+            spec=GridSpec(32, 32, 24.0, 24.0, 1.0, 1.0),
+            packet_a=GaussianPacket(-4.0, 1.0, 1.5),
+            packet_b=GaussianPacket(4.0, 1.0, -1.5),
+            potential=PotentialSpec("gaussian_well", 1.0, 1.5),
+            n_steps=120,
+            sample_every=30,
+        )
+        run = run_collision(fixture)
+        trajectory = evolve_split_step(
+            init_product(fixture.packet_a, fixture.packet_b, fixture.spec),
+            fixture.potential,
+            fixture.dt,
+            fixture.n_steps,
+            fixture.sample_every,
+        )
+        assert run.times.size == 5
+        for name in ("times", "norms", "energies", "x_a", "x_b", "entropy_bits"):
+            assert np.array_equal(getattr(run, name), getattr(trajectory, name)), name
 
 
 class TestScans:
