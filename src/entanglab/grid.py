@@ -11,7 +11,7 @@ Each step is a Strang splitting: half a potential phase (diagonal in
 position), a full kinetic phase (diagonal in momentum via a 2-D FFT), and
 the second potential half.  Both substeps are exactly unitary, so the method
 conserves the norm to rounding; accuracy is second order in dt.  Stability
-rule of thumb: keep dt * max|V| at or below ~0.1 rad per step.
+rule: keep dt * max|V| at or below MAX_PHASE_PER_STEP (0.1 rad per step).
 
 Entanglement is tracked through the singular values of the amplitude grid,
 which are the Schmidt coefficients of the discretized state.
@@ -30,6 +30,7 @@ from .output import column_rows
 
 NORM_TOL = 1e-8
 DEFAULT_RANK_BOUND = 64
+MAX_PHASE_PER_STEP = 0.1
 
 POTENTIAL_KINDS = ("gaussian_well", "gaussian_barrier", "soft_coulomb")
 

@@ -79,27 +79,33 @@ def init_hartree(
     )
 
 
-def effective_potentials(
-    pair: HartreePair, potential: PotentialSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interaction felt by each side, averaged over the other side's density.
+def _mean_field(spec: GridSpec, potential: PotentialSpec):
+    """The map from densities (rho_A dx_A, rho_B dx_B) to effective potentials.
 
     On matched grids the convolution kernel is circulant and both effective
     potentials come from FFTs; mismatched point counts fall back to the direct
     quadrature matrix.  The interaction is even in the separation, so the
-    same kernel serves both sides.
+    same kernel serves both sides.  The kernel is built once, here.
     """
-    spec = pair.spec
-    density_a = np.abs(pair.psi_a) ** 2 * spec.dx_a
-    density_b = np.abs(pair.psi_b) ** 2 * spec.dx_b
     if spec.n_a == spec.n_b and spec.length_a == spec.length_b:
         offsets = minimal_image(np.arange(spec.n_a) * spec.dx_a, spec.length_a)
         kernel_fft = np.fft.fft(potential.evaluate(offsets))
-        v_a = np.fft.ifft(kernel_fft * np.fft.fft(density_b)).real
-        v_b = np.fft.ifft(kernel_fft * np.fft.fft(density_a)).real
-        return v_a, v_b
+        return lambda density_a, density_b: (
+            np.fft.ifft(kernel_fft * np.fft.fft(density_b)).real,
+            np.fft.ifft(kernel_fft * np.fft.fft(density_a)).real,
+        )
     v_matrix = potential_on_grid(spec, potential)
-    return v_matrix @ density_b, density_a @ v_matrix
+    return lambda density_a, density_b: (v_matrix @ density_b, density_a @ v_matrix)
+
+
+def effective_potentials(
+    pair: HartreePair, potential: PotentialSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interaction felt by each side, averaged over the other side's density."""
+    spec = pair.spec
+    return _mean_field(spec, potential)(
+        np.abs(pair.psi_a) ** 2 * spec.dx_a, np.abs(pair.psi_b) ** 2 * spec.dx_b
+    )
 
 
 def iterate_hartree(
@@ -118,6 +124,7 @@ def iterate_hartree(
     if dt <= 0 or n_steps < 1 or sample_every < 1:
         raise ValueError("need positive dt, n_steps and sample_every")
     spec = pair.spec
+    mean_field = None if potential is None else _mean_field(spec, potential)
     kin_a = np.exp(-1j * dt * spec.k_a**2 / (2.0 * spec.m_a))
     kin_b = np.exp(-1j * dt * spec.k_b**2 / (2.0 * spec.m_b))
     a = np.array(pair.psi_a, dtype=complex)
@@ -125,7 +132,7 @@ def iterate_hartree(
     yield 0, a.copy(), b.copy()
     for step in range(1, n_steps + 1):
         if potential is not None:
-            v_a, v_b = effective_potentials(HartreePair(a, b, spec), potential)
+            v_a, v_b = mean_field(np.abs(a) ** 2 * spec.dx_a, np.abs(b) ** 2 * spec.dx_b)
             half_a = np.exp(-0.5j * dt * v_a)
             half_b = np.exp(-0.5j * dt * v_b)
             a *= half_a
@@ -312,20 +319,9 @@ class CollisionRun:
 def run_collision(fixture: CollisionFixture) -> CollisionRun:
     """Run the full solver and the mean-field solver in lockstep."""
     spec = fixture.spec
-    full = iterate_split_step(
-        init_product(fixture.packet_a, fixture.packet_b, spec),
-        fixture.potential,
-        fixture.dt,
-        fixture.n_steps,
-        fixture.sample_every,
-    )
-    mean_field = iterate_hartree(
-        init_hartree(fixture.packet_a, fixture.packet_b, spec),
-        fixture.potential,
-        fixture.dt,
-        fixture.n_steps,
-        fixture.sample_every,
-    )
+    stepping = (fixture.potential, fixture.dt, fixture.n_steps, fixture.sample_every)
+    full = iterate_split_step(init_product(fixture.packet_a, fixture.packet_b, spec), *stepping)
+    mean_field = iterate_hartree(init_hartree(fixture.packet_a, fixture.packet_b, spec), *stepping)
     v_matrix = potential_on_grid(spec, fixture.potential)
     times, samples, fid = [], [], []
     for (step, grid), (step_h, a, b) in zip(full, mean_field):
@@ -341,10 +337,7 @@ def run_collision(fixture: CollisionFixture) -> CollisionRun:
         fixture.packet_b.momentum / spec.m_b,
         spec.m_a,
         spec.m_b,
-        fixture.potential,
-        fixture.dt,
-        fixture.n_steps,
-        fixture.sample_every,
+        *stepping,
     )
     assert cl_times.size == len(times)
     return CollisionRun(

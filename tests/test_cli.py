@@ -1,12 +1,15 @@
+import importlib.util
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from entanglab.cli import main
+from entanglab.cli import build_parser, collision_fixture_from_config, load_config, main
+from entanglab.output import config_digest
 
-FIXTURES = Path(__file__).resolve().parents[1] / "src" / "entanglab" / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "src" / "entanglab" / "fixtures"
 
 
 def write_config(tmp_path, name, payload) -> Path:
@@ -321,12 +324,97 @@ INVALID_GRID_RUNS = {
     "negative_n_steps": _set(None, "n_steps", -5),
     "zero_sample_every": _set(None, "sample_every", 0),
     "unequal_boxes_with_potential": _set("grid", "length_b", 32.0),
+    "unstable_dt": _set(None, "dt", 0.2),  # dt * max|V| = 0.2 rad per step
 }
 
 
 GRID_COMMANDS = {
     "evolve": tiny_grid_config(),
     "islands": tiny_grid_config(kind="material_point", width_ratios=[0.5], seed=0),
+}
+
+
+def _changes(*changes):
+    def change(config):
+        for one in changes:
+            one(config)
+
+    return change
+
+
+def _matrix(values):
+    return {"kind": "matrix", "d_a": 2, "d_b": 2, "values": values}
+
+
+def _theorem_config(**extra):
+    config = {
+        "hamiltonian": {"kind": "pauli_sum", "terms": [{"a": "z", "b": "z"}]},
+        "n_product_samples": 4,
+        "t_final": 1.0,
+        "seed": 1,
+    }
+    config.update(extra)
+    return config
+
+
+def _diagonal(entry):
+    return [[entry if i == j else 0.0 for j in range(4)] for i in range(4)]
+
+
+SOFT_COULOMB = {"kind": "soft_coulomb", "strength": 1.0, "width": 0.05}  # max|V| = 20
+
+# One row per config a subcommand must refuse before writing anything:
+# (command, valid config, change that makes it invalid).
+INVALID_CONFIGS = {
+    "islands_zero_mass_ratio": (
+        "islands", tiny_grid_config(kind="test_particle", mass_ratios=[1.0], seed=0),
+        _set(None, "mass_ratios", [1.0, 0.0]),
+    ),
+    "islands_text_mass_ratio": (
+        "islands", tiny_grid_config(kind="test_particle", mass_ratios=[1.0], seed=0),
+        _set(None, "mass_ratios", ["a"]),
+    ),
+    "islands_packet_too_wide_at_point": (
+        "islands",
+        tiny_grid_config(kind="material_point", width_ratios=[0.5], seed=0),
+        _changes(_set(None, "width_ratios", [0.9]), _set("potential", "width", 10.0)),
+    ),
+    "islands_text_seed": (
+        "islands", tiny_grid_config(kind="material_point", width_ratios=[0.5], seed=0),
+        _set(None, "seed", "abc"),
+    ),
+    "islands_unstable_soft_coulomb_dt": (
+        "islands", tiny_grid_config(kind="material_point", width_ratios=[0.5], seed=0),
+        _set(None, "potential", SOFT_COULOMB),
+    ),
+    "evolve_unstable_soft_coulomb_dt": (
+        "evolve", tiny_grid_config(), _set(None, "potential", SOFT_COULOMB)
+    ),
+    "theorem_zero_samples": ("theorem", _theorem_config(), _set(None, "n_product_samples", 0)),
+    "theorem_zero_t_final": ("theorem", _theorem_config(), _set(None, "t_final", 0)),
+    "theorem_zero_time_samples": ("theorem", _theorem_config(), _set(None, "time_samples", 0)),
+    "matrix_negative_dims": (
+        "theorem", _theorem_config(hamiltonian=_matrix(_diagonal(1.0))),
+        _changes(_set("hamiltonian", "d_a", -2), _set("hamiltonian", "d_b", -2)),
+    ),
+    "pauli_label_in_list": (
+        "theorem", _theorem_config(), _set("hamiltonian", "terms", [{"a": ["z"], "b": "z"}])
+    ),
+    "matrix_text_entry": (
+        "theorem", _theorem_config(), _set(None, "hamiltonian", _matrix(_diagonal("1")))
+    ),
+    "matrix_bool_entry": (
+        "theorem", _theorem_config(), _set(None, "hamiltonian", _matrix(_diagonal(True)))
+    ),
+    "matrix_triple_entry": (
+        "theorem", _theorem_config(), _set(None, "hamiltonian", _matrix(_diagonal([1, 0, 99])))
+    ),
+    "measure_zero_tolerance": (
+        "measure", {"state": {"kind": "bell", "row": 0, "col": 0}}, _set(None, "tolerance", 0)
+    ),
+    "measure_text_seed": (
+        "measure", {"state": {"kind": "bell", "row": 0, "col": 0}}, _set(None, "seed", "zz")
+    ),
 }
 
 
@@ -342,6 +430,28 @@ class TestInvalidGridRunsExitBeforeManifest:
         assert "config error" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
+    def test_every_subcommand_refuses_before_manifest(self, tmp_path, capsys, case):
+        command, valid, change = INVALID_CONFIGS[case]
+        path = write_config(tmp_path, "valid.json", valid)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "valid")]) == 0
+        config = json.loads(json.dumps(valid))
+        change(config)
+        path = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_unstable_packaged_step_is_refused(self, tmp_path, capsys):
+        config = json.loads((FIXTURES / "convergence_small.json").read_text())
+        config["dt"] = 5.0
+        path = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+        assert "'dt'" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_unknown_islands_oracle_key(self, tmp_path, capsys):
         config = tiny_grid_config(
             kind="material_point", width_ratios=[0.5], seed=0, oracle={"max_entropy": [0.1]}
@@ -349,6 +459,80 @@ class TestInvalidGridRunsExitBeforeManifest:
         path = write_config(tmp_path, "c.json", config)
         assert main(["islands", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "'max_entropy'" in capsys.readouterr().err
+
+
+SEEDED_RUNS = {
+    "bellgame": ({"strategy": "quantum", "n_rounds": 1000, "seed": 1}, "bellgame.json"),
+    "measure": ({"state": {"kind": "bell", "row": 0, "col": 0}, "seed": 1}, None),
+    "theorem": (_theorem_config(), "theorem.json"),
+    "evolve": (tiny_grid_config(seed=1), None),
+    "islands": (
+        tiny_grid_config(kind="material_point", width_ratios=[0.5], seed=1), "islands.json"
+    ),
+}
+
+
+class TestSeedFlagOverridesConfigSeed:
+    @pytest.mark.parametrize("command", sorted(SEEDED_RUNS))
+    def test_flag_seed_is_recorded(self, tmp_path, command):
+        config, result = SEEDED_RUNS[command]
+        path = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out), "--seed", "99"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 99
+        assert manifest["config_sha256"] == config_digest(config)  # the file as given
+        if result is not None:
+            assert json.loads((out / result).read_text())["seed"] == 99
+
+
+FIXTURE_COMMANDS = {
+    "bellgame_lhv": "bellgame",
+    "bellgame_quantum": "bellgame",
+    "measure_bell": "measure",
+    "theorem_zz": "theorem",
+    "collision_well": "evolve",
+    "convergence_small": "evolve",
+    "test_particle": "islands",
+    "material_point": "islands",
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_script():
+    spec = importlib.util.spec_from_file_location(
+        "compute_oracles", ROOT / "scripts" / "compute_oracles.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPackagedFixturesParse:
+    """Every packaged config passes its parse step; nothing is run or written."""
+
+    def test_every_fixture_is_listed(self):
+        assert sorted(p.stem for p in FIXTURES.glob("*.json")) == sorted(FIXTURE_COMMANDS)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_COMMANDS))
+    def test_fixture_parses(self, tmp_path, name):
+        path = FIXTURES / f"{name}.json"
+        out = tmp_path / "out"
+        args = build_parser().parse_args(
+            [FIXTURE_COMMANDS[name], "--config", str(path), "--out", str(out)]
+        )
+        seed, outputs, run = args.parse(load_config(path), args)
+        assert outputs and callable(run)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["collision_well", "test_particle", "material_point"])
+    def test_oracle_script_bases_build(self, oracle_script, name):
+        config = load_config(oracle_script.FIXTURES / f"{name}.json")
+        base = collision_fixture_from_config(config, name)
+        refined = oracle_script.refine(base)
+        assert (refined.spec.n_a, refined.spec.n_b) == (2 * base.spec.n_a, 2 * base.spec.n_b)
+        assert refined.dt == base.dt / 2
+        assert refined.n_steps * refined.dt == pytest.approx(base.n_steps * base.dt)
 
 
 class TestManifestAndReproducibility:
