@@ -65,7 +65,8 @@ def load_config(path) -> dict:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that converts to a finite double: an integer past 1.8e308 does not."""
+    return isinstance(value, float) or (_is_integer(value) and abs(value) <= sys.float_info.max)
 
 
 def _is_integer(value) -> bool:
@@ -237,7 +238,7 @@ def _state_from_config(section, where, renormalize: bool) -> states.PureState:
     if fields["kind"] == "product":
         a = _amplitude_vector(fields["factor_a"], f"{where}.factor_a", renormalize)
         b = _amplitude_vector(fields["factor_b"], f"{where}.factor_b", renormalize)
-        return states.tensor_product(states.Ket(a), states.Ket(b))
+        return _build(where, lambda: states.tensor_product(states.Ket(a), states.Ket(b)))
     dims = fields["dims"]
     if (
         not isinstance(dims, list)

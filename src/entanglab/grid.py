@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .measures import spectrum_entropy
+from .measures import schmidt_entropy
 from .output import column_rows
 
 NORM_TOL = 1e-8
@@ -298,24 +298,15 @@ def iterate_split_step(
             yield step, grid.copy()
 
 
-def _schmidt_weights(grid: np.ndarray, spec: GridSpec) -> np.ndarray:
-    s = np.linalg.svd(grid * math.sqrt(spec.dx_a * spec.dx_b), compute_uv=False)
+def entanglement_spectrum(psi: Wavefunction2P) -> np.ndarray:
+    """Squared Schmidt coefficients (descending) of the discretized state."""
+    s = np.linalg.svd(psi.grid * math.sqrt(psi.spec.dx_a * psi.spec.dx_b), compute_uv=False)
     return s**2
 
 
-def entanglement_spectrum(psi: Wavefunction2P) -> np.ndarray:
-    """Squared Schmidt coefficients (descending) of the discretized state."""
-    return _schmidt_weights(psi.grid, psi.spec)
-
-
-def spectrum_bits(p: np.ndarray) -> float:
-    """Base-2 entropy of a Schmidt weight vector; weights at or below 1e-14 are dust."""
-    return spectrum_entropy(p)
-
-
 def entanglement_entropy_bits(psi: Wavefunction2P) -> float:
-    """Base-2 entropy of the Schmidt spectrum; weights at or below 1e-14 are dropped."""
-    return spectrum_bits(entanglement_spectrum(psi))
+    """Base-2 entropy of the Schmidt spectrum; weights at or below 1e-14 are dust."""
+    return schmidt_entropy(psi.grid * math.sqrt(psi.spec.dx_a * psi.spec.dx_b), 2)
 
 
 def entanglement_entropy_grid(psi: Wavefunction2P, rank_bound: int = DEFAULT_RANK_BOUND) -> float:
@@ -362,7 +353,7 @@ def sample_grid(grid: np.ndarray, spec: GridSpec, v_matrix: np.ndarray | None) -
     return GridSample(
         Wavefunction2P.norm_of(grid, spec),
         *_observables_from_grid(grid, spec, v_matrix),
-        entropy_bits=spectrum_bits(_schmidt_weights(grid, spec)),
+        entropy_bits=schmidt_entropy(grid * math.sqrt(spec.dx_a * spec.dx_b), 2),
     )
 
 

@@ -133,18 +133,34 @@ def schmidt_number(decomposition: SchmidtDecomposition, cutoff: float) -> int:
     return int(np.sum(decomposition.coefficients > cutoff))
 
 
-def spectrum_entropy(weights: np.ndarray, base: float = 2.0) -> float:
-    """Entropy -sum p log_base p of a weight spectrum, with 0 log 0 = 0.
+def spectrum_entropy(weights: np.ndarray, base: float = 2.0):
+    """Entropy -sum p log_base p of each weight spectrum, with 0 log 0 = 0.
 
-    Weights at or below 1e-14 are dust: they are dropped, and with them any
-    negative rounding noise.  A base below 2 has no room for uncertainty and
-    gives 0.
+    Spectra run along the last axis: a 1-D input gives a float, a stack gives
+    one entropy per spectrum.  Weights at or below 1e-14 are dust and count
+    as 0, negative rounding noise included.  A base below 2 has no room for
+    uncertainty and gives 0.
     """
     p = np.asarray(weights, dtype=float)
-    p = p[p > SPECTRUM_FLOOR]
-    if p.size == 0 or base < 2:
-        return 0.0
-    return float(-np.sum(p * np.log2(p)) / np.log2(base))
+    kept = p > SPECTRUM_FLOOR
+    if base < 2:
+        entropy = np.zeros(p.shape[:-1])
+    else:
+        p = np.where(kept, p, 1.0)  # 1 log 1 = 0 stands in for dust
+        entropy = -np.sum(p * np.log2(p), axis=-1) / np.log2(base)
+        entropy = np.where(kept.any(axis=-1), entropy, 0.0)  # all dust: 0.0, not -0.0
+    return float(entropy) if entropy.ndim == 0 else entropy
+
+
+def schmidt_entropy(amplitudes: np.ndarray, base: float):
+    """Entropy of the squared singular values of each (d_a, d_b) amplitude matrix.
+
+    Works on a stack ``(..., d_a, d_b)`` and returns one entropy per matrix (a
+    float for a single matrix).  For a normalized pure state these weights are
+    the common spectrum of both reduced states.
+    """
+    s = np.linalg.svd(amplitudes, compute_uv=False)
+    return spectrum_entropy(s**2, base)
 
 
 def von_neumann_entropy(rho: DensityMatrix, base: float | None = None) -> float:
@@ -174,8 +190,7 @@ def entanglement(state: PureState) -> float:
     computed from the Schmidt spectrum, whose squares are the common reduced
     eigenvalues.
     """
-    s = np.linalg.svd(state.amplitudes, compute_uv=False)
-    return spectrum_entropy(s**2, min(state.d_a, state.d_b))
+    return schmidt_entropy(state.amplitudes, min(state.d_a, state.d_b))
 
 
 def is_factorizable(state: PureState, tol: float) -> tuple[bool, PureState]:

@@ -415,6 +415,14 @@ INVALID_CONFIGS = {
     "measure_text_seed": (
         "measure", {"state": {"kind": "bell", "row": 0, "col": 0}}, _set(None, "seed", "zz")
     ),
+    "measure_one_amplitude_factor": (
+        "measure",
+        {"state": {"kind": "product", "factor_a": [1.0, 0.0], "factor_b": [0.0, 1.0]}},
+        _set("state", "factor_a", [1.0]),
+    ),
+    "evolve_integer_dt_past_double_range": (
+        "evolve", tiny_grid_config(), _set(None, "dt", 10**400)
+    ),
 }
 
 
@@ -451,6 +459,13 @@ class TestInvalidGridRunsExitBeforeManifest:
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
         assert "'dt'" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    def test_integer_seed_past_double_range_is_accepted(self, tmp_path):
+        config = {"state": {"kind": "bell", "row": 0, "col": 0}, "seed": 10**400}
+        path = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "out"
+        assert main(["measure", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 10**400
 
     def test_unknown_islands_oracle_key(self, tmp_path, capsys):
         config = tiny_grid_config(

@@ -7,6 +7,7 @@ from entanglab.finite import (
     PAULI,
     SIGMA_X,
     SIGMA_Z,
+    WITNESS_CHUNK,
     BipartiteHamiltonian,
     evolve_finite,
     haar_ket,
@@ -164,6 +165,21 @@ class TestTheoremWitness:
     def test_worst_initial_state_is_a_product(self):
         report = theorem_witness(kron_pair(SIGMA_Z, SIGMA_Z), 10, t_final=1.0, seed=15)
         assert entanglement(report.worst_initial_state) < 1e-12
+
+    def test_chunked_witness_matches_one_trajectory_per_sample(self):
+        # Past one chunk, on unequal sides: each sample's maximum is the
+        # maximum of evolve_finite from the same re-drawn product state.
+        rng = np.random.default_rng(16)
+        H = BipartiteHamiltonian(random_hermitian(rng, 6), 3, 2)
+        n = WITNESS_CHUNK + 3
+        report = theorem_witness(H, n, t_final=4.0, seed=17, n_time_samples=9)
+        draws = np.random.default_rng(17)
+        initial = [tensor_product(haar_ket(draws, 3), haar_ket(draws, 2)) for _ in range(n)]
+        expected = [evolve_finite(H, psi0, 4.0, 9).max_entropy for psi0 in initial]
+        assert np.max(np.abs(report.per_sample_max - expected)) < 1e-12
+        worst = initial[int(np.argmax(expected))].amplitudes
+        assert np.max(np.abs(report.worst_initial_state.amplitudes - worst)) < 1e-12
+        assert report.max_entanglement == np.max(report.per_sample_max)
 
     def test_pauli_table_contains_expected_keys(self):
         assert set(PAULI) == {"i", "x", "y", "z"}

@@ -10,7 +10,9 @@ from entanglab.measures import (
     is_factorizable,
     reduced_density_matrix,
     schmidt_decompose,
+    schmidt_entropy,
     schmidt_number,
+    spectrum_entropy,
     von_neumann_entropy,
 )
 from entanglab.states import Ket, PureState, bell_state, tensor_product
@@ -192,6 +194,35 @@ class TestEntropyAndCoherence:
             state = random_pure_state(rng, d, d)
             s = von_neumann_entropy(reduced_density_matrix(state, "A"))
             assert -1e-10 <= s <= 1.0 + 1e-10
+
+
+class TestStackedEntropy:
+    def test_stack_equals_row_by_row(self):
+        rng = np.random.default_rng(16)
+        weights = rng.dirichlet(np.ones(6), size=5)
+        weights[1, 3:] = 0.0
+        weights[2, -1] = -1e-17  # rounding noise is dust
+        weights[3] = 1e-15  # nothing but dust
+        stack = np.stack([weights, weights[::-1]])
+        for base in (2, 3, 6, 1):
+            entropies = spectrum_entropy(stack, base)
+            assert entropies.shape == (2, 5)
+            for k in np.ndindex(2, 5):
+                row = spectrum_entropy(stack[k], base)
+                assert isinstance(row, float)
+                assert entropies[k] == row
+        assert math.copysign(1.0, spectrum_entropy(weights, 2)[3]) == 1.0
+        assert math.copysign(1.0, spectrum_entropy(weights[3], 2)) == 1.0
+        assert np.all(spectrum_entropy(stack, 1) == 0.0)
+
+    def test_schmidt_entropy_of_a_stack(self):
+        rng = np.random.default_rng(17)
+        pure = [random_pure_state(rng, 3, 4) for _ in range(4)]
+        pure.append(tensor_product(random_ket(rng, 3), random_ket(rng, 4)))
+        stack = np.array([state.amplitudes for state in pure])
+        entropies = schmidt_entropy(stack, 3)
+        assert np.array_equal(entropies, [entanglement(state) for state in pure])
+        assert abs(entropies[-1]) < 1e-12
 
 
 class TestEntanglement:
