@@ -122,6 +122,13 @@ def haar_ket(rng: np.random.Generator, dim: int) -> Ket:
     return Ket(z / np.linalg.norm(z))
 
 
+def _sample_times(t_final: float, n_samples: int) -> np.ndarray:
+    """``n_samples`` evenly spaced times on [0, t_final]; a single sample sits at t_final."""
+    if t_final <= 0 or n_samples < 1:
+        raise ValueError("need t_final > 0 and at least one sample")
+    return np.linspace(0.0, t_final, n_samples) if n_samples > 1 else np.array([t_final])
+
+
 def _propagator(H: BipartiteHamiltonian, times: np.ndarray):
     """exp(-i H t) at each of ``times``, applied to a stack of initial vectors.
 
@@ -152,9 +159,7 @@ def evolve_finite(
             f"dimension mismatch: state is ({psi0.d_a}, {psi0.d_b}), "
             f"Hamiltonian is ({H.d_a}, {H.d_b})"
         )
-    if t_final <= 0 or n_samples < 1:
-        raise ValueError("need t_final > 0 and at least one sample")
-    times = np.linspace(0.0, t_final, n_samples) if n_samples > 1 else np.array([t_final])
+    times = _sample_times(t_final, n_samples)
     states = _propagator(H, times)(psi0.amplitudes.reshape(1, -1))[0]
     norms = np.linalg.norm(states, axis=(1, 2))
     states = states / norms[:, None, None]
@@ -205,8 +210,7 @@ def theorem_witness(
     kets_a = np.array([a.amplitudes for a, _ in kets])
     kets_b = np.array([b.amplitudes for _, b in kets])
     initial = (kets_a[:, :, None] * kets_b[:, None, :]).reshape(n_product_samples, -1)
-    times = np.linspace(0.0, t_final, n_time_samples)
-    propagate = _propagator(H, times)
+    propagate = _propagator(H, _sample_times(t_final, n_time_samples))
     per_sample = np.concatenate([
         schmidt_entropy(propagate(initial[k : k + WITNESS_CHUNK]), min(H.d_a, H.d_b)).max(axis=1)
         for k in range(0, n_product_samples, WITNESS_CHUNK)

@@ -199,6 +199,21 @@ class TestTheoremCommand:
         assert trajectory[0] == "time,entropy,norm"
         assert len(trajectory) == 1 + 33
 
+    def test_single_time_sample_sits_at_t_final(self, tmp_path, capsys):
+        # one time sample means t = t_final for the witness and the worst trajectory alike
+        config = write_config(
+            tmp_path, "t.json", _theorem_config(n_product_samples=20, time_samples=1)
+        )
+        out = tmp_path / "out"
+        assert main(["theorem", "--config", str(config), "--out", str(out)]) == 0
+        _, row = (out / "worst_trajectory.csv").read_text().splitlines()
+        time, entropy, _ = map(float, row.split(","))
+        assert time == 1.0
+        assert entropy > 0.1
+        witness = json.loads((out / "theorem.json").read_text())["max_witness_entanglement"]
+        assert witness == pytest.approx(entropy, rel=1e-12)
+        assert f"max witness entropy {entropy:.6g}" in capsys.readouterr().out
+
     def test_non_interacting_is_separable(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

@@ -166,20 +166,29 @@ class TestTheoremWitness:
         report = theorem_witness(kron_pair(SIGMA_Z, SIGMA_Z), 10, t_final=1.0, seed=15)
         assert entanglement(report.worst_initial_state) < 1e-12
 
-    def test_chunked_witness_matches_one_trajectory_per_sample(self):
+    @pytest.mark.parametrize("n_time_samples", [9, 1])
+    def test_chunked_witness_matches_one_trajectory_per_sample(self, n_time_samples):
         # Past one chunk, on unequal sides: each sample's maximum is the
-        # maximum of evolve_finite from the same re-drawn product state.
+        # maximum of evolve_finite from the same re-drawn product state,
+        # over the same times (a single sample sits at t_final).
         rng = np.random.default_rng(16)
         H = BipartiteHamiltonian(random_hermitian(rng, 6), 3, 2)
         n = WITNESS_CHUNK + 3
-        report = theorem_witness(H, n, t_final=4.0, seed=17, n_time_samples=9)
+        report = theorem_witness(H, n, t_final=4.0, seed=17, n_time_samples=n_time_samples)
         draws = np.random.default_rng(17)
         initial = [tensor_product(haar_ket(draws, 3), haar_ket(draws, 2)) for _ in range(n)]
-        expected = [evolve_finite(H, psi0, 4.0, 9).max_entropy for psi0 in initial]
+        expected = [
+            evolve_finite(H, psi0, 4.0, n_time_samples).max_entropy for psi0 in initial
+        ]
         assert np.max(np.abs(report.per_sample_max - expected)) < 1e-12
         worst = initial[int(np.argmax(expected))].amplitudes
         assert np.max(np.abs(report.worst_initial_state.amplitudes - worst)) < 1e-12
         assert report.max_entanglement == np.max(report.per_sample_max)
+
+    @pytest.mark.parametrize("t_final, n_time_samples", [(0.0, 9), (-1.0, 9), (1.0, 0)])
+    def test_rejects_bad_sample_times(self, t_final, n_time_samples):
+        with pytest.raises(ValueError, match="at least one sample"):
+            theorem_witness(kron_pair(SIGMA_Z, SIGMA_Z), 5, t_final, 1, n_time_samples)
 
     def test_pauli_table_contains_expected_keys(self):
         assert set(PAULI) == {"i", "x", "y", "z"}

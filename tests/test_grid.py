@@ -10,6 +10,8 @@ from entanglab.grid import (
     PacketTooWideError,
     PotentialSpec,
     Wavefunction2P,
+    _grid_layout,
+    _strang,
     ehrenfest_observables,
     entanglement_entropy_bits,
     entanglement_entropy_grid,
@@ -17,6 +19,7 @@ from entanglab.grid import (
     evolve_split_step,
     gaussian_wave,
     init_product,
+    iterate_split_step,
     minimal_image,
     potential_on_grid,
 )
@@ -265,6 +268,56 @@ class TestSplitStepEvolution:
         )
         with pytest.raises(ValueError):
             evolve_split_step(psi, None, -0.1, 10, 1)
+
+
+class TestChannelLayout:
+    """Equal grids step per total-momentum channel; the 2-D layout is the reference."""
+
+    @staticmethod
+    def channel_weights(grid):
+        # shear Phi[r, s] = Psi[(r + s) mod n, s], FFT along s: row K is channel K
+        n = grid.shape[0]
+        sheared = np.array([np.roll(grid[:, s], -s) for s in range(n)])
+        return np.sum(np.abs(np.fft.fft(sheared, axis=0)) ** 2, axis=1)
+
+    @pytest.mark.parametrize(
+        "length_b, m_b, potential",
+        [
+            (24.0, m_b, potential)
+            for m_b in (1.0, 2.0, 1000.0)
+            for potential in (None, PotentialSpec("gaussian_well", 1.0, 1.5))
+        ]
+        + [(30.0, 2.0, None)],  # free runs may use unequal boxes
+    )
+    @pytest.mark.parametrize("sample_every", [1, 7, 60])
+    def test_matches_grid_layout(self, length_b, m_b, potential, sample_every):
+        spec = GridSpec(32, 32, 24.0, length_b, 1.0, m_b)
+        psi = init_product(
+            GaussianPacket(-4.0, 1.0, 1.5), GaussianPacket(4.0, 1.0, -1.5), spec
+        )
+        channels = list(iterate_split_step(psi, potential, 0.01, 60, sample_every))
+        reference = [(0, psi.grid), *_strang(_grid_layout(psi, potential, 0.01), 60, sample_every)]
+        assert [step for step, _ in channels] == [step for step, _ in reference]
+        for (_, grid), (_, expected) in zip(channels, reference):
+            assert np.linalg.norm(grid - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    def test_channel_weights_conserved_and_dust_dropped(self):
+        spec = small_spec(n=64, length=40.0)
+        psi = init_product(
+            GaussianPacket(-6.0, 1.5, 2.0), GaussianPacket(6.0, 1.5, -2.0), spec
+        )
+        pot = PotentialSpec("gaussian_well", 2.0, 1.5)
+        samples = list(iterate_split_step(psi, pot, 0.004, 1500, 250))
+        initial = self.channel_weights(samples[0][1])
+        total = initial.sum()
+        lightest = np.argsort(initial)
+        dropped = lightest[np.cumsum(initial[lightest]) <= 1e-20 * total]
+        kept = np.setdiff1d(np.arange(spec.n_a), dropped)
+        assert 0 < dropped.size < spec.n_a
+        for _, grid in samples[1:]:
+            weights = self.channel_weights(grid)
+            assert np.max(np.abs(weights[kept] - initial[kept])) <= 1e-12 * total
+            assert weights[dropped].sum() <= 1e-20 * total
 
 
 class TestFixtureOracles:
