@@ -9,6 +9,7 @@ Subpackages by theme:
 * grid         two-particle split-step solver on a periodic lattice
 * islands      Hartree mean-field dynamics and classical-regime scans
 * cli          command-line front end (``entanglab <subcommand>``)
+* blas         pins NumPy's OpenBLAS to one thread for the length of a run
 """
 
 __version__ = "0.1.0"

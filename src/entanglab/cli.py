@@ -13,7 +13,9 @@ through ``main`` in three steps:
 3. run: the compute, then the result files.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.  Identical
-config and seed reproduce results byte for byte.
+config and seed reproduce results byte for byte.  BLAS runs on one thread
+for the whole call (``blas.single_thread``), so ``--threads`` is the only
+parallelism and no output depends on the host's BLAS thread count.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bellgame as bg
-from . import finite, grid, islands, measures, states
+from . import blas, finite, grid, islands, measures, states
 from .output import run_manifest, write_csv, write_json
 
 
@@ -595,6 +597,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand with BLAS on one thread; ``--threads`` is the only parallelism."""
+    with blas.single_thread():
+        return _run(argv)
+
+
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     if args.threads is None:
         try:

@@ -168,11 +168,15 @@ def minimal_image(r, period: float):
     return r - period * np.round(r / period)
 
 
-def potential_on_grid(spec: GridSpec, potential: PotentialSpec) -> np.ndarray:
-    """V evaluated at the minimal-image separation of every lattice pair."""
+def potential_on_grid(spec: GridSpec, potential: PotentialSpec, x_b=None) -> np.ndarray:
+    """V evaluated at the minimal-image separation of every lattice pair.
+
+    With ``x_b`` given, V(x_A - x_b) on the A lattice alone: on an n x n grid
+    ``x_b = spec.x_b[0]`` gives column 0, V at each relative index a - b mod n.
+    """
     if spec.length_a != spec.length_b:
         raise ValueError("interaction requires equal box lengths on both sides")
-    r = spec.x_a[:, None] - spec.x_b[None, :]
+    r = spec.x_a[:, None] - spec.x_b[None, :] if x_b is None else spec.x_a - x_b
     return potential.evaluate(minimal_image(r, spec.length_a))
 
 
@@ -323,7 +327,7 @@ def _channel_layout(psi: Wavefunction2P, potential: PotentialSpec | None, dt: fl
     half_v = (
         None
         if potential is None
-        else np.exp(-0.5j * dt * potential_on_grid(spec, potential)[:, 0])
+        else np.exp(-0.5j * dt * potential_on_grid(spec, potential, spec.x_b[0]))
     )
     kinetic = np.exp(-1j * dt * spec.kinetic_grid()[index, (kept[:, None] - index) % n])
 
@@ -401,21 +405,6 @@ def entanglement_entropy_grid(psi: Wavefunction2P, rank_bound: int = DEFAULT_RAN
     return entanglement_entropy_bits(psi) / math.log2(rank_bound)
 
 
-def _observables_from_grid(
-    grid: np.ndarray, spec: GridSpec, v_matrix: np.ndarray | None
-) -> Observables:
-    weight = np.abs(grid) ** 2 * (spec.dx_a * spec.dx_b)
-    x_a = float(np.sum(spec.x_a[:, None] * weight))
-    x_b = float(np.sum(spec.x_b[None, :] * weight))
-    momentum_weight = np.abs(np.fft.fft2(grid)) ** 2
-    momentum_weight /= momentum_weight.sum()
-    p_a = float(np.sum(spec.k_a[:, None] * momentum_weight))
-    p_b = float(np.sum(spec.k_b[None, :] * momentum_weight))
-    kinetic = float(np.sum(spec.kinetic_grid() * momentum_weight))
-    potential_energy = 0.0 if v_matrix is None else float(np.sum(v_matrix * weight))
-    return Observables(x_a, x_b, p_a, p_b, kinetic + potential_energy)
-
-
 class GridSample(NamedTuple):
     """Everything recorded about one sampled amplitude grid."""
 
@@ -428,13 +417,54 @@ class GridSample(NamedTuple):
     entropy_bits: float
 
 
-def sample_grid(grid: np.ndarray, spec: GridSpec, v_matrix: np.ndarray | None) -> GridSample:
-    """The per-sample probe of every grid driver; ``v_matrix`` is None when free."""
-    return GridSample(
-        Wavefunction2P.norm_of(grid, spec),
-        *_observables_from_grid(grid, spec, v_matrix),
-        entropy_bits=schmidt_entropy(grid * math.sqrt(spec.dx_a * spec.dx_b), 2),
-    )
+class GridProbe:
+    """The per-sample probe of every grid driver, built once per run.
+
+    The lattice tables (positions, momenta, kinetic energy, and V, None when
+    free) are built here, and every sample reuses one real and one complex
+    n^2 buffer instead of allocating its own temporaries.
+    """
+
+    def __init__(self, spec: GridSpec, v_matrix: np.ndarray | None):
+        self.cell = spec.dx_a * spec.dx_b
+        self.x_a, self.x_b = spec.x_a[:, None], spec.x_b[None, :]
+        self.k_a, self.k_b = spec.k_a[:, None], spec.k_b[None, :]
+        self.kinetic = spec.kinetic_grid()
+        self.v_matrix = v_matrix
+        shape = (spec.n_a, spec.n_b)
+        self.weights = np.empty(shape)  # position weights, then momentum weights
+        self.amplitudes = np.empty(shape, dtype=complex)  # the FFT, then the scaled grid
+        # a mean's products go to the first half of the complex buffer: every
+        # mean is taken before the FFT is written or after it has been read
+        self.products = self.amplitudes.view(float).ravel()[: self.weights.size].reshape(shape)
+
+    def _mean(self, table: np.ndarray, weights: np.ndarray) -> float:
+        return float(np.sum(np.multiply(table, weights, out=self.products)))
+
+    def _norm_and_observables(self, grid: np.ndarray) -> tuple[float, Observables]:
+        weights = np.square(np.abs(grid, out=self.weights), out=self.weights)
+        weights *= self.cell  # |Psi|^2 dx_A dx_B
+        norm = float(np.sum(weights))
+        x_a, x_b = self._mean(self.x_a, weights), self._mean(self.x_b, weights)
+        potential_energy = 0.0 if self.v_matrix is None else self._mean(self.v_matrix, weights)
+        momentum = np.fft.fft2(grid, out=self.amplitudes)
+        weights = np.square(np.abs(momentum, out=self.weights), out=self.weights)
+        weights /= weights.sum()
+        return norm, Observables(
+            x_a,
+            x_b,
+            self._mean(self.k_a, weights),
+            self._mean(self.k_b, weights),
+            self._mean(self.kinetic, weights) + potential_energy,
+        )
+
+    def observables(self, grid: np.ndarray) -> Observables:
+        return self._norm_and_observables(grid)[1]
+
+    def __call__(self, grid: np.ndarray) -> GridSample:
+        norm, observables = self._norm_and_observables(grid)
+        scaled = np.multiply(grid, math.sqrt(self.cell), out=self.amplitudes)
+        return GridSample(norm, *observables, entropy_bits=schmidt_entropy(scaled, 2))
 
 
 def ehrenfest_observables(
@@ -447,7 +477,7 @@ def ehrenfest_observables(
     (zero when ``potential`` is None).
     """
     v_matrix = None if potential is None else potential_on_grid(psi.spec, potential)
-    return _observables_from_grid(psi.grid, psi.spec, v_matrix)
+    return GridProbe(psi.spec, v_matrix).observables(psi.grid)
 
 
 def evolve_split_step(
@@ -459,11 +489,11 @@ def evolve_split_step(
 ) -> GridTrajectory:
     """Evolve and record norm, energy, entanglement, and Ehrenfest means."""
     spec = psi.spec
-    v_matrix = None if potential is None else potential_on_grid(spec, potential)
+    probe = GridProbe(spec, None if potential is None else potential_on_grid(spec, potential))
     times, samples = [], []
     for step, grid in iterate_split_step(psi, potential, dt, n_steps, sample_every):
         times.append(step * dt)
-        samples.append(sample_grid(grid, spec, v_matrix))
+        samples.append(probe(grid))
     norms, x_a, x_b, p_a, p_b, energies, bits = np.array(samples).T
     return GridTrajectory(
         times=np.array(times),

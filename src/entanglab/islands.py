@@ -27,6 +27,7 @@ import numpy as np
 
 from .grid import (
     GaussianPacket,
+    GridProbe,
     GridSpec,
     PotentialSpec,
     Wavefunction2P,
@@ -35,7 +36,6 @@ from .grid import (
     iterate_split_step,
     minimal_image,
     potential_on_grid,
-    sample_grid,
 )
 from .output import column_rows
 
@@ -204,8 +204,12 @@ def classical_two_body(
     """Fixed-step RK4 integration of the two-body Newton equations.
 
     Returns (times, x_a, x_b, relative_energy_drift).  The force derives from
-    the same interaction used by the quantum runs, evaluated on the line
-    (packets never approach the box seam in the fixtures).
+    the same interaction used by the quantum runs, evaluated on the open line:
+    the comparator has no periodic box, so it assumes that the quantum
+    packets' mass across the box seam is negligible.  That holds only
+    approximately in the packaged ladders: at material_point width ratio 0.5
+    about 5e-5 of each packet's initial mass lies within 4 lattice points of
+    the seam (ROADMAP open item 2).
     """
 
     def rhs(y):
@@ -322,12 +326,12 @@ def run_collision(fixture: CollisionFixture) -> CollisionRun:
     stepping = (fixture.potential, fixture.dt, fixture.n_steps, fixture.sample_every)
     full = iterate_split_step(init_product(fixture.packet_a, fixture.packet_b, spec), *stepping)
     mean_field = iterate_hartree(init_hartree(fixture.packet_a, fixture.packet_b, spec), *stepping)
-    v_matrix = potential_on_grid(spec, fixture.potential)
+    probe = GridProbe(spec, potential_on_grid(spec, fixture.potential))
     times, samples, fid = [], [], []
     for (step, grid), (step_h, a, b) in zip(full, mean_field):
         assert step == step_h
         times.append(step * fixture.dt)
-        samples.append(sample_grid(grid, spec, v_matrix))
+        samples.append(probe(grid))
         fid.append(_overlap_fidelity(grid, a, b, spec))
     norms, x_a, x_b, _, _, energies, bits = np.array(samples).T
     cl_times, cl_a, cl_b, drift = classical_two_body(

@@ -1,10 +1,14 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from entanglab import blas, cli
 from entanglab.cli import build_parser, collision_fixture_from_config, load_config, main
 from entanglab.output import config_digest
 
@@ -607,3 +611,69 @@ class TestManifestAndReproducibility:
         assert main([command, "--config", str(config), "--out", str(out_a)]) == 0
         assert main([command, "--config", str(config), "--out", str(out_b)]) == 0
         assert read_outputs(out_a) == read_outputs(out_b)
+
+
+class TestBlasOnOneThread:
+    """Every run pins BLAS to one thread, so outputs do not depend on the host's."""
+
+    @pytest.fixture
+    def controls(self):
+        controls = blas.thread_controls()
+        if controls is None:
+            pytest.skip("NumPy's BLAS is not a known OpenBLAS")
+        get, set_ = controls
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    @staticmethod
+    def record_threads(monkeypatch, get) -> list:
+        # the BLAS thread count seen while the run writes its manifest
+        seen = []
+        original = cli.write_json
+
+        def write_json(*args):
+            seen.append(get())
+            original(*args)
+
+        monkeypatch.setattr(cli, "write_json", write_json)
+        return seen
+
+    def test_count_restored_after_every_exit_code(self, tmp_path, monkeypatch, controls):
+        seen = self.record_threads(monkeypatch, controls)
+        bell = str(FIXTURES / "measure_bell.json")
+        assert main(["measure", "--config", bell, "--out", str(tmp_path / "ok")]) == 0
+        assert seen and set(seen) == {1} and controls() == 2
+        blocked = tmp_path / "a_file"
+        blocked.write_text("")
+        assert main(["measure", "--config", bell, "--out", str(blocked)]) == 1
+        assert controls() == 2
+        bad = write_config(tmp_path, "bad.json", {"state": {"kind": "bell"}, "extra": 1})
+        assert main(["measure", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+        assert controls() == 2
+
+    def test_run_without_known_blas_is_unpinned(self, tmp_path, monkeypatch, controls):
+        monkeypatch.setattr(blas, "library_paths", lambda: [])
+        seen = self.record_threads(monkeypatch, controls)
+        bell = str(FIXTURES / "measure_bell.json")
+        assert main(["measure", "--config", bell, "--out", str(tmp_path / "ok")]) == 0
+        assert seen and set(seen) == {2} and controls() == 2
+        assert json.loads((tmp_path / "ok" / "measure.json").read_text())["entanglement"] == 1.0
+
+    def test_outputs_identical_under_one_and_two_blas_threads(self, tmp_path):
+        env = {k: v for k, v in os.environ.items() if k != "CI_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas_{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "entanglab", "evolve",
+                 "--config", str(FIXTURES / "collision_well.json"), "--out", str(out)],
+                env={**env, "OPENBLAS_NUM_THREADS": threads},
+                check=True,
+                capture_output=True,
+            )
+            outputs.append(read_outputs(out))
+        assert set(outputs[0]) == {"manifest.json", "trajectory.csv", "evolve.json"}
+        assert outputs[0] == outputs[1]

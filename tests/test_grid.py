@@ -5,11 +5,13 @@ import pytest
 
 from entanglab.grid import (
     GaussianPacket,
+    GridProbe,
     GridSpec,
     GridTrajectory,
     PacketTooWideError,
     PotentialSpec,
     Wavefunction2P,
+    _channel_layout,
     _grid_layout,
     _strang,
     ehrenfest_observables,
@@ -318,6 +320,54 @@ class TestChannelLayout:
             weights = self.channel_weights(grid)
             assert np.max(np.abs(weights[kept] - initial[kept])) <= 1e-12 * total
             assert weights[dropped].sum() <= 1e-20 * total
+
+
+    @pytest.mark.parametrize("kind", ["gaussian_well", "gaussian_barrier", "soft_coulomb"])
+    @pytest.mark.parametrize("n, length", [(16, 12.0), (64, 40.0), (256, 32.0)])
+    def test_potential_column_is_column_zero_of_the_matrix(self, kind, n, length):
+        # the layout evaluates V on the n offsets a - b mod n, not on all n^2 pairs
+        spec = small_spec(n=n, length=length)
+        potential = PotentialSpec(kind, 1.7, 1.3)
+        psi = init_product(
+            GaussianPacket(-2.0, 1.0, 1.0), GaussianPacket(2.0, 1.0, -1.0), spec
+        )
+        column = potential_on_grid(spec, potential)[:, 0]
+        assert np.array_equal(potential_on_grid(spec, potential, spec.x_b[0]), column)
+        half_v = _channel_layout(psi, potential, 0.01).half_v
+        assert np.array_equal(half_v, np.exp(-0.5j * 0.01 * column))
+
+
+class TestGridProbe:
+    @staticmethod
+    def reference(grid, spec, v_matrix):
+        # the probe's formulas with fresh temporaries for every sample
+        weight = np.abs(grid) ** 2 * (spec.dx_a * spec.dx_b)
+        momentum_weight = np.abs(np.fft.fft2(grid)) ** 2
+        momentum_weight /= momentum_weight.sum()
+        return (
+            float(np.sum(weight)),
+            float(np.sum(spec.x_a[:, None] * weight)),
+            float(np.sum(spec.x_b[None, :] * weight)),
+            float(np.sum(spec.k_a[:, None] * momentum_weight)),
+            float(np.sum(spec.k_b[None, :] * momentum_weight)),
+            float(np.sum(spec.kinetic_grid() * momentum_weight))
+            + float(np.sum(v_matrix * weight)),
+            entanglement_entropy_bits(Wavefunction2P(grid, spec)),
+        )
+
+    def test_reused_buffers_match_fresh_temporaries_bit_for_bit(self):
+        spec = GridSpec(32, 64, 24.0, 24.0, 1.0, 2.0)
+        potential = PotentialSpec("gaussian_well", 1.0, 1.5)
+        v_matrix = potential_on_grid(spec, potential)
+        psi = init_product(
+            GaussianPacket(-4.0, 1.0, 1.5), GaussianPacket(4.0, 1.0, -1.5), spec
+        )
+        probe = GridProbe(spec, v_matrix)
+        samples = list(iterate_split_step(psi, potential, 0.01, 60, 20))
+        for _, grid in samples:
+            assert tuple(probe(grid)) == self.reference(grid, spec, v_matrix)
+        # a probe that has seen other grids reads the first one as a fresh probe does
+        assert probe(samples[0][1]) == GridProbe(spec, v_matrix)(samples[0][1])
 
 
 class TestFixtureOracles:
