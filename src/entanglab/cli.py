@@ -12,10 +12,12 @@ through ``main`` in three steps:
    outputs) goes into the output directory;
 3. run: the compute, then the result files.
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration error.  Identical
-config and seed reproduce results byte for byte.  BLAS runs on one thread
-for the whole call (``blas.single_thread``), so ``--threads`` is the only
-parallelism and no output depends on the host's BLAS thread count.
+Exit codes: 0 success, 1 runtime failure (also an ``evolve`` run whose final
+entropy misses its config oracle, after its outputs are written), 2
+configuration or command-line error (``--threads`` below 1 included).
+Identical config and seed reproduce results byte for byte.  BLAS runs on one
+thread for the whole call (``blas.single_thread``), so ``--threads`` is the
+only parallelism and no output depends on the host's BLAS thread count.
 """
 
 from __future__ import annotations
@@ -481,8 +483,14 @@ def parse_evolve(config: dict, args) -> tuple:
             f"norm drift {summary['max_norm_drift']:.3e}, "
             f"energy drift {summary['max_relative_energy_drift']:.3e}"
         )
-        if "oracle_deviation" in summary:
-            print(f"oracle deviation {summary['oracle_deviation']:.3e}")
+        if oracle is not None:
+            deviation, tolerance = summary["oracle_deviation"], oracle["tolerance"]
+            print(f"oracle deviation {deviation:.3e}")
+            if deviation >= tolerance:
+                raise RuntimeError(
+                    f"oracle deviation {deviation:.3e} bits is at or above the tolerance "
+                    f"{tolerance:g} bits"
+                )
 
     return fields["seed"], ["trajectory.csv", "evolve.json"], run
 
@@ -584,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker threads (default: CI_THREADS env var or 1)",
+            help="worker threads, at least 1 (default: CI_THREADS env var or 1)",
         )
         if name == "measure":
             p.add_argument(
@@ -603,7 +611,10 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        parser.error(f"argument --threads: must be at least 1, not {args.threads}")
     if args.threads is None:
         try:
             args.threads = max(1, int(os.environ.get("CI_THREADS", "1")))

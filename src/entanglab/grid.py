@@ -241,6 +241,14 @@ class GridTrajectory:
         "p_b",
     )
 
+    @classmethod
+    def of(cls, steps, samples: list[GridSample], dt: float, final_state: Wavefunction2P):
+        """The columns of a run sampled at ``steps``: the one place samples are stacked."""
+        norms, x_a, x_b, p_a, p_b, energies, bits = np.array(samples).T
+        normalized = bits / math.log2(DEFAULT_RANK_BOUND)
+        times = np.array(steps) * dt
+        return cls(times, norms, energies, bits, normalized, x_a, x_b, p_a, p_b, final_state)
+
     def rows(self):
         return column_rows(
             self.times,
@@ -418,11 +426,11 @@ class GridSample(NamedTuple):
 
 
 class GridProbe:
-    """The per-sample probe of every grid driver, built once per run.
+    """The per-sample probe of ``probe_split_step``, built there once per run.
 
     The lattice tables (positions, momenta, kinetic energy, and V, None when
     free) are built here, and every sample reuses one real and one complex
-    n^2 buffer instead of allocating its own temporaries.
+    n^2 buffer; ``ehrenfest_observables`` builds one for a single state.
     """
 
     def __init__(self, spec: GridSpec, v_matrix: np.ndarray | None):
@@ -441,7 +449,7 @@ class GridProbe:
     def _mean(self, table: np.ndarray, weights: np.ndarray) -> float:
         return float(np.sum(np.multiply(table, weights, out=self.products)))
 
-    def _norm_and_observables(self, grid: np.ndarray) -> tuple[float, Observables]:
+    def norm_and_observables(self, grid: np.ndarray) -> tuple[float, Observables]:
         weights = np.square(np.abs(grid, out=self.weights), out=self.weights)
         weights *= self.cell  # |Psi|^2 dx_A dx_B
         norm = float(np.sum(weights))
@@ -458,11 +466,8 @@ class GridProbe:
             self._mean(self.kinetic, weights) + potential_energy,
         )
 
-    def observables(self, grid: np.ndarray) -> Observables:
-        return self._norm_and_observables(grid)[1]
-
     def __call__(self, grid: np.ndarray) -> GridSample:
-        norm, observables = self._norm_and_observables(grid)
+        norm, observables = self.norm_and_observables(grid)
         scaled = np.multiply(grid, math.sqrt(self.cell), out=self.amplitudes)
         return GridSample(norm, *observables, entropy_bits=schmidt_entropy(scaled, 2))
 
@@ -477,7 +482,25 @@ def ehrenfest_observables(
     (zero when ``potential`` is None).
     """
     v_matrix = None if potential is None else potential_on_grid(psi.spec, potential)
-    return GridProbe(psi.spec, v_matrix).observables(psi.grid)
+    return GridProbe(psi.spec, v_matrix).norm_and_observables(psi.grid)[1]
+
+
+def probe_split_step(
+    psi: Wavefunction2P,
+    potential: PotentialSpec | None,
+    dt: float,
+    n_steps: int,
+    sample_every: int,
+) -> Iterator[tuple[int, np.ndarray, GridSample]]:
+    """The one grid driver: ``iterate_split_step`` with each sampled grid probed.
+
+    Yields (step, grid, sample).  Every run's ``GridProbe`` is built here, and
+    a sample is probed after the step's own ``next()`` has returned.
+    """
+    spec = psi.spec
+    probe = GridProbe(spec, None if potential is None else potential_on_grid(spec, potential))
+    for step, grid in iterate_split_step(psi, potential, dt, n_steps, sample_every):
+        yield step, grid, probe(grid)
 
 
 def evolve_split_step(
@@ -488,22 +511,8 @@ def evolve_split_step(
     sample_every: int,
 ) -> GridTrajectory:
     """Evolve and record norm, energy, entanglement, and Ehrenfest means."""
-    spec = psi.spec
-    probe = GridProbe(spec, None if potential is None else potential_on_grid(spec, potential))
-    times, samples = [], []
-    for step, grid in iterate_split_step(psi, potential, dt, n_steps, sample_every):
-        times.append(step * dt)
-        samples.append(probe(grid))
-    norms, x_a, x_b, p_a, p_b, energies, bits = np.array(samples).T
-    return GridTrajectory(
-        times=np.array(times),
-        norms=norms,
-        energies=energies,
-        entropy_bits=bits,
-        entropy_normalized=bits / math.log2(DEFAULT_RANK_BOUND),
-        x_a=x_a,
-        x_b=x_b,
-        p_a=p_a,
-        p_b=p_b,
-        final_state=Wavefunction2P(grid, spec),
-    )
+    steps, samples = [], []
+    for step, grid, sample in probe_split_step(psi, potential, dt, n_steps, sample_every):
+        steps.append(step)
+        samples.append(sample)
+    return GridTrajectory.of(steps, samples, dt, Wavefunction2P(grid, psi.spec))

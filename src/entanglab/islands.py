@@ -27,15 +27,15 @@ import numpy as np
 
 from .grid import (
     GaussianPacket,
-    GridProbe,
     GridSpec,
+    GridTrajectory,
     PotentialSpec,
     Wavefunction2P,
     gaussian_wave,
     init_product,
-    iterate_split_step,
-    minimal_image,
+    iterate_split_step,  # noqa: F401 - unused, but perfbench/tracing.py wraps it here
     potential_on_grid,
+    probe_split_step,
 )
 from .output import column_rows
 
@@ -82,14 +82,14 @@ def init_hartree(
 def _mean_field(spec: GridSpec, potential: PotentialSpec):
     """The map from densities (rho_A dx_A, rho_B dx_B) to effective potentials.
 
-    On matched grids the convolution kernel is circulant and both effective
-    potentials come from FFTs; mismatched point counts fall back to the direct
-    quadrature matrix.  The interaction is even in the separation, so the
-    same kernel serves both sides.  The kernel is built once, here.
+    On matched grids the convolution kernel is circulant (V's column 0 from
+    ``potential_on_grid``) and both effective potentials come from FFTs;
+    mismatched point counts fall back to the direct quadrature matrix.  The
+    interaction is even in the separation, so the same kernel serves both
+    sides.  The kernel is built once, here.
     """
-    if spec.n_a == spec.n_b and spec.length_a == spec.length_b:
-        offsets = minimal_image(np.arange(spec.n_a) * spec.dx_a, spec.length_a)
-        kernel_fft = np.fft.fft(potential.evaluate(offsets))
+    if spec.n_a == spec.n_b:
+        kernel_fft = np.fft.fft(potential_on_grid(spec, potential, spec.x_b[0]))
         return lambda density_a, density_b: (
             np.fft.ifft(kernel_fft * np.fft.fft(density_b)).real,
             np.fft.ifft(kernel_fft * np.fft.fft(density_a)).real,
@@ -259,22 +259,17 @@ class CollisionFixture:
 
 @dataclass(frozen=True)
 class CollisionRun:
-    """Full-vs-mean-field diagnostics sampled along one collision."""
+    """One collision's full trajectory, with the mean-field and classical columns."""
 
-    times: np.ndarray
-    entropy_bits: np.ndarray
+    full: GridTrajectory
     fidelity: np.ndarray
-    x_a: np.ndarray
-    x_b: np.ndarray
-    norms: np.ndarray
-    energies: np.ndarray
     classical_x_a: np.ndarray
     classical_x_b: np.ndarray
     classical_energy_drift: float
 
     @property
     def max_entropy_bits(self) -> float:
-        return float(np.max(self.entropy_bits))
+        return float(np.max(self.full.entropy_bits))
 
     @property
     def final_fidelity(self) -> float:
@@ -289,8 +284,8 @@ class CollisionRun:
         """max_t |<x>(t) - x_classical(t)| over both particles."""
         return float(
             max(
-                np.max(np.abs(self.x_a - self.classical_x_a)),
-                np.max(np.abs(self.x_b - self.classical_x_b)),
+                np.max(np.abs(self.full.x_a - self.classical_x_a)),
+                np.max(np.abs(self.full.x_b - self.classical_x_b)),
             )
         )
 
@@ -308,13 +303,13 @@ class CollisionRun:
 
     def point_rows(self):
         return column_rows(
-            self.times,
-            self.norms,
-            self.energies,
-            self.entropy_bits,
+            self.full.times,
+            self.full.norms,
+            self.full.energies,
+            self.full.entropy_bits,
             self.fidelity,
-            self.x_a,
-            self.x_b,
+            self.full.x_a,
+            self.full.x_b,
             self.classical_x_a,
             self.classical_x_b,
         )
@@ -324,16 +319,14 @@ def run_collision(fixture: CollisionFixture) -> CollisionRun:
     """Run the full solver and the mean-field solver in lockstep."""
     spec = fixture.spec
     stepping = (fixture.potential, fixture.dt, fixture.n_steps, fixture.sample_every)
-    full = iterate_split_step(init_product(fixture.packet_a, fixture.packet_b, spec), *stepping)
+    full = probe_split_step(init_product(fixture.packet_a, fixture.packet_b, spec), *stepping)
     mean_field = iterate_hartree(init_hartree(fixture.packet_a, fixture.packet_b, spec), *stepping)
-    probe = GridProbe(spec, potential_on_grid(spec, fixture.potential))
-    times, samples, fid = [], [], []
-    for (step, grid), (step_h, a, b) in zip(full, mean_field):
+    steps, samples, fid = [], [], []
+    for (step, grid, sample), (step_h, a, b) in zip(full, mean_field):
         assert step == step_h
-        times.append(step * fixture.dt)
-        samples.append(probe(grid))
+        steps.append(step)
+        samples.append(sample)
         fid.append(_overlap_fidelity(grid, a, b, spec))
-    norms, x_a, x_b, _, _, energies, bits = np.array(samples).T
     cl_times, cl_a, cl_b, drift = classical_two_body(
         fixture.packet_a.center,
         fixture.packet_a.momentum / spec.m_a,
@@ -343,15 +336,10 @@ def run_collision(fixture: CollisionFixture) -> CollisionRun:
         spec.m_b,
         *stepping,
     )
-    assert cl_times.size == len(times)
+    assert cl_times.size == len(steps)
     return CollisionRun(
-        times=np.array(times),
-        entropy_bits=bits,
+        full=GridTrajectory.of(steps, samples, fixture.dt, Wavefunction2P(grid, spec)),
         fidelity=np.array(fid),
-        x_a=x_a,
-        x_b=x_b,
-        norms=norms,
-        energies=energies,
         classical_x_a=cl_a,
         classical_x_b=cl_b,
         classical_energy_drift=drift,

@@ -287,6 +287,25 @@ class TestEvolveCommand:
         assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "'cells'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("offset, code", [(0.0, 0), (0.5, 1)])
+    def test_oracle_tolerance_sets_exit_code(self, tmp_path, capsys, offset, code):
+        plain = tmp_path / "plain"
+        path = write_config(tmp_path, "e.json", tiny_grid_config())
+        assert main(["evolve", "--config", str(path), "--out", str(plain)]) == 0
+        final = json.loads((plain / "evolve.json").read_text())["final_entropy_bits"]
+        oracle = {"entropy_bits_final": final + offset, "tolerance": 0.1}
+        path = write_config(tmp_path, "o.json", tiny_grid_config(oracle=oracle))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == code
+        assert {"manifest.json", "trajectory.csv", "evolve.json"} <= set(read_outputs(out))
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and "deviation 5.000e-01" in err
+            assert "tolerance 0.1" in err
+        else:
+            assert err == ""
+
 
 class TestIslandsCommand:
     def test_small_test_particle_scan(self, tmp_path, capsys):
@@ -567,6 +586,18 @@ class TestPackagedFixturesParse:
         assert (refined.spec.n_a, refined.spec.n_b) == (2 * base.spec.n_a, 2 * base.spec.n_b)
         assert refined.dt == base.dt / 2
         assert refined.n_steps * refined.dt == pytest.approx(base.n_steps * base.dt)
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_below_one_exits_2_before_manifest(self, tmp_path, capsys, threads):
+        out = tmp_path / "out"
+        config = str(FIXTURES / "bellgame_quantum.json")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bellgame", "--config", config, "--out", str(out), "--threads", threads])
+        assert exit_info.value.code == 2
+        assert "argument --threads: must be at least 1" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 class TestManifestAndReproducibility:

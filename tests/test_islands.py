@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from entanglab.grid import (
     GaussianPacket,
     GridSpec,
+    GridTrajectory,
     PotentialSpec,
     evolve_split_step,
     gaussian_wave,
@@ -157,7 +159,7 @@ class TestHartreeFidelity:
     def test_free_run_keeps_unit_fidelity(self):
         run = run_collision(small_fixture(potential=PotentialSpec("gaussian_well", 0.0, 2.0)))
         assert np.all(run.fidelity > 1.0 - 1e-8)
-        assert np.max(run.entropy_bits) < 1e-10
+        assert np.max(run.full.entropy_bits) < 1e-10
 
     def test_grid_mismatch_rejected(self):
         full = init_product(
@@ -221,9 +223,10 @@ class TestCollisionRun:
 
 
 class TestDriversAgree:
-    def test_collision_run_matches_grid_trajectory(self):
+    @pytest.mark.parametrize("n_b", [32, 64])  # 32x64 steps the grid, mean field by quadrature
+    def test_collision_run_matches_grid_trajectory(self, n_b):
         fixture = small_fixture(
-            spec=GridSpec(32, 32, 24.0, 24.0, 1.0, 1.0),
+            spec=GridSpec(32, n_b, 24.0, 24.0, 1.0, 1.0),
             packet_a=GaussianPacket(-4.0, 1.0, 1.5),
             packet_b=GaussianPacket(4.0, 1.0, -1.5),
             potential=PotentialSpec("gaussian_well", 1.0, 1.5),
@@ -238,9 +241,14 @@ class TestDriversAgree:
             fixture.n_steps,
             fixture.sample_every,
         )
-        assert run.times.size == 5
-        for name in ("times", "norms", "energies", "x_a", "x_b", "entropy_bits"):
-            assert np.array_equal(getattr(run, name), getattr(trajectory, name)), name
+        assert run.full.times.size == 5
+        for field in dataclasses.fields(GridTrajectory):
+            ours, theirs = getattr(run.full, field.name), getattr(trajectory, field.name)
+            if field.name == "final_state":
+                assert ours.spec == theirs.spec
+                ours, theirs = ours.grid, theirs.grid
+            assert np.array_equal(ours, theirs), field.name
+        assert run.fidelity.size == 5 and np.all(run.fidelity > 0.5)
 
 
 class TestScans:
