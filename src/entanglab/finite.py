@@ -35,6 +35,8 @@ class BipartiteHamiltonian:
     d_b: int
 
     def __post_init__(self):
+        if self.d_a < 2 or self.d_b < 2:
+            raise ValueError("each side needs at least two levels")
         arr = np.array(self.matrix, dtype=complex)
         n = self.d_a * self.d_b
         if arr.shape != (n, n):

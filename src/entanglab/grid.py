@@ -53,7 +53,7 @@ class PacketTooWideError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Periodic simulation lattice: point counts, box lengths, and masses."""
+    """Periodic lattice: point counts, box lengths, masses; x, k and k^2/2m per axis."""
 
     n_a: int
     n_b: int
@@ -95,12 +95,14 @@ class GridSpec:
     def k_b(self) -> np.ndarray:
         return 2.0 * math.pi * np.fft.fftfreq(self.n_b, d=self.dx_b)
 
+    def kinetic(self) -> tuple[np.ndarray, np.ndarray]:
+        """Kinetic energy per axis, (k_a^2/2m_a, k_b^2/2m_b): the one place it is written."""
+        return self.k_a**2 / (2.0 * self.m_a), self.k_b**2 / (2.0 * self.m_b)
+
     def kinetic_grid(self) -> np.ndarray:
-        """k_a^2/2m_a + k_b^2/2m_b on the 2-D momentum lattice."""
-        return (
-            self.k_a[:, None] ** 2 / (2.0 * self.m_a)
-            + self.k_b[None, :] ** 2 / (2.0 * self.m_b)
-        )
+        """The outer sum of ``kinetic()`` on the 2-D momentum lattice."""
+        kinetic_a, kinetic_b = self.kinetic()
+        return kinetic_a[:, None] + kinetic_b[None, :]
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ class Wavefunction2P:
             raise ValueError(
                 f"grid shape {arr.shape} does not match spec ({self.spec.n_a}, {self.spec.n_b})"
             )
-        if abs(self.norm_of(arr, self.spec) - 1.0) > NORM_TOL:
+        if not abs(self.norm_of(arr, self.spec) - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError("wavefunction is not normalized on its lattice")
         arr.flags.writeable = False
         object.__setattr__(self, "grid", arr)
@@ -274,11 +276,18 @@ def gaussian_wave(x: np.ndarray, packet: GaussianPacket, dx: float) -> np.ndarra
 def init_product(
     packet_a: GaussianPacket, packet_b: GaussianPacket, spec: GridSpec
 ) -> Wavefunction2P:
-    """Factorized initial state psi_A(x_A) psi_B(x_B); entanglement is zero."""
-    if packet_a.sigma >= spec.length_a / 8:
-        raise PacketTooWideError("packet A is too wide for its box (need sigma < length/8)")
-    if packet_b.sigma >= spec.length_b / 8:
-        raise PacketTooWideError("packet B is too wide for its box (need sigma < length/8)")
+    """Factorized initial state psi_A(x_A) psi_B(x_B); entanglement is zero.
+
+    A packet centred outside [-length/2, length/2) would be a tail cut at the
+    seam, or no amplitude at all, so it is refused.
+    """
+    for side, packet, length in (("A", packet_a, spec.length_a), ("B", packet_b, spec.length_b)):
+        if packet.sigma >= length / 8:
+            raise PacketTooWideError(
+                f"packet {side} is too wide for its box (need sigma < length/8)"
+            )
+        if not -length / 2 <= packet.center < length / 2:
+            raise ValueError(f"packet {side} is centred outside its box [-length/2, length/2)")
     psi_a = gaussian_wave(spec.x_a, packet_a, spec.dx_a)
     psi_b = gaussian_wave(spec.x_b, packet_b, spec.dx_b)
     return Wavefunction2P(np.outer(psi_a, psi_b), spec)
@@ -337,7 +346,8 @@ def _channel_layout(psi: Wavefunction2P, potential: PotentialSpec | None, dt: fl
         if potential is None
         else np.exp(-0.5j * dt * potential_on_grid(spec, potential, spec.x_b[0]))
     )
-    kinetic = np.exp(-1j * dt * spec.kinetic_grid()[index, (kept[:, None] - index) % n])
+    kinetic_a, kinetic_b = spec.kinetic()
+    kinetic = np.exp(-1j * dt * (kinetic_a + kinetic_b[(kept[:, None] - index) % n]))
 
     def to_grid(state: np.ndarray) -> np.ndarray:
         buffer.fill(0)
@@ -425,45 +435,56 @@ class GridSample(NamedTuple):
     entropy_bits: float
 
 
+def _column_sums(table: np.ndarray) -> np.ndarray:
+    """Column sums of a table with 2^m rows, added pairwise in place; spends the table.
+
+    ``sum(axis=0)`` adds the rows one by one and loses up to ~n ulps a column.
+    """
+    while len(table) > 1:
+        half = len(table) // 2
+        table = np.add(table[:half], table[half:], out=table[:half])
+    return table[0]
+
+
 class GridProbe:
     """The per-sample probe of ``probe_split_step``, built there once per run.
 
-    The lattice tables (positions, momenta, kinetic energy, and V, None when
-    free) are built here, and every sample reuses one real and one complex
-    n^2 buffer; ``ehrenfest_observables`` builds one for a single state.
+    <x> is read off the position marginals, <p> and the kinetic energy off
+    the momentum marginals, with the per-axis tables of ``GridSpec``; <V>
+    (zero when V is None) is summed in place on the position weights.  V and
+    one real and one complex scratch buffer, reused by every sample, are the
+    only n^2 arrays; ``ehrenfest_observables`` builds a probe for one state.
     """
 
     def __init__(self, spec: GridSpec, v_matrix: np.ndarray | None):
         self.cell = spec.dx_a * spec.dx_b
-        self.x_a, self.x_b = spec.x_a[:, None], spec.x_b[None, :]
-        self.k_a, self.k_b = spec.k_a[:, None], spec.k_b[None, :]
-        self.kinetic = spec.kinetic_grid()
+        self.x_a, self.x_b = spec.x_a, spec.x_b
+        self.k_a, self.k_b = spec.k_a, spec.k_b
+        self.kinetic_a, self.kinetic_b = spec.kinetic()
         self.v_matrix = v_matrix
         shape = (spec.n_a, spec.n_b)
         self.weights = np.empty(shape)  # position weights, then momentum weights
         self.amplitudes = np.empty(shape, dtype=complex)  # the FFT, then the scaled grid
-        # a mean's products go to the first half of the complex buffer: every
-        # mean is taken before the FFT is written or after it has been read
-        self.products = self.amplitudes.view(float).ravel()[: self.weights.size].reshape(shape)
-
-    def _mean(self, table: np.ndarray, weights: np.ndarray) -> float:
-        return float(np.sum(np.multiply(table, weights, out=self.products)))
 
     def norm_and_observables(self, grid: np.ndarray) -> tuple[float, Observables]:
         weights = np.square(np.abs(grid, out=self.weights), out=self.weights)
         weights *= self.cell  # |Psi|^2 dx_A dx_B
         norm = float(np.sum(weights))
-        x_a, x_b = self._mean(self.x_a, weights), self._mean(self.x_b, weights)
-        potential_energy = 0.0 if self.v_matrix is None else self._mean(self.v_matrix, weights)
+        # not _column_sums: <V> still needs these weights, and <x> has no k^2 to amplify rounding
+        x_a, x_b = float(self.x_a @ weights.sum(axis=1)), float(self.x_b @ weights.sum(axis=0))
+        potential_energy = 0.0
+        if self.v_matrix is not None:
+            potential_energy = float(np.sum(np.multiply(self.v_matrix, weights, out=weights)))
         momentum = np.fft.fft2(grid, out=self.amplitudes)
         weights = np.square(np.abs(momentum, out=self.weights), out=self.weights)
-        weights /= weights.sum()
+        along_a = weights.sum(axis=1)
+        along_b, total = _column_sums(weights), float(along_a.sum())
         return norm, Observables(
             x_a,
             x_b,
-            self._mean(self.k_a, weights),
-            self._mean(self.k_b, weights),
-            self._mean(self.kinetic, weights) + potential_energy,
+            float(self.k_a @ along_a) / total,
+            float(self.k_b @ along_b) / total,
+            float(self.kinetic_a @ along_a + self.kinetic_b @ along_b) / total + potential_energy,
         )
 
     def __call__(self, grid: np.ndarray) -> GridSample:

@@ -59,7 +59,7 @@ class HartreePair:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         for side, norm in zip("AB", self.norms()):
-            if abs(norm - 1.0) > FACTOR_NORM_TOL:
+            if not abs(norm - 1.0) <= FACTOR_NORM_TOL:  # NaN fails too
                 raise ValueError(f"factor {side} is not normalized")
 
     def norms(self) -> tuple[float, float]:
@@ -125,8 +125,7 @@ def iterate_hartree(
         raise ValueError("need positive dt, n_steps and sample_every")
     spec = pair.spec
     mean_field = None if potential is None else _mean_field(spec, potential)
-    kin_a = np.exp(-1j * dt * spec.k_a**2 / (2.0 * spec.m_a))
-    kin_b = np.exp(-1j * dt * spec.k_b**2 / (2.0 * spec.m_b))
+    kin_a, kin_b = (np.exp(-1j * dt * kinetic) for kinetic in spec.kinetic())
     a = np.array(pair.psi_a, dtype=complex)
     b = np.array(pair.psi_b, dtype=complex)
     yield 0, a.copy(), b.copy()
@@ -146,30 +145,6 @@ def iterate_hartree(
             if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
                 raise FloatingPointError(f"non-finite mean-field amplitudes at step {step}")
             yield step, a.copy(), b.copy()
-
-
-@dataclass(frozen=True)
-class HartreeTrajectory:
-    times: np.ndarray
-    pairs: tuple
-
-    @property
-    def final_pair(self) -> HartreePair:
-        return self.pairs[-1]
-
-
-def hartree_evolve(
-    pair: HartreePair,
-    potential: PotentialSpec | None,
-    dt: float,
-    n_steps: int,
-    sample_every: int = 1,
-) -> HartreeTrajectory:
-    times, pairs = [], []
-    for step, a, b in iterate_hartree(pair, potential, dt, n_steps, sample_every):
-        times.append(step * dt)
-        pairs.append(HartreePair(a, b, pair.spec))
-    return HartreeTrajectory(np.array(times), tuple(pairs))
 
 
 def _overlap_fidelity(grid: np.ndarray, a: np.ndarray, b: np.ndarray, spec: GridSpec) -> float:

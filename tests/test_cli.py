@@ -363,6 +363,9 @@ INVALID_GRID_RUNS = {
     "zero_sample_every": _set(None, "sample_every", 0),
     "unequal_boxes_with_potential": _set("grid", "length_b", 32.0),
     "unstable_dt": _set(None, "dt", 0.2),  # dt * max|V| = 0.2 rad per step
+    # the boxes span [-12, 12): a tail cut at the seam, and a grid that underflows to NaN
+    "packet_centre_past_seam": _set("packet_a", "center", 30.0),
+    "packet_centre_far_outside_box": _set("packet_b", "center", -100.0),
 }
 
 
@@ -434,6 +437,10 @@ INVALID_CONFIGS = {
     "matrix_negative_dims": (
         "theorem", _theorem_config(hamiltonian=_matrix(_diagonal(1.0))),
         _changes(_set("hamiltonian", "d_a", -2), _set("hamiltonian", "d_b", -2)),
+    ),
+    "matrix_one_level_side": (
+        "theorem", _theorem_config(hamiltonian=_matrix(_diagonal(1.0))),
+        _set(None, "hamiltonian", {**_matrix([[1.0, 0.0], [0.0, -1.0]]), "d_a": 1}),
     ),
     "pauli_label_in_list": (
         "theorem", _theorem_config(), _set("hamiltonian", "terms", [{"a": ["z"], "b": "z"}])

@@ -12,6 +12,7 @@ from entanglab.grid import (
     PotentialSpec,
     Wavefunction2P,
     _channel_layout,
+    _column_sums,
     _grid_layout,
     _strang,
     ehrenfest_observables,
@@ -129,6 +130,20 @@ class TestInitProduct:
             init_product(
                 GaussianPacket(0.0, 5.0, 0.0), GaussianPacket(0.0, 1.0, 0.0), small_spec()
             )
+
+    @pytest.mark.parametrize("center", [-16.5, 16.0])
+    def test_packet_centred_outside_its_box_rejected(self, center):
+        # small_spec's box is [-16, 16): its upper edge is outside
+        inside = GaussianPacket(0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="centred outside its box"):
+            init_product(GaussianPacket(center, 1.0, 0.0), inside, small_spec())
+        with pytest.raises(ValueError, match="centred outside its box"):
+            init_product(inside, GaussianPacket(center, 1.0, 0.0), small_spec())
+
+    def test_nan_grid_rejected(self):
+        grid = np.full((64, 64), np.nan, dtype=complex)
+        with pytest.raises(ValueError, match="not normalized"):
+            Wavefunction2P(grid, small_spec())
 
 
 class TestEntropyGridConventions:
@@ -276,11 +291,15 @@ class TestChannelLayout:
     """Equal grids step per total-momentum channel; the 2-D layout is the reference."""
 
     @staticmethod
-    def channel_weights(grid):
+    def channels(grid):
         # shear Phi[r, s] = Psi[(r + s) mod n, s], FFT along s: row K is channel K
         n = grid.shape[0]
         sheared = np.array([np.roll(grid[:, s], -s) for s in range(n)])
-        return np.sum(np.abs(np.fft.fft(sheared, axis=0)) ** 2, axis=1)
+        return np.fft.fft(sheared, axis=0)
+
+    @classmethod
+    def channel_weights(cls, grid):
+        return np.sum(np.abs(cls.channels(grid)) ** 2, axis=1)
 
     @pytest.mark.parametrize(
         "length_b, m_b, potential",
@@ -336,24 +355,66 @@ class TestChannelLayout:
         half_v = _channel_layout(psi, potential, 0.01).half_v
         assert np.array_equal(half_v, np.exp(-0.5j * 0.01 * column))
 
+    @pytest.mark.parametrize("m_b", [1.0, 3.0, math.inf])
+    @pytest.mark.parametrize("n, length", [(16, 12.0), (64, 40.0), (256, 32.0)])
+    def test_kinetic_phases_are_entries_of_the_kinetic_grid(self, m_b, n, length):
+        # the layout sums the per-axis tables; row K must hold the n^2 table at (p, (K - p) mod n)
+        spec = small_spec(n=n, length=length, m_a=1.5, m_b=m_b)
+        psi = init_product(
+            GaussianPacket(-2.0, 1.0, 1.0), GaussianPacket(2.0, 1.0, -1.0), spec
+        )
+        layout = _channel_layout(psi, None, 0.01)
+        # find each state row's channel K: send the mark i + 1 through row i and read it back
+        rows = len(layout.state)
+        marked = layout.to_grid(np.outer(np.arange(1.0, rows + 1), np.ones(n)))
+        marks = np.rint(self.channels(marked))
+        kept = np.argsort(marks[:, 0].real)[n - rows :]
+        assert np.array_equal(marks[kept, 0], np.arange(1, rows + 1))
+        index = np.arange(n)
+        table = spec.kinetic_grid()[index, (kept[:, None] - index) % n]
+        assert np.array_equal(layout.kinetic, np.exp(-1j * 0.01 * table))
+
 
 class TestGridProbe:
     @staticmethod
     def reference(grid, spec, v_matrix):
-        # the probe's formulas with fresh temporaries for every sample
+        # the probe's marginal formulas with fresh temporaries for every sample
         weight = np.abs(grid) ** 2 * (spec.dx_a * spec.dx_b)
         momentum_weight = np.abs(np.fft.fft2(grid)) ** 2
-        momentum_weight /= momentum_weight.sum()
+        along_a = momentum_weight.sum(axis=1)
+        total = float(along_a.sum())
+        along_b = _column_sums(momentum_weight.copy())
+        kinetic_a, kinetic_b = spec.kinetic()
         return (
             float(np.sum(weight)),
-            float(np.sum(spec.x_a[:, None] * weight)),
-            float(np.sum(spec.x_b[None, :] * weight)),
-            float(np.sum(spec.k_a[:, None] * momentum_weight)),
-            float(np.sum(spec.k_b[None, :] * momentum_weight)),
-            float(np.sum(spec.kinetic_grid() * momentum_weight))
+            float(spec.x_a @ weight.sum(axis=1)),
+            float(spec.x_b @ weight.sum(axis=0)),
+            float(spec.k_a @ along_a) / total,
+            float(spec.k_b @ along_b) / total,
+            float(kinetic_a @ along_a + kinetic_b @ along_b) / total
             + float(np.sum(v_matrix * weight)),
             entanglement_entropy_bits(Wavefunction2P(grid, spec)),
         )
+
+    @staticmethod
+    def direct_sums(grid, spec, v_matrix):
+        # every mean as a sum over the whole n^2 lattice
+        weight = np.abs(grid) ** 2 * (spec.dx_a * spec.dx_b)
+        momentum_weight = np.abs(np.fft.fft2(grid)) ** 2
+        momentum_weight /= momentum_weight.sum()
+        return np.array([
+            np.sum(weight),
+            np.sum(spec.x_a[:, None] * weight),
+            np.sum(spec.x_b[None, :] * weight),
+            np.sum(spec.k_a[:, None] * momentum_weight),
+            np.sum(spec.k_b[None, :] * momentum_weight),
+            np.sum(spec.kinetic_grid() * momentum_weight) + np.sum(v_matrix * weight),
+        ])
+
+    def test_column_sums_are_exact_to_a_few_ulps(self):
+        table = np.random.default_rng(0).random((256, 8))
+        exact = np.array([math.fsum(column) for column in table.T])
+        assert np.all(np.abs(_column_sums(table.copy()) - exact) <= 8 * np.spacing(exact))
 
     def test_reused_buffers_match_fresh_temporaries_bit_for_bit(self):
         spec = GridSpec(32, 64, 24.0, 24.0, 1.0, 2.0)
@@ -365,7 +426,10 @@ class TestGridProbe:
         probe = GridProbe(spec, v_matrix)
         samples = list(iterate_split_step(psi, potential, 0.01, 60, 20))
         for _, grid in samples:
-            assert tuple(probe(grid)) == self.reference(grid, spec, v_matrix)
+            sample = probe(grid)
+            assert tuple(sample) == self.reference(grid, spec, v_matrix)
+            direct = self.direct_sums(grid, spec, v_matrix)
+            assert np.all(np.abs(np.array(sample[:6]) - direct) <= 1e-14 * np.abs(direct))
         # a probe that has seen other grids reads the first one as a fresh probe does
         assert probe(samples[0][1]) == GridProbe(spec, v_matrix)(samples[0][1])
 
