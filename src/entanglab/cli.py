@@ -16,8 +16,9 @@ Exit codes: 0 success, 1 runtime failure (also an ``evolve`` run whose final
 entropy misses its config oracle, after its outputs are written), 2
 configuration or command-line error (``--threads`` below 1 included).
 Identical config and seed reproduce results byte for byte.  BLAS runs on one
-thread for the whole call (``blas.single_thread``), so ``--threads`` is the
-only parallelism and no output depends on the host's BLAS thread count.
+thread for the whole call (``blas.single_thread``), so ``--threads``
+(default 1) is the only parallelism and no output depends on the host's
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -216,7 +216,10 @@ def _amplitude_vector(values, where, renormalize: bool) -> np.ndarray:
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{where} must be a non-empty list of amplitudes")
     arr = np.array([_complex(v, where) for v in values], dtype=complex)
-    norm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore"):  # an overflowing norm is refused just below
+        norm = float(np.linalg.norm(arr))
+    if not math.isfinite(norm):
+        raise ConfigError(f"{where}: amplitudes have norm {norm!r}")
     if norm == 0.0:
         raise ConfigError(f"{where}: amplitudes are all zero")
     if abs(norm - 1.0) > states.NORM_TOL:
@@ -378,7 +381,7 @@ def parse_measure(config: dict, args) -> tuple:
         entropy = measures.von_neumann_entropy(rho_a)
         coh = measures.coherence(rho_a)
         ent = measures.entanglement(state)
-        factorizable, nearest = measures.is_factorizable(state, tol)
+        factorizable, nearest = measures.is_factorizable(decomposition, tol)
         result = {
             "schmidt_coefficients": [float(c) for c in decomposition.coefficients],
             "schmidt_number": measures.schmidt_number(decomposition, tol),
@@ -591,8 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=None,
-            help="worker threads, at least 1 (default: CI_THREADS env var or 1)",
+            default=1,
+            help="worker threads, at least 1 (default: 1)",
         )
         if name == "measure":
             p.add_argument(
@@ -613,13 +616,8 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
+    if args.threads < 1:
         parser.error(f"argument --threads: must be at least 1, not {args.threads}")
-    if args.threads is None:
-        try:
-            args.threads = max(1, int(os.environ.get("CI_THREADS", "1")))
-        except ValueError:
-            args.threads = 1
     try:
         config = load_config(args.config)
         # --seed stands in for the config's seed; the manifest hashes the file as given

@@ -36,7 +36,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .measures import schmidt_entropy
+from .measures import schmidt_entropy, schmidt_weights
 from .output import column_rows
 
 NORM_TOL = 1e-8
@@ -402,8 +402,7 @@ def _strang(layout: _Layout, n_steps: int, sample_every: int) -> Iterator[tuple[
 
 def entanglement_spectrum(psi: Wavefunction2P) -> np.ndarray:
     """Squared Schmidt coefficients (descending) of the discretized state."""
-    s = np.linalg.svd(psi.grid * math.sqrt(psi.spec.dx_a * psi.spec.dx_b), compute_uv=False)
-    return s**2
+    return schmidt_weights(psi.grid * math.sqrt(psi.spec.dx_a * psi.spec.dx_b))
 
 
 def entanglement_entropy_bits(psi: Wavefunction2P) -> float:

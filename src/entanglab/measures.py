@@ -5,29 +5,37 @@ either reduced density matrix, taken in log base d so that it ranges over
 [0, 1]:  0 for factorizable states, 1 when the reduced state is maximally
 mixed.  Coherence is the complement, C = 1 - S, and the complementarity
 identity E(A-B) = 1 - C(A) = 1 - C(B) holds for every pure state.
+
+A state is factorizable at a tolerance when its Schmidt number there is 1:
+exactly one Schmidt coefficient exceeds the tolerance.  The verdict, the
+coefficients and the nearest product all come from one decomposition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import Ket, PureState
+from .states import PureState
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
-STATE_EIGENVALUE_FLOOR = -1e-8
 SCHMIDT_TRIM = 1e-14
 SPECTRUM_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, positive, unit-trace matrix describing a (possibly mixed) state."""
+    """Hermitian, positive, unit-trace matrix describing a (possibly mixed) state.
+
+    ``eigenvalues`` (ascending, read-only) is the spectrum the positivity check
+    computes; every entropy of the state reads it.
+    """
 
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.matrix, dtype=complex)
@@ -37,10 +45,12 @@ class DensityMatrix:
             raise ValueError("density matrix must be Hermitian")
         if abs(np.trace(arr).real - 1.0) > TRACE_TOL or abs(np.trace(arr).imag) > TRACE_TOL:
             raise ValueError("density matrix must have unit trace")
-        if np.linalg.eigvalsh(arr)[0] < EIGENVALUE_FLOOR:
+        eigenvalues = np.linalg.eigvalsh(arr)
+        if eigenvalues[0] < EIGENVALUE_FLOOR:
             raise ValueError("density matrix must be positive semidefinite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "matrix", arr)
+        for name, value in (("matrix", arr), ("eigenvalues", eigenvalues)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -91,12 +101,6 @@ class SchmidtDecomposition:
         """Amplitude matrix sum_k c_k |a_k><b_k^*| rebuilt from the decomposition."""
         return (self.basis_a * self.coefficients) @ self.basis_b.T
 
-    def ket_a(self, k: int) -> Ket:
-        return Ket(self.basis_a[:, k])
-
-    def ket_b(self, k: int) -> Ket:
-        return Ket(self.basis_b[:, k])
-
 
 def reduced_density_matrix(state: PureState, subsystem: str) -> DensityMatrix:
     """Trace out one side of a bipartite pure state.
@@ -127,7 +131,7 @@ def schmidt_decompose(state: PureState) -> SchmidtDecomposition:
 
 
 def schmidt_number(decomposition: SchmidtDecomposition, cutoff: float) -> int:
-    """Count the coefficients exceeding ``cutoff`` (1 means factorizable)."""
+    """Count the coefficients exceeding ``cutoff`` (1 means factorizable at ``cutoff``)."""
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     return int(np.sum(decomposition.coefficients > cutoff))
@@ -139,28 +143,33 @@ def spectrum_entropy(weights: np.ndarray, base: float = 2.0):
     Spectra run along the last axis: a 1-D input gives a float, a stack gives
     one entropy per spectrum.  Weights at or below 1e-14 are dust and count
     as 0, negative rounding noise included.  A base below 2 has no room for
-    uncertainty and gives 0.
+    uncertainty and gives 0.  A zero entropy is always +0.0.
     """
     p = np.asarray(weights, dtype=float)
-    kept = p > SPECTRUM_FLOOR
     if base < 2:
         entropy = np.zeros(p.shape[:-1])
     else:
-        p = np.where(kept, p, 1.0)  # 1 log 1 = 0 stands in for dust
-        entropy = -np.sum(p * np.log2(p), axis=-1) / np.log2(base)
-        entropy = np.where(kept.any(axis=-1), entropy, 0.0)  # all dust: 0.0, not -0.0
+        p = np.where(p > SPECTRUM_FLOOR, p, 1.0)  # 1 log 1 = 0 stands in for dust
+        entropy = -np.sum(p * np.log2(p), axis=-1) / np.log2(base) + 0.0  # -0.0 + 0.0 is +0.0
     return float(entropy) if entropy.ndim == 0 else entropy
 
 
+def schmidt_weights(amplitudes: np.ndarray) -> np.ndarray:
+    """Squared singular values (descending) of each (d_a, d_b) amplitude matrix.
+
+    Works on a stack ``(..., d_a, d_b)``.  For a normalized pure state these
+    weights are the common spectrum of both reduced states.
+    """
+    return np.linalg.svd(amplitudes, compute_uv=False) ** 2
+
+
 def schmidt_entropy(amplitudes: np.ndarray, base: float):
-    """Entropy of the squared singular values of each (d_a, d_b) amplitude matrix.
+    """Entropy of the Schmidt weights of each (d_a, d_b) amplitude matrix.
 
     Works on a stack ``(..., d_a, d_b)`` and returns one entropy per matrix (a
-    float for a single matrix).  For a normalized pure state these weights are
-    the common spectrum of both reduced states.
+    float for a single matrix).
     """
-    s = np.linalg.svd(amplitudes, compute_uv=False)
-    return spectrum_entropy(s**2, base)
+    return spectrum_entropy(schmidt_weights(amplitudes), base)
 
 
 def von_neumann_entropy(rho: DensityMatrix, base: float | None = None) -> float:
@@ -168,14 +177,10 @@ def von_neumann_entropy(rho: DensityMatrix, base: float | None = None) -> float:
 
     The base defaults to the matrix dimension, which normalizes the result to
     [0, 1]: zero for a pure projector, one for the maximally mixed state.
-    Eigenvalues at or below 1e-14, negative noise included, are dropped as
-    dust; an eigenvalue below -1e-8 means the input is not a state and is an
-    error.
+    Reads the spectrum ``rho`` already holds; eigenvalues at or below 1e-14,
+    negative noise included, are dropped as dust.
     """
-    eigenvalues = np.linalg.eigvalsh(rho.matrix)
-    if eigenvalues[0] < STATE_EIGENVALUE_FLOOR:
-        raise ValueError(f"not a state: eigenvalue {eigenvalues[0]:.3e} < {STATE_EIGENVALUE_FLOOR}")
-    return spectrum_entropy(eigenvalues, rho.dim if base is None else base)
+    return spectrum_entropy(rho.eigenvalues, rho.dim if base is None else base)
 
 
 def coherence(rho: DensityMatrix, base: float | None = None) -> float:
@@ -193,16 +198,12 @@ def entanglement(state: PureState) -> float:
     return schmidt_entropy(state.amplitudes, min(state.d_a, state.d_b))
 
 
-def is_factorizable(state: PureState, tol: float) -> tuple[bool, PureState]:
-    """Test whether a state is a product, returning the nearest product state.
+def is_factorizable(decomposition: SchmidtDecomposition, tol: float) -> tuple[bool, PureState]:
+    """Test whether a decomposed state is a product, returning the nearest product.
 
-    The state factorizes when its second Schmidt coefficient falls below
-    ``tol``; the nearest product is the leading Schmidt pair, whose overlap
-    with the state is the leading coefficient.
+    The state factorizes when its Schmidt number at ``tol`` is 1; the nearest
+    product is the leading Schmidt pair, whose overlap with the state is the
+    leading coefficient.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    u, s, vh = np.linalg.svd(state.amplitudes)
-    second = float(s[1]) if s.size > 1 else 0.0
-    nearest = PureState(np.outer(u[:, 0], vh[0, :]))
-    return second < tol, nearest
+    nearest = np.outer(decomposition.basis_a[:, 0], decomposition.basis_b[:, 0])
+    return schmidt_number(decomposition, tol) == 1, PureState(nearest)

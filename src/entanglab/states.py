@@ -45,10 +45,6 @@ class Ket:
             raise ValueError(f"ket is not normalized (|norm - 1| = {err:.3e})")
         object.__setattr__(self, "amplitudes", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
 
 @dataclass(frozen=True)
 class PureState:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from entanglab import blas, cli
@@ -120,7 +121,7 @@ class TestMeasureCommand:
         assert payload["factorizable"] is False
         assert "entanglement" in capsys.readouterr().out
 
-    def test_product_state(self, tmp_path):
+    def test_product_state(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
             "m.json",
@@ -137,6 +138,69 @@ class TestMeasureCommand:
         payload = json.loads((out / "measure.json").read_text())
         assert payload["entanglement"] == pytest.approx(0.0, abs=1e-12)
         assert payload["factorizable"] is True
+        for key in ("entropy", "entanglement"):
+            assert math.copysign(1.0, payload[key]) == 1.0  # +0.0, never -0.0
+        assert "entropy              : 0.000000" in capsys.readouterr().out
+
+    def test_schmidt_number_one_is_factorizable(self, tmp_path, capsys):
+        # the second coefficient is trimmed as dust but exceeds the tolerance
+        state = {"kind": "amplitudes", "dims": [2, 2], "values": [1.0, 0.0, 0.0, 5e-15]}
+        config = write_config(tmp_path, "m.json", {"state": state, "tolerance": 1e-15})
+        out = tmp_path / "out"
+        assert main(["measure", "--config", str(config), "--out", str(out)]) == 0
+        payload = json.loads((out / "measure.json").read_text())
+        assert payload["schmidt_number"] == 1
+        assert payload["factorizable"] is True
+        assert "factorizable         : yes" in capsys.readouterr().out
+
+    def test_one_spectrum_per_run(self, tmp_path, monkeypatch):
+        calls = {"svd": 0, "eigvalsh": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        out = tmp_path / "out"
+        config = str(FIXTURES / "measure_bell.json")
+        assert main(["measure", "--config", config, "--out", str(out)]) == 0
+        assert calls == {"svd": 2, "eigvalsh": 1}
+
+    @pytest.mark.parametrize("flags", [[], ["--renormalize"]])
+    def test_overflowing_norm_exits_2_before_manifest(self, tmp_path, capsys, flags):
+        state = {"kind": "amplitudes", "dims": [2, 2], "values": [1e308, 1e308, 0.0, 0.0]}
+        config = write_config(tmp_path, "m.json", {"state": state})
+        out = tmp_path / "out"
+        assert main(["measure", "--config", str(config), "--out", str(out), *flags]) == 2
+        assert "amplitudes have norm inf" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_traced_run_has_every_measures_span(self, tmp_path, monkeypatch):
+        """The benchmark's tracer wraps these names; a measure run must call each."""
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+        )
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+        spec.loader.exec_module(tracing)
+        from entanglab import bellgame, finite, grid, islands, measures
+
+        modules = {"grid": grid, "islands": islands, "finite": finite,
+                   "bellgame": bellgame, "measures": measures, "cli": cli}
+        tracer = tracing.Tracer()
+        tracing.install(tracer, modules)
+        try:
+            config = str(FIXTURES / "measure_bell.json")
+            assert main(["measure", "--config", config, "--out", str(tmp_path / "o")]) == 0
+        finally:
+            tracer.uninstall()
+        names = {span.name for span in tracer.spans}
+        for name in ("schmidt_decompose", "reduced_density_matrix", "von_neumann_entropy",
+                     "coherence", "entanglement", "is_factorizable", "schmidt_number"):
+            assert f"measures.{name}" in names
 
     def test_amplitude_list(self, tmp_path):
         config = write_config(
@@ -700,7 +764,7 @@ class TestBlasOnOneThread:
         assert json.loads((tmp_path / "ok" / "measure.json").read_text())["entanglement"] == 1.0
 
     def test_outputs_identical_under_one_and_two_blas_threads(self, tmp_path):
-        env = {k: v for k, v in os.environ.items() if k != "CI_THREADS"}
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         outputs = []
         for threads in ("1", "2"):

@@ -62,6 +62,12 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="positive"):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    def test_eigenvalues_are_read_only(self):
+        rho = DensityMatrix(np.diag([0.75, 0.25]))
+        assert np.array_equal(rho.eigenvalues, [0.25, 0.75])
+        with pytest.raises(ValueError, match="read-only"):
+            rho.eigenvalues[0] = 0.5
+
 
 class TestReducedDensityMatrix:
     def test_bell_state_is_maximally_mixed(self):
@@ -187,6 +193,15 @@ class TestEntropyAndCoherence:
             tilted[1] -= 0.05
             assert von_neumann_entropy(DensityMatrix(np.diag(tilted))) < 1.0 - 1e-4
 
+    def test_entropy_reads_the_stored_spectrum_exactly(self):
+        rng = np.random.default_rng(18)
+        for _ in range(25):
+            d = int(rng.integers(2, 6))
+            rho = reduced_density_matrix(random_pure_state(rng, d, d + 1), "A")
+            fresh = spectrum_entropy(np.linalg.eigvalsh(rho.matrix), d)
+            assert von_neumann_entropy(rho) == fresh
+            assert coherence(rho) == 1.0 - fresh
+
     def test_entropy_within_bounds_on_random_states(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
@@ -213,6 +228,9 @@ class TestStackedEntropy:
                 assert entropies[k] == row
         assert math.copysign(1.0, spectrum_entropy(weights, 2)[3]) == 1.0
         assert math.copysign(1.0, spectrum_entropy(weights[3], 2)) == 1.0
+        certain = np.array([0.0, 1.0, 1e-16])  # the only kept weight is exactly 1
+        for base in (2, 3):
+            assert math.copysign(1.0, spectrum_entropy(certain, base)) == 1.0
         assert np.all(spectrum_entropy(stack, 1) == 0.0)
 
     def test_schmidt_entropy_of_a_stack(self):
@@ -255,27 +273,43 @@ class TestEntanglement:
 
 class TestIsFactorizable:
     def test_bell_state_is_not(self):
-        flag, _ = is_factorizable(bell_state(0, 0), 1e-6)
+        flag, _ = is_factorizable(schmidt_decompose(bell_state(0, 0)), 1e-6)
         assert flag is False
 
     def test_products_are(self):
         rng = np.random.default_rng(16)
         state = tensor_product(random_ket(rng, 2), random_ket(rng, 2))
-        flag, nearest = is_factorizable(state, 1e-6)
+        flag, nearest = is_factorizable(schmidt_decompose(state), 1e-6)
         assert flag is True
         overlap = abs(np.vdot(nearest.amplitudes.reshape(-1), state.amplitudes.reshape(-1)))
         assert overlap > 1.0 - 1e-6
 
     def test_weakly_entangled_state_below_tolerance(self):
         m = np.diag([math.sqrt(0.9999), math.sqrt(0.0001)]).astype(complex)
-        flag, nearest = is_factorizable(PureState(m), 0.02)
+        flag, nearest = is_factorizable(schmidt_decompose(PureState(m)), 0.02)
         assert flag is True
         assert abs(nearest.amplitudes[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_nearest_product_overlap_equals_top_coefficient(self):
         rng = np.random.default_rng(17)
         state = random_pure_state(rng, 3, 3)
-        _, nearest = is_factorizable(state, 1e-6)
+        _, nearest = is_factorizable(schmidt_decompose(state), 1e-6)
         overlap = abs(np.vdot(nearest.amplitudes.reshape(-1), state.amplitudes.reshape(-1)))
         top = schmidt_decompose(state).coefficients[0]
         assert overlap == pytest.approx(top, abs=1e-12)
+
+    def test_verdict_is_schmidt_number_one(self):
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            d_a, d_b = rng.integers(2, 5, size=2)
+            product = np.outer(random_ket(rng, d_a).amplitudes, random_ket(rng, d_b).amplitudes)
+            noise = rng.normal(size=(d_a, d_b)) * 10.0 ** rng.uniform(-16, -1)
+            near = PureState((product + noise) / np.linalg.norm(product + noise))
+            for state in (near, random_pure_state(rng, d_a, d_b)):
+                d = schmidt_decompose(state)
+                for tol in (1e-15, 1e-12, 1e-8, 1e-4, 0.1):
+                    assert is_factorizable(d, tol)[0] == (schmidt_number(d, tol) == 1)
+
+    def test_rejects_bad_tolerance(self):
+        with pytest.raises(ValueError):
+            is_factorizable(schmidt_decompose(bell_state(0, 0)), 0.0)

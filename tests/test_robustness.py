@@ -1,4 +1,4 @@
-"""Edge-case coverage: unequal subsystem sizes, config corner paths, env fallbacks."""
+"""Edge-case coverage: unequal subsystem sizes and config corner paths."""
 
 import json
 
@@ -216,23 +216,3 @@ class TestHartreeFallbackOnMismatchedCounts:
             abs=1e-12,
         )
 
-
-class TestThreadsEnvFallback:
-    def test_ci_threads_env_is_used(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CI_THREADS", "2")
-        path = tmp_path / "bg.json"
-        path.write_text(json.dumps({"strategy": "quantum", "n_rounds": 40000, "seed": 5}))
-        out_env = tmp_path / "env"
-        assert main(["bellgame", "--config", str(path), "--out", str(out_env)]) == 0
-        monkeypatch.delenv("CI_THREADS")
-        out_serial = tmp_path / "serial"
-        assert main(["bellgame", "--config", str(path), "--out", str(out_serial)]) == 0
-        a = json.loads((out_env / "bellgame.json").read_text())
-        b = json.loads((out_serial / "bellgame.json").read_text())
-        assert a == b  # thread count never changes the statistics
-
-    def test_garbage_ci_threads_falls_back(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CI_THREADS", "lots")
-        path = tmp_path / "bg.json"
-        path.write_text(json.dumps({"strategy": "quantum", "n_rounds": 100, "seed": 5}))
-        assert main(["bellgame", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
