@@ -374,6 +374,13 @@ def parse_measure(config: dict, args) -> tuple:
     fields = read_fields(config, "measure config", MEASURE)
     state = _state_from_config(fields["state"], "measure config.state", args.renormalize)
     tol = fields["tolerance"]
+    # every state's leading Schmidt coefficient is at least 1/sqrt(min(d_A, d_B))
+    floor = 1.0 / math.sqrt(min(state.d_a, state.d_b))
+    if tol >= floor:
+        raise ConfigError(
+            f"config key 'tolerance' in measure config must be below"
+            f" 1/sqrt(min(d_A, d_B)) = {floor:g}"
+        )
 
     def run(out: Path) -> None:
         decomposition = measures.schmidt_decompose(state)

@@ -1,6 +1,6 @@
 """Two-particle Schrodinger solver on a periodic 1-D grid, hbar = 1.
 
-The joint wavefunction Psi(x_A, x_B) lives on an n_A x n_B lattice; the
+The joint wavefunction Psi(x_A, x_B) lives on an n x n lattice; the
 generator is
 
     i dPsi/dt = [ -(1/2 m_A) d^2/dx_A^2 - (1/2 m_B) d^2/dx_B^2
@@ -21,8 +21,8 @@ the grid is rebuilt only at samples.  Each channel's weight is conserved by
 both substeps, so the lightest channels, whose weights sum to at most
 CHANNEL_DUST (1e-20) of the total, are dropped at the start: the norm moves
 by at most 1e-20 and the amplitudes by at most 1e-10 relative in 2-norm,
-and the error never grows.  Unequal point counts have no such shear and
-step the grid itself with a 2-D FFT pair.
+and the error never grows.  The shear needs one point count on both sides,
+so GridSpec refuses n_A != n_B.
 
 Entanglement is tracked through the singular values of the amplitude grid,
 which are the Schmidt coefficients of the discretized state.
@@ -36,11 +36,11 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .measures import schmidt_entropy, schmidt_weights
+from .measures import schmidt_entropy
 from .output import column_rows
 
 NORM_TOL = 1e-8
-DEFAULT_RANK_BOUND = 64
+DEFAULT_RANK_BOUND = 64  # entropy_normalized is entropy_bits / log2 of this Schmidt rank
 MAX_PHASE_PER_STEP = 0.1
 CHANNEL_DUST = 1e-20  # dropped channel weight, as a share of the total
 
@@ -53,7 +53,7 @@ class PacketTooWideError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Periodic lattice: point counts, box lengths, masses; x, k and k^2/2m per axis."""
+    """Periodic lattice: one point count, box lengths, masses; x, k and k^2/2m per axis."""
 
     n_a: int
     n_b: int
@@ -66,6 +66,8 @@ class GridSpec:
         for n in (self.n_a, self.n_b):
             if n < 16 or n & (n - 1):
                 raise ValueError("grid sizes must be powers of two, at least 16")
+        if self.n_a != self.n_b:
+            raise ValueError("grid point counts must be equal (n_a == n_b)")
         if self.length_a <= 0 or self.length_b <= 0:
             raise ValueError("box lengths must be positive")
         if self.m_a <= 0 or self.m_b <= 0:
@@ -98,11 +100,6 @@ class GridSpec:
     def kinetic(self) -> tuple[np.ndarray, np.ndarray]:
         """Kinetic energy per axis, (k_a^2/2m_a, k_b^2/2m_b): the one place it is written."""
         return self.k_a**2 / (2.0 * self.m_a), self.k_b**2 / (2.0 * self.m_b)
-
-    def kinetic_grid(self) -> np.ndarray:
-        """The outer sum of ``kinetic()`` on the 2-D momentum lattice."""
-        kinetic_a, kinetic_b = self.kinetic()
-        return kinetic_a[:, None] + kinetic_b[None, :]
 
 
 @dataclass(frozen=True)
@@ -297,27 +294,14 @@ class _Layout(NamedTuple):
     """What the Strang loop acts on: a state, its phase tables and the way back.
 
     ``half_v`` (None when free) and ``kinetic`` broadcast against ``state``;
-    the kinetic phase is diagonal after an FFT over ``axes``; ``to_grid``
+    the kinetic phase is diagonal after an FFT along each row; ``to_grid``
     returns a new amplitude grid Psi[a, b] for the current state.
     """
 
     state: np.ndarray
     half_v: np.ndarray | None
     kinetic: np.ndarray
-    axes: tuple[int, ...]
     to_grid: Callable[[np.ndarray], np.ndarray]
-
-
-def _grid_layout(psi: Wavefunction2P, potential: PotentialSpec | None, dt: float) -> _Layout:
-    """The amplitude grid itself, with a 2-D FFT per kinetic substep."""
-    spec = psi.spec
-    half_v = (
-        None
-        if potential is None
-        else np.exp(-0.5j * dt * potential_on_grid(spec, potential))
-    )
-    kinetic = np.exp(-1j * dt * spec.kinetic_grid())
-    return _Layout(np.array(psi.grid, dtype=complex), half_v, kinetic, (0, 1), np.copy)
 
 
 def _channel_layout(psi: Wavefunction2P, potential: PotentialSpec | None, dt: float) -> _Layout:
@@ -355,7 +339,7 @@ def _channel_layout(psi: Wavefunction2P, potential: PotentialSpec | None, dt: fl
         np.fft.ifft(buffer, axis=0, out=buffer)
         return buffer.ravel()[unshear]
 
-    return _Layout(buffer[kept], half_v, kinetic, (1,), to_grid)
+    return _Layout(buffer[kept], half_v, kinetic, to_grid)
 
 
 def iterate_split_step(
@@ -367,28 +351,20 @@ def iterate_split_step(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Drive the Strang scheme, yielding (step_index, grid copy) at samples.
 
-    Equal point counts step the total-momentum channels; unequal ones step
-    the grid itself.  Samples are taken at step 0, every ``sample_every``
-    steps, and at the final step.  Aborts with FloatingPointError if
-    amplitudes stop being finite.
+    The total-momentum channels are stepped in place.  Samples are taken at
+    step 0, every ``sample_every`` steps, and at the final step.  Aborts with
+    FloatingPointError if amplitudes stop being finite.
     """
     if dt <= 0 or n_steps < 1 or sample_every < 1:
         raise ValueError("need positive dt, n_steps and sample_every")
-    make_layout = _channel_layout if psi.spec.n_a == psi.spec.n_b else _grid_layout
-    layout = make_layout(psi, potential, dt)
+    state, half_v, kinetic, to_grid = _channel_layout(psi, potential, dt)
     yield 0, np.array(psi.grid, dtype=complex)
-    yield from _strang(layout, n_steps, sample_every)
-
-
-def _strang(layout: _Layout, n_steps: int, sample_every: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The steps of ``iterate_split_step`` after step 0, in place on the layout's state."""
-    state, half_v, kinetic, axes, to_grid = layout
     for step in range(1, n_steps + 1):
         if half_v is not None:
             state *= half_v
-        np.fft.fftn(state, axes=axes, out=state)
+        np.fft.fft(state, out=state)
         state *= kinetic
-        np.fft.ifftn(state, axes=axes, out=state)
+        np.fft.ifft(state, out=state)
         if half_v is not None:
             state *= half_v
         if step % sample_every == 0 or step == n_steps:
@@ -400,26 +376,9 @@ def _strang(layout: _Layout, n_steps: int, sample_every: int) -> Iterator[tuple[
             yield step, grid
 
 
-def entanglement_spectrum(psi: Wavefunction2P) -> np.ndarray:
-    """Squared Schmidt coefficients (descending) of the discretized state."""
-    return schmidt_weights(psi.grid * math.sqrt(psi.spec.dx_a * psi.spec.dx_b))
-
-
 def entanglement_entropy_bits(psi: Wavefunction2P) -> float:
     """Base-2 entropy of the Schmidt spectrum; weights at or below 1e-14 are dust."""
     return schmidt_entropy(psi.grid * math.sqrt(psi.spec.dx_a * psi.spec.dx_b), 2)
-
-
-def entanglement_entropy_grid(psi: Wavefunction2P, rank_bound: int = DEFAULT_RANK_BOUND) -> float:
-    """Entropy in bits normalized by log2(rank_bound), mapping to [0, 1].
-
-    Physically relevant entanglement on these lattices occupies few Schmidt
-    modes, so a fixed effective dimension (default 64) plays the role the
-    Hilbert-space dimension plays for finite systems.
-    """
-    if rank_bound < 2:
-        raise ValueError("rank bound must be at least 2")
-    return entanglement_entropy_bits(psi) / math.log2(rank_bound)
 
 
 class GridSample(NamedTuple):

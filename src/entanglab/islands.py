@@ -5,7 +5,7 @@ other particle's averaged interaction,
 
     V_eff_A(x) = integral |psi_B(y)|^2 V(x - y) dy,
 
-recomputed every step (spectral convolution on matched grids).  Comparing it
+recomputed every step (spectral convolution on the lattice).  Comparing it
 against the full two-particle solution quantifies how far a run stays inside
 a "classical island": a region of state space where interaction generates
 negligible entanglement.  Two such regimes are scanned here:
@@ -82,29 +82,15 @@ def init_hartree(
 def _mean_field(spec: GridSpec, potential: PotentialSpec):
     """The map from densities (rho_A dx_A, rho_B dx_B) to effective potentials.
 
-    On matched grids the convolution kernel is circulant (V's column 0 from
-    ``potential_on_grid``) and both effective potentials come from FFTs;
-    mismatched point counts fall back to the direct quadrature matrix.  The
+    The convolution kernel is circulant (V's column 0 from
+    ``potential_on_grid``), so both effective potentials come from FFTs.  The
     interaction is even in the separation, so the same kernel serves both
     sides.  The kernel is built once, here.
     """
-    if spec.n_a == spec.n_b:
-        kernel_fft = np.fft.fft(potential_on_grid(spec, potential, spec.x_b[0]))
-        return lambda density_a, density_b: (
-            np.fft.ifft(kernel_fft * np.fft.fft(density_b)).real,
-            np.fft.ifft(kernel_fft * np.fft.fft(density_a)).real,
-        )
-    v_matrix = potential_on_grid(spec, potential)
-    return lambda density_a, density_b: (v_matrix @ density_b, density_a @ v_matrix)
-
-
-def effective_potentials(
-    pair: HartreePair, potential: PotentialSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interaction felt by each side, averaged over the other side's density."""
-    spec = pair.spec
-    return _mean_field(spec, potential)(
-        np.abs(pair.psi_a) ** 2 * spec.dx_a, np.abs(pair.psi_b) ** 2 * spec.dx_b
+    kernel_fft = np.fft.fft(potential_on_grid(spec, potential, spec.x_b[0]))
+    return lambda density_a, density_b: (
+        np.fft.ifft(kernel_fft * np.fft.fft(density_b)).real,
+        np.fft.ifft(kernel_fft * np.fft.fft(density_a)).real,
     )
 
 
@@ -148,15 +134,9 @@ def iterate_hartree(
 
 
 def _overlap_fidelity(grid: np.ndarray, a: np.ndarray, b: np.ndarray, spec: GridSpec) -> float:
+    """Squared overlap |<psi_A (x) psi_B | Psi>|^2 by lattice quadrature."""
     amp = (a.conj() @ grid @ b.conj()) * (spec.dx_a * spec.dx_b)
     return float(abs(amp) ** 2)
-
-
-def hartree_fidelity(full: Wavefunction2P, pair: HartreePair) -> float:
-    """Squared overlap |<psi_A (x) psi_B | Psi>|^2 by lattice quadrature."""
-    if full.spec != pair.spec:
-        raise ValueError("grid mismatch between full state and mean-field pair")
-    return _overlap_fidelity(full.grid, pair.psi_a, pair.psi_b, full.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +164,7 @@ def classical_two_body(
     packets' mass across the box seam is negligible.  That holds only
     approximately in the packaged ladders: at material_point width ratio 0.5
     about 5e-5 of each packet's initial mass lies within 4 lattice points of
-    the seam (ROADMAP open item 2).
+    the seam (ROADMAP open item 3).
     """
 
     def rhs(y):

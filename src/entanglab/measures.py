@@ -154,22 +154,14 @@ def spectrum_entropy(weights: np.ndarray, base: float = 2.0):
     return float(entropy) if entropy.ndim == 0 else entropy
 
 
-def schmidt_weights(amplitudes: np.ndarray) -> np.ndarray:
-    """Squared singular values (descending) of each (d_a, d_b) amplitude matrix.
-
-    Works on a stack ``(..., d_a, d_b)``.  For a normalized pure state these
-    weights are the common spectrum of both reduced states.
-    """
-    return np.linalg.svd(amplitudes, compute_uv=False) ** 2
-
-
 def schmidt_entropy(amplitudes: np.ndarray, base: float):
-    """Entropy of the Schmidt weights of each (d_a, d_b) amplitude matrix.
+    """Entropy of the Schmidt weights (squared singular values) of each (d_a, d_b) matrix.
 
     Works on a stack ``(..., d_a, d_b)`` and returns one entropy per matrix (a
-    float for a single matrix).
+    float for a single matrix).  For a normalized pure state the weights are
+    the common spectrum of both reduced states.
     """
-    return spectrum_entropy(schmidt_weights(amplitudes), base)
+    return spectrum_entropy(np.linalg.svd(amplitudes, compute_uv=False) ** 2, base)
 
 
 def von_neumann_entropy(rho: DensityMatrix, base: float | None = None) -> float:

@@ -426,6 +426,7 @@ INVALID_GRID_RUNS = {
     "negative_n_steps": _set(None, "n_steps", -5),
     "zero_sample_every": _set(None, "sample_every", 0),
     "unequal_boxes_with_potential": _set("grid", "length_b", 32.0),
+    "unequal_point_counts": _set("grid", "n_b", 64),
     "unstable_dt": _set(None, "dt", 0.2),  # dt * max|V| = 0.2 rad per step
     # the boxes span [-12, 12): a tail cut at the seam, and a grid that underflows to NaN
     "packet_centre_past_seam": _set("packet_a", "center", 30.0),
@@ -520,6 +521,10 @@ INVALID_CONFIGS = {
     ),
     "measure_zero_tolerance": (
         "measure", {"state": {"kind": "bell", "row": 0, "col": 0}}, _set(None, "tolerance", 0)
+    ),
+    # a Bell state's leading Schmidt coefficient is 1/sqrt(2): no tolerance at or above it
+    "measure_tolerance_above_leading_coefficient": (
+        "measure", {"state": {"kind": "bell", "row": 0, "col": 0}}, _set(None, "tolerance", 0.8)
     ),
     "measure_text_seed": (
         "measure", {"state": {"kind": "bell", "row": 0, "col": 0}}, _set(None, "seed", "zz")

