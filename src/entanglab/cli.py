@@ -89,6 +89,7 @@ NUMBER = Kind(_is_number, float, "a number")
 POSITIVE = Kind(lambda v: _is_number(v) and v > 0, float, "a positive number")
 INTEGER = Kind(_is_integer, int, "an integer")
 POSITIVE_INTEGER = Kind(lambda v: _is_integer(v) and v > 0, int, "a positive integer")
+SEED = Kind(lambda v: _is_integer(v) and v >= 0, int, "a non-negative integer")
 BOOL = Kind(lambda v: isinstance(v, bool), bool, "true or false")
 NUMBERS = Kind(
     lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_number, v)),
@@ -323,7 +324,7 @@ def _hamiltonian_from_config(section, where) -> finite.BipartiteHamiltonian:
 BELLGAME = {
     "strategy": (ANY, REQUIRED),
     "n_rounds": (POSITIVE_INTEGER, REQUIRED),
-    "seed": (INTEGER, REQUIRED),
+    "seed": (SEED, REQUIRED),
 }
 
 
@@ -367,7 +368,7 @@ def parse_bellgame(config: dict, args) -> tuple:
     return seed, ["bellgame.json", "bellgame_pairs.csv"], run
 
 
-MEASURE = {"state": (ANY, REQUIRED), "tolerance": (POSITIVE, 1e-8), "seed": (INTEGER, None)}
+MEASURE = {"state": (ANY, REQUIRED), "tolerance": (POSITIVE, 1e-8), "seed": (SEED, None)}
 
 
 def parse_measure(config: dict, args) -> tuple:
@@ -418,7 +419,7 @@ THEOREM = {
     "t_final": (POSITIVE, REQUIRED),
     "time_samples": (POSITIVE_INTEGER, 33),
     "split_tol": (POSITIVE, 1e-8),
-    "seed": (INTEGER, REQUIRED),
+    "seed": (SEED, REQUIRED),
 }
 
 
@@ -460,7 +461,7 @@ def parse_theorem(config: dict, args) -> tuple:
 
 
 EVOLVE_ORACLE = {"entropy_bits_final": (NUMBER, REQUIRED), "tolerance": (POSITIVE, REQUIRED)}
-EVOLVE = {**GRID_RUN, "oracle": (EVOLVE_ORACLE, None), "seed": (INTEGER, None)}
+EVOLVE = {**GRID_RUN, "oracle": (EVOLVE_ORACLE, None), "seed": (SEED, None)}
 
 
 def parse_evolve(config: dict, args) -> tuple:
@@ -523,7 +524,7 @@ SCAN = {
     "thresholds": (THRESHOLDS, None),
     "oracle": (ISLANDS_ORACLE, None),
     "write_trajectories": (BOOL, False),
-    "seed": (INTEGER, 0),
+    "seed": (SEED, 0),
 }
 SCANS = {
     "test_particle": {**SCAN, "mass_ratios": (NUMBERS, REQUIRED)},

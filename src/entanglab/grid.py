@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -290,21 +290,18 @@ def init_product(
     return Wavefunction2P(np.outer(psi_a, psi_b), spec)
 
 
-class _Layout(NamedTuple):
-    """What the Strang loop acts on: a state, its phase tables and the way back.
-
-    ``half_v`` (None when free) and ``kinetic`` broadcast against ``state``;
-    the kinetic phase is diagonal after an FFT along each row; ``to_grid``
-    returns a new amplitude grid Psi[a, b] for the current state.
-    """
-
-    state: np.ndarray
-    half_v: np.ndarray | None
-    kinetic: np.ndarray
-    to_grid: Callable[[np.ndarray], np.ndarray]
+def strang_step(state: np.ndarray, half_v: np.ndarray | None, kinetic: np.ndarray) -> None:
+    """One Strang step of every row of ``state`` in place; ``half_v`` is None when free."""
+    if half_v is not None:
+        state *= half_v
+    np.fft.fft(state, out=state)
+    state *= kinetic
+    np.fft.ifft(state, out=state)
+    if half_v is not None:
+        state *= half_v
 
 
-def _channel_layout(psi: Wavefunction2P, potential: PotentialSpec | None, dt: float) -> _Layout:
+def _channel_layout(psi: Wavefunction2P, potential: PotentialSpec | None, dt: float):
     """Total-momentum channels of an n x n grid, lightest ones dropped.
 
     Row K of the state is Phi_K[r] = sum_s Psi[(r + s) mod n, s] e^{-2 pi i K s / n}.
@@ -312,6 +309,10 @@ def _channel_layout(psi: Wavefunction2P, potential: PotentialSpec | None, dt: fl
     Psi-hat[p, (K - p) mod n], so both phases act row by row and each row's
     weight is conserved exactly.  Rows whose weights sum to at most
     CHANNEL_DUST of the total are dropped once, at the start.
+
+    Returns ``(rows, half_v, kinetic, to_grid)``: the kept rows, the phase
+    tables of ``strang_step`` for them (``half_v`` None when free), and a map
+    from the rows to a new amplitude grid Psi[a, b].
     """
     spec = psi.spec
     n = spec.n_a
@@ -339,7 +340,7 @@ def _channel_layout(psi: Wavefunction2P, potential: PotentialSpec | None, dt: fl
         np.fft.ifft(buffer, axis=0, out=buffer)
         return buffer.ravel()[unshear]
 
-    return _Layout(buffer[kept], half_v, kinetic, to_grid)
+    return buffer[kept], half_v, kinetic, to_grid
 
 
 def iterate_split_step(
@@ -360,13 +361,7 @@ def iterate_split_step(
     state, half_v, kinetic, to_grid = _channel_layout(psi, potential, dt)
     yield 0, np.array(psi.grid, dtype=complex)
     for step in range(1, n_steps + 1):
-        if half_v is not None:
-            state *= half_v
-        np.fft.fft(state, out=state)
-        state *= kinetic
-        np.fft.ifft(state, out=state)
-        if half_v is not None:
-            state *= half_v
+        strang_step(state, half_v, kinetic)
         if step % sample_every == 0 or step == n_steps:
             grid = to_grid(state)
             if not np.all(np.isfinite(grid)):

@@ -5,10 +5,12 @@ other particle's averaged interaction,
 
     V_eff_A(x) = integral |psi_B(y)|^2 V(x - y) dy,
 
-recomputed every step (spectral convolution on the lattice).  Comparing it
-against the full two-particle solution quantifies how far a run stays inside
-a "classical island": a region of state space where interaction generates
-negligible entanglement.  Two such regimes are scanned here:
+recomputed every step (spectral convolution on the lattice).  The two factors
+are the rows of one (2, n) state, stepped by ``grid.strang_step`` like the
+full solver's channel rows.  Comparing the ansatz against the full
+two-particle solution quantifies how far a run stays inside a "classical
+island": a region of state space where interaction generates negligible
+entanglement.  Two such regimes are scanned here:
 
 * test particle: fixed light particle A scattering off an increasingly heavy,
   initially resting and localized B (scan over mass ratio m_A / m_B);
@@ -36,6 +38,7 @@ from .grid import (
     iterate_split_step,  # noqa: F401 - unused, but perfbench/tracing.py wraps it here
     potential_on_grid,
     probe_split_step,
+    strang_step,
 )
 from .output import column_rows
 
@@ -80,18 +83,16 @@ def init_hartree(
 
 
 def _mean_field(spec: GridSpec, potential: PotentialSpec):
-    """The map from densities (rho_A dx_A, rho_B dx_B) to effective potentials.
+    """The map from stacked densities (rho_A dx_A, rho_B dx_B) to stacked potentials.
 
     The convolution kernel is circulant (V's column 0 from
-    ``potential_on_grid``), so both effective potentials come from FFTs.  The
+    ``potential_on_grid``), so both effective potentials come from one FFT
+    pair over the two rows; row A feels B's density and row B feels A's.  The
     interaction is even in the separation, so the same kernel serves both
     sides.  The kernel is built once, here.
     """
     kernel_fft = np.fft.fft(potential_on_grid(spec, potential, spec.x_b[0]))
-    return lambda density_a, density_b: (
-        np.fft.ifft(kernel_fft * np.fft.fft(density_b)).real,
-        np.fft.ifft(kernel_fft * np.fft.fft(density_a)).real,
-    )
+    return lambda densities: np.fft.ifft(kernel_fft * np.fft.fft(densities[::-1])).real
 
 
 def iterate_hartree(
@@ -103,7 +104,8 @@ def iterate_hartree(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Coupled split-step mean-field evolution, yielding factor copies at samples.
 
-    The effective potentials are refreshed from the densities at the start of
+    Both factors step as the rows of one state, one FFT call per substep.  The
+    effective potentials are refreshed from the densities at the start of
     each step and held for both half phases of that step, so a frozen partner
     density reproduces the single-particle scheme in a static potential.
     """
@@ -111,26 +113,19 @@ def iterate_hartree(
         raise ValueError("need positive dt, n_steps and sample_every")
     spec = pair.spec
     mean_field = None if potential is None else _mean_field(spec, potential)
-    kin_a, kin_b = (np.exp(-1j * dt * kinetic) for kinetic in spec.kinetic())
-    a = np.array(pair.psi_a, dtype=complex)
-    b = np.array(pair.psi_b, dtype=complex)
-    yield 0, a.copy(), b.copy()
+    kinetic = np.exp(-1j * dt * np.array(spec.kinetic()))
+    cells = np.array([[spec.dx_a], [spec.dx_b]])
+    factors = np.array([pair.psi_a, pair.psi_b])
+    half_v = None
+    yield (0, *factors.copy())
     for step in range(1, n_steps + 1):
-        if potential is not None:
-            v_a, v_b = mean_field(np.abs(a) ** 2 * spec.dx_a, np.abs(b) ** 2 * spec.dx_b)
-            half_a = np.exp(-0.5j * dt * v_a)
-            half_b = np.exp(-0.5j * dt * v_b)
-            a *= half_a
-            b *= half_b
-        a = np.fft.ifft(np.fft.fft(a) * kin_a)
-        b = np.fft.ifft(np.fft.fft(b) * kin_b)
-        if potential is not None:
-            a *= half_a
-            b *= half_b
+        if mean_field is not None:
+            half_v = np.exp(-0.5j * dt * mean_field(np.abs(factors) ** 2 * cells))
+        strang_step(factors, half_v, kinetic)
         if step % sample_every == 0 or step == n_steps:
-            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            if not np.all(np.isfinite(factors)):
                 raise FloatingPointError(f"non-finite mean-field amplitudes at step {step}")
-            yield step, a.copy(), b.copy()
+            yield (step, *factors.copy())
 
 
 def _overlap_fidelity(grid: np.ndarray, a: np.ndarray, b: np.ndarray, spec: GridSpec) -> float:

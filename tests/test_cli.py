@@ -537,6 +537,10 @@ INVALID_CONFIGS = {
     "evolve_integer_dt_past_double_range": (
         "evolve", tiny_grid_config(), _set(None, "dt", 10**400)
     ),
+    "bellgame_negative_seed": (
+        "bellgame", {"strategy": "quantum", "n_rounds": 1000, "seed": 1}, _set(None, "seed", -5)
+    ),
+    "theorem_negative_seed": ("theorem", _theorem_config(), _set(None, "seed", -3)),
 }
 
 
@@ -613,6 +617,15 @@ class TestSeedFlagOverridesConfigSeed:
         assert manifest["config_sha256"] == config_digest(config)  # the file as given
         if result is not None:
             assert json.loads((out / result).read_text())["seed"] == 99
+
+    @pytest.mark.parametrize("command", sorted(SEEDED_RUNS))
+    def test_negative_flag_seed_is_refused_before_manifest(self, tmp_path, capsys, command):
+        config, _ = SEEDED_RUNS[command]
+        path = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out), "--seed", "-1"]) == 2
+        assert "non-negative integer" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 FIXTURE_COMMANDS = {

@@ -375,7 +375,7 @@ class TestChannelLayout:
         )
         column = potential_on_grid(spec, potential)[:, 0]
         assert np.array_equal(potential_on_grid(spec, potential, spec.x_b[0]), column)
-        half_v = _channel_layout(psi, potential, 0.01).half_v
+        _, half_v, _, _ = _channel_layout(psi, potential, 0.01)
         assert np.array_equal(half_v, np.exp(-0.5j * 0.01 * column))
 
     @pytest.mark.parametrize("m_b", [1.0, 3.0, math.inf])
@@ -386,16 +386,16 @@ class TestChannelLayout:
         psi = init_product(
             GaussianPacket(-2.0, 1.0, 1.0), GaussianPacket(2.0, 1.0, -1.0), spec
         )
-        layout = _channel_layout(psi, None, 0.01)
+        state, _, kinetic, to_grid = _channel_layout(psi, None, 0.01)
         # find each state row's channel K: send the mark i + 1 through row i and read it back
-        rows = len(layout.state)
-        marked = layout.to_grid(np.outer(np.arange(1.0, rows + 1), np.ones(n)))
+        rows = len(state)
+        marked = to_grid(np.outer(np.arange(1.0, rows + 1), np.ones(n)))
         marks = np.rint(self.channels(marked))
         kept = np.argsort(marks[:, 0].real)[n - rows :]
         assert np.array_equal(marks[kept, 0], np.arange(1, rows + 1))
         index = np.arange(n)
         table = kinetic_grid(spec)[index, (kept[:, None] - index) % n]
-        assert np.array_equal(layout.kinetic, np.exp(-1j * 0.01 * table))
+        assert np.array_equal(kinetic, np.exp(-1j * 0.01 * table))
 
 
 class TestGridProbe:

@@ -13,6 +13,7 @@ from entanglab.grid import (
     gaussian_wave,
     init_product,
     minimal_image,
+    potential_on_grid,
 )
 from entanglab import islands
 from entanglab.islands import (
@@ -77,7 +78,7 @@ class TestEffectivePotentials:
         rng = np.random.default_rng(0)
         rho_a = np.abs(pair.psi_a) ** 2 * spec.dx_a
         rho_b = np.abs(pair.psi_b) ** 2 * spec.dx_b
-        v_a, v_b = _mean_field(spec, pot)(rho_a, rho_b)
+        v_a, v_b = _mean_field(spec, pot)(np.array([rho_a, rho_b]))
         for i in rng.integers(0, spec.n_a, 10):
             direct_a = float(
                 np.sum(rho_b * pot.evaluate(minimal_image(spec.x_a[i] - spec.x_b, 32.0)))
@@ -96,7 +97,7 @@ class TestEffectivePotentials:
         pot = PotentialSpec("soft_coulomb", 0.5, 1.0)
         rho_a = np.abs(pair.psi_a) ** 2 * spec.dx_a
         rho_b = np.abs(pair.psi_b) ** 2 * spec.dx_b
-        v_a, _ = _mean_field(spec, pot)(rho_a, rho_b)
+        v_a, _ = _mean_field(spec, pot)(np.array([rho_a, rho_b]))
         i = 17
         direct = float(
             np.sum(rho_b * pot.evaluate(minimal_image(spec.x_a[i] - spec.x_b, 32.0)))
@@ -124,7 +125,7 @@ class TestHartreeEvolve:
         packet_a = GaussianPacket(-4.0, 1.0, 1.5)
         pair = init_hartree(packet_a, GaussianPacket(3.0, 0.5, 0.0), spec)
         v_static, _ = _mean_field(spec, pot)(
-            np.abs(pair.psi_a) ** 2 * spec.dx_a, np.abs(pair.psi_b) ** 2 * spec.dx_b
+            np.array([np.abs(pair.psi_a) ** 2 * spec.dx_a, np.abs(pair.psi_b) ** 2 * spec.dx_b])
         )
         dt, n_steps = 0.005, 500
         *_, (_, psi_a, psi_b) = iterate_hartree(pair, pot, dt, n_steps, n_steps)
@@ -147,6 +148,50 @@ class TestHartreeEvolve:
             norm_a, norm_b = HartreePair(psi_a, psi_b, pair.spec).norms()
             assert abs(norm_a - 1.0) < 1e-8
             assert abs(norm_b - 1.0) < 1e-8
+
+
+def per_factor_hartree(pair, potential, dt, n_steps, sample_every):
+    """The mean-field step one factor at a time: an fft/ifft pair per density and per factor."""
+    spec = pair.spec
+    kernel_fft = np.fft.fft(potential_on_grid(spec, potential, spec.x_b[0]))
+    kin_a, kin_b = (np.exp(-1j * dt * kinetic) for kinetic in spec.kinetic())
+    a = np.array(pair.psi_a, dtype=complex)
+    b = np.array(pair.psi_b, dtype=complex)
+    yield 0, a.copy(), b.copy()
+    for step in range(1, n_steps + 1):
+        density_a, density_b = np.abs(a) ** 2 * spec.dx_a, np.abs(b) ** 2 * spec.dx_b
+        half_a = np.exp(-0.5j * dt * np.fft.ifft(kernel_fft * np.fft.fft(density_b)).real)
+        half_b = np.exp(-0.5j * dt * np.fft.ifft(kernel_fft * np.fft.fft(density_a)).real)
+        a *= half_a
+        b *= half_b
+        a = np.fft.ifft(np.fft.fft(a) * kin_a)
+        b = np.fft.ifft(np.fft.fft(b) * kin_b)
+        a *= half_a
+        b *= half_b
+        if step % sample_every == 0 or step == n_steps:
+            yield step, a.copy(), b.copy()
+
+
+class TestStackedHartreeMatchesPerFactorLoop:
+    @pytest.mark.parametrize(
+        "potential, m_b",
+        [
+            (PotentialSpec("gaussian_well", 1.0, 2.0), 1.0),
+            (PotentialSpec("soft_coulomb", 0.5, 1.0), 1.0),
+            (PotentialSpec("gaussian_well", 1.0, 2.0), math.inf),
+        ],
+        ids=["gaussian_well", "soft_coulomb", "infinite_m_b"],
+    )
+    def test_bit_for_bit(self, potential, m_b):
+        pair = init_hartree(
+            GaussianPacket(-5.0, 1.2, 1.5), GaussianPacket(5.0, 1.2, -1.5), small_spec(m_b=m_b)
+        )
+        stacked = list(iterate_hartree(pair, potential, 0.01, 400, 50))
+        reference = list(per_factor_hartree(pair, potential, 0.01, 400, 50))
+        assert [step for step, *_ in stacked] == [step for step, *_ in reference]
+        for (_, a, b), (_, ref_a, ref_b) in zip(stacked, reference):
+            assert np.array_equal(a, ref_a)
+            assert np.array_equal(b, ref_b)
 
 
 class TestHartreeFidelity:

@@ -205,7 +205,7 @@ class TestHartreeMeanFieldQuadrature:
         pot = PotentialSpec("gaussian_well", 1.0, 1.5)
         rho_b = np.abs(pair.psi_b) ** 2 * spec.dx_b
         rho_a = np.abs(pair.psi_a) ** 2 * spec.dx_a
-        v_a, v_b = _mean_field(spec, pot)(rho_a, rho_b)
+        v_a, v_b = _mean_field(spec, pot)(np.array([rho_a, rho_b]))
         assert v_a.shape == (32,)
         assert v_b.shape == (32,)
         i, j = 11, 20
