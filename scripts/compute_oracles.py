@@ -31,11 +31,7 @@ from entanglab.islands import material_point_scan, test_particle_scan  # noqa: E
 def refine(fixture, factor_n=2, factor_dt=2):
     return replace(
         fixture,
-        spec=replace(
-            fixture.spec,
-            n_a=fixture.spec.n_a * factor_n,
-            n_b=fixture.spec.n_b * factor_n,
-        ),
+        spec=replace(fixture.spec, n=fixture.spec.n * factor_n),
         dt=fixture.dt / factor_dt,
         n_steps=fixture.n_steps * factor_dt,
         sample_every=fixture.sample_every * factor_dt,

@@ -61,6 +61,8 @@ def load_config(path) -> dict:
         config = json.loads(
             path.read_text(encoding="utf-8"), parse_float=_finite, parse_constant=_finite
         )
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"config file cannot be read as UTF-8: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(config, dict):
@@ -176,7 +178,14 @@ def _grid_run(fields: dict, where: str) -> tuple:
 
     Values the solvers would only refuse mid-run are rejected here.
     """
-    spec = _build(f"{where}.grid", grid.GridSpec, **fields["grid"])
+    lattice = fields["grid"]
+    for key_a, key_b in (("n_a", "n_b"), ("length_a", "length_b")):
+        if lattice[key_a] != lattice[key_b]:
+            raise ConfigError(
+                f"{where}.grid: both particles share one lattice, so {key_a} must equal {key_b}"
+            )
+    n, length, m_a, m_b = (lattice[key] for key in ("n_a", "length_a", "m_a", "m_b"))
+    spec = _build(f"{where}.grid", grid.GridSpec, n, length, m_a, m_b)
     packets = [
         _build(f"{where}.{key}", grid.GaussianPacket, **fields[key])
         for key in ("packet_a", "packet_b")
@@ -184,8 +193,6 @@ def _grid_run(fields: dict, where: str) -> tuple:
     potential, dt = fields["potential"], fields["dt"]
     if potential is not None:
         potential = _build(f"{where}.potential", grid.PotentialSpec, **potential)
-        if spec.length_a != spec.length_b:
-            raise ConfigError(f"{where}: an interaction needs equal length_a and length_b")
         if dt * potential.max_abs() > grid.MAX_PHASE_PER_STEP:
             raise ConfigError(
                 f"config key 'dt' in {where} must keep dt * max|V| <= "

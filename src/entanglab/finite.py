@@ -92,8 +92,6 @@ class WitnessReport:
     max_entanglement: float
     per_sample_max: np.ndarray
     worst_initial_state: PureState
-    t_final: float
-    seed: int
 
 
 def kron_pair(op_a: np.ndarray, op_b: np.ndarray) -> BipartiteHamiltonian:
@@ -223,6 +221,4 @@ def theorem_witness(
         max_entanglement=float(per_sample.max()),
         per_sample_max=per_sample,
         worst_initial_state=PureState(np.outer(kets_a[worst], kets_b[worst])),
-        t_final=t_final,
-        seed=seed,
     )

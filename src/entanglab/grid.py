@@ -1,7 +1,7 @@
 """Two-particle Schrodinger solver on a periodic 1-D grid, hbar = 1.
 
-The joint wavefunction Psi(x_A, x_B) lives on an n x n lattice; the
-generator is
+Both particles share one periodic axis of n points (GridSpec), so the joint
+wavefunction Psi(x_A, x_B) lives on an n x n lattice; the generator is
 
     i dPsi/dt = [ -(1/2 m_A) d^2/dx_A^2 - (1/2 m_B) d^2/dx_B^2
                   + V(x_A - x_B) ] Psi
@@ -21,8 +21,8 @@ the grid is rebuilt only at samples.  Each channel's weight is conserved by
 both substeps, so the lightest channels, whose weights sum to at most
 CHANNEL_DUST (1e-20) of the total, are dropped at the start: the norm moves
 by at most 1e-20 and the amplitudes by at most 1e-10 relative in 2-norm,
-and the error never grows.  The shear needs one point count on both sides,
-so GridSpec refuses n_A != n_B.
+and the error never grows.  ``packet_factors`` refuses a packet that does
+not fit the box or whose momentum lies outside the lattice band [-pi/dx, pi/dx).
 
 Entanglement is tracked through the singular values of the amplitude grid,
 which are the Schmidt coefficients of the discretized state.
@@ -53,53 +53,37 @@ class PacketTooWideError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Periodic lattice: one point count, box lengths, masses; x, k and k^2/2m per axis."""
+    """One periodic axis shared by both particles: point count, box length, masses."""
 
-    n_a: int
-    n_b: int
-    length_a: float
-    length_b: float
+    n: int
+    length: float
     m_a: float
     m_b: float
 
     def __post_init__(self):
-        for n in (self.n_a, self.n_b):
-            if n < 16 or n & (n - 1):
-                raise ValueError("grid sizes must be powers of two, at least 16")
-        if self.n_a != self.n_b:
-            raise ValueError("grid point counts must be equal (n_a == n_b)")
-        if self.length_a <= 0 or self.length_b <= 0:
+        if self.n < 16 or self.n & (self.n - 1):
+            raise ValueError("grid sizes must be powers of two, at least 16")
+        if self.length <= 0:
             raise ValueError("box lengths must be positive")
         if self.m_a <= 0 or self.m_b <= 0:
             raise ValueError("masses must be positive")
 
     @property
-    def dx_a(self) -> float:
-        return self.length_a / self.n_a
+    def dx(self) -> float:
+        return self.length / self.n
 
     @property
-    def dx_b(self) -> float:
-        return self.length_b / self.n_b
+    def x(self) -> np.ndarray:
+        return (np.arange(self.n) - self.n // 2) * self.dx
 
     @property
-    def x_a(self) -> np.ndarray:
-        return (np.arange(self.n_a) - self.n_a // 2) * self.dx_a
-
-    @property
-    def x_b(self) -> np.ndarray:
-        return (np.arange(self.n_b) - self.n_b // 2) * self.dx_b
-
-    @property
-    def k_a(self) -> np.ndarray:
-        return 2.0 * math.pi * np.fft.fftfreq(self.n_a, d=self.dx_a)
-
-    @property
-    def k_b(self) -> np.ndarray:
-        return 2.0 * math.pi * np.fft.fftfreq(self.n_b, d=self.dx_b)
+    def k(self) -> np.ndarray:
+        return 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.dx)
 
     def kinetic(self) -> tuple[np.ndarray, np.ndarray]:
-        """Kinetic energy per axis, (k_a^2/2m_a, k_b^2/2m_b): the one place it is written."""
-        return self.k_a**2 / (2.0 * self.m_a), self.k_b**2 / (2.0 * self.m_b)
+        """Kinetic energy per particle, (k^2/2m_a, k^2/2m_b): the one place it is written."""
+        k_squared = self.k**2
+        return k_squared / (2.0 * self.m_a), k_squared / (2.0 * self.m_b)
 
 
 @dataclass(frozen=True)
@@ -124,8 +108,7 @@ class PotentialSpec:
     soft_coulomb:      strength / sqrt(r^2 + width^2)   (width softens contact)
 
     All kinds are even in r.  On the lattice the relative coordinate is taken
-    minimal-image on the common periodic box, which requires equal box
-    lengths on the two sides.
+    minimal-image on the one periodic box that both particles share.
     """
 
     kind: str
@@ -170,27 +153,25 @@ def minimal_image(r, period: float):
 def potential_on_grid(spec: GridSpec, potential: PotentialSpec, x_b=None) -> np.ndarray:
     """V evaluated at the minimal-image separation of every lattice pair.
 
-    With ``x_b`` given, V(x_A - x_b) on the A lattice alone: on an n x n grid
-    ``x_b = spec.x_b[0]`` gives column 0, V at each relative index a - b mod n.
+    With ``x_b`` given, V(x_A - x_b) on the axis alone: ``x_b = spec.x[0]``
+    gives column 0, V at each relative index a - b mod n.
     """
-    if spec.length_a != spec.length_b:
-        raise ValueError("interaction requires equal box lengths on both sides")
-    r = spec.x_a[:, None] - spec.x_b[None, :] if x_b is None else spec.x_a - x_b
-    return potential.evaluate(minimal_image(r, spec.length_a))
+    r = spec.x[:, None] - spec.x[None, :] if x_b is None else spec.x - x_b
+    return potential.evaluate(minimal_image(r, spec.length))
 
 
 @dataclass(frozen=True)
 class Wavefunction2P:
-    """Joint amplitude grid, normalized so that sum |Psi|^2 dx_A dx_B = 1."""
+    """Joint amplitude grid, normalized so that sum |Psi|^2 dx^2 = 1."""
 
     grid: np.ndarray
     spec: GridSpec
 
     def __post_init__(self):
         arr = np.array(self.grid, dtype=complex)
-        if arr.shape != (self.spec.n_a, self.spec.n_b):
+        if arr.shape != (self.spec.n, self.spec.n):
             raise ValueError(
-                f"grid shape {arr.shape} does not match spec ({self.spec.n_a}, {self.spec.n_b})"
+                f"grid shape {arr.shape} does not match spec ({self.spec.n}, {self.spec.n})"
             )
         if not abs(self.norm_of(arr, self.spec) - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError("wavefunction is not normalized on its lattice")
@@ -199,7 +180,7 @@ class Wavefunction2P:
 
     @staticmethod
     def norm_of(grid: np.ndarray, spec: GridSpec) -> float:
-        return float(np.sum(np.abs(grid) ** 2 * (spec.dx_a * spec.dx_b)))
+        return float(np.sum(np.abs(grid) ** 2 * (spec.dx * spec.dx)))
 
     def norm(self) -> float:
         return self.norm_of(self.grid, self.spec)
@@ -270,24 +251,36 @@ def gaussian_wave(x: np.ndarray, packet: GaussianPacket, dx: float) -> np.ndarra
     return psi / math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dx)
 
 
-def init_product(
+def packet_factors(
     packet_a: GaussianPacket, packet_b: GaussianPacket, spec: GridSpec
-) -> Wavefunction2P:
-    """Factorized initial state psi_A(x_A) psi_B(x_B); entanglement is zero.
+) -> np.ndarray:
+    """Both packets on the axis, as the rows (psi_A, psi_B) of one (2, n) array.
 
     A packet centred outside [-length/2, length/2) would be a tail cut at the
-    seam, or no amplitude at all, so it is refused.
+    seam, or no amplitude at all, and a momentum outside [-pi/dx, pi/dx) would
+    alias to another lattice momentum, so both are refused.
     """
-    for side, packet, length in (("A", packet_a, spec.length_a), ("B", packet_b, spec.length_b)):
-        if packet.sigma >= length / 8:
+    nyquist = math.pi / spec.dx
+    for side, packet in (("A", packet_a), ("B", packet_b)):
+        if packet.sigma >= spec.length / 8:
             raise PacketTooWideError(
                 f"packet {side} is too wide for its box (need sigma < length/8)"
             )
-        if not -length / 2 <= packet.center < length / 2:
+        if not -spec.length / 2 <= packet.center < spec.length / 2:
             raise ValueError(f"packet {side} is centred outside its box [-length/2, length/2)")
-    psi_a = gaussian_wave(spec.x_a, packet_a, spec.dx_a)
-    psi_b = gaussian_wave(spec.x_b, packet_b, spec.dx_b)
-    return Wavefunction2P(np.outer(psi_a, psi_b), spec)
+        if not -nyquist <= packet.momentum < nyquist:
+            raise ValueError(
+                f"packet {side} momentum {packet.momentum:g} lies outside the lattice band"
+                f" [-pi/dx, pi/dx) = [{-nyquist:g}, {nyquist:g})"
+            )
+    return np.array([gaussian_wave(spec.x, packet, spec.dx) for packet in (packet_a, packet_b)])
+
+
+def init_product(
+    packet_a: GaussianPacket, packet_b: GaussianPacket, spec: GridSpec
+) -> Wavefunction2P:
+    """Factorized initial state psi_A(x_A) psi_B(x_B); entanglement is zero."""
+    return Wavefunction2P(np.outer(*packet_factors(packet_a, packet_b, spec)), spec)
 
 
 def strang_step(state: np.ndarray, half_v: np.ndarray | None, kinetic: np.ndarray) -> None:
@@ -315,7 +308,7 @@ def _channel_layout(psi: Wavefunction2P, potential: PotentialSpec | None, dt: fl
     from the rows to a new amplitude grid Psi[a, b].
     """
     spec = psi.spec
-    n = spec.n_a
+    n = spec.n
     index = np.arange(n, dtype=np.int32)
     # Psi[a, b] sits at flat position b * n + (a - b) mod n of the (s, r) buffer
     unshear = index[None, :] * n + (index[:, None] - index[None, :]) % n
@@ -329,7 +322,7 @@ def _channel_layout(psi: Wavefunction2P, potential: PotentialSpec | None, dt: fl
     half_v = (
         None
         if potential is None
-        else np.exp(-0.5j * dt * potential_on_grid(spec, potential, spec.x_b[0]))
+        else np.exp(-0.5j * dt * potential_on_grid(spec, potential, spec.x[0]))
     )
     kinetic_a, kinetic_b = spec.kinetic()
     kinetic = np.exp(-1j * dt * (kinetic_a + kinetic_b[(kept[:, None] - index) % n]))
@@ -373,7 +366,7 @@ def iterate_split_step(
 
 def entanglement_entropy_bits(psi: Wavefunction2P) -> float:
     """Base-2 entropy of the Schmidt spectrum; weights at or below 1e-14 are dust."""
-    return schmidt_entropy(psi.grid * math.sqrt(psi.spec.dx_a * psi.spec.dx_b), 2)
+    return schmidt_entropy(psi.grid * math.sqrt(psi.spec.dx * psi.spec.dx), 2)
 
 
 class GridSample(NamedTuple):
@@ -403,19 +396,18 @@ class GridProbe:
     """The per-sample probe of ``probe_split_step``, built there once per run.
 
     <x> is read off the position marginals, <p> and the kinetic energy off
-    the momentum marginals, with the per-axis tables of ``GridSpec``; <V>
+    the momentum marginals, with the axis tables of ``GridSpec``; <V>
     (zero when V is None) is summed in place on the position weights.  V and
     one real and one complex scratch buffer, reused by every sample, are the
     only n^2 arrays; ``ehrenfest_observables`` builds a probe for one state.
     """
 
     def __init__(self, spec: GridSpec, v_matrix: np.ndarray | None):
-        self.cell = spec.dx_a * spec.dx_b
-        self.x_a, self.x_b = spec.x_a, spec.x_b
-        self.k_a, self.k_b = spec.k_a, spec.k_b
+        self.cell = spec.dx * spec.dx
+        self.x, self.k = spec.x, spec.k
         self.kinetic_a, self.kinetic_b = spec.kinetic()
         self.v_matrix = v_matrix
-        shape = (spec.n_a, spec.n_b)
+        shape = (spec.n, spec.n)
         self.weights = np.empty(shape)  # position weights, then momentum weights
         self.amplitudes = np.empty(shape, dtype=complex)  # the FFT, then the scaled grid
 
@@ -424,7 +416,7 @@ class GridProbe:
         weights *= self.cell  # |Psi|^2 dx_A dx_B
         norm = float(np.sum(weights))
         # not _column_sums: <V> still needs these weights, and <x> has no k^2 to amplify rounding
-        x_a, x_b = float(self.x_a @ weights.sum(axis=1)), float(self.x_b @ weights.sum(axis=0))
+        x_a, x_b = float(self.x @ weights.sum(axis=1)), float(self.x @ weights.sum(axis=0))
         potential_energy = 0.0
         if self.v_matrix is not None:
             potential_energy = float(np.sum(np.multiply(self.v_matrix, weights, out=weights)))
@@ -435,8 +427,8 @@ class GridProbe:
         return norm, Observables(
             x_a,
             x_b,
-            float(self.k_a @ along_a) / total,
-            float(self.k_b @ along_b) / total,
+            float(self.k @ along_a) / total,
+            float(self.k @ along_b) / total,
             float(self.kinetic_a @ along_a + self.kinetic_b @ along_b) / total + potential_energy,
         )
 

@@ -33,9 +33,9 @@ from .grid import (
     GridTrajectory,
     PotentialSpec,
     Wavefunction2P,
-    gaussian_wave,
     init_product,
     iterate_split_step,  # noqa: F401 - unused, but perfbench/tracing.py wraps it here
+    packet_factors,
     potential_on_grid,
     probe_split_step,
     strang_step,
@@ -47,43 +47,34 @@ FACTOR_NORM_TOL = 1e-8
 
 @dataclass(frozen=True)
 class HartreePair:
-    """Factorized two-particle state: one normalized amplitude vector per side."""
+    """Factorized two-particle state: the normalized factors (psi_A, psi_B) as a (2, n) stack."""
 
-    psi_a: np.ndarray
-    psi_b: np.ndarray
+    factors: np.ndarray
     spec: GridSpec
 
     def __post_init__(self):
-        a = np.array(self.psi_a, dtype=complex)
-        b = np.array(self.psi_b, dtype=complex)
-        if a.shape != (self.spec.n_a,) or b.shape != (self.spec.n_b,):
-            raise ValueError("factor lengths must match the grid spec")
-        for name, arr in (("psi_a", a), ("psi_b", b)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        factors = np.array(self.factors, dtype=complex)
+        if factors.shape != (2, self.spec.n):
+            raise ValueError(f"factors of shape {factors.shape} must be (2, n) for the grid spec")
+        factors.flags.writeable = False
+        object.__setattr__(self, "factors", factors)
         for side, norm in zip("AB", self.norms()):
             if not abs(norm - 1.0) <= FACTOR_NORM_TOL:  # NaN fails too
                 raise ValueError(f"factor {side} is not normalized")
 
     def norms(self) -> tuple[float, float]:
-        return (
-            float(np.sum(np.abs(self.psi_a) ** 2) * self.spec.dx_a),
-            float(np.sum(np.abs(self.psi_b) ** 2) * self.spec.dx_b),
-        )
+        norm_a, norm_b = np.sum(np.abs(self.factors) ** 2, axis=1) * self.spec.dx
+        return float(norm_a), float(norm_b)
 
 
 def init_hartree(
     packet_a: GaussianPacket, packet_b: GaussianPacket, spec: GridSpec
 ) -> HartreePair:
-    return HartreePair(
-        gaussian_wave(spec.x_a, packet_a, spec.dx_a),
-        gaussian_wave(spec.x_b, packet_b, spec.dx_b),
-        spec,
-    )
+    return HartreePair(packet_factors(packet_a, packet_b, spec), spec)
 
 
 def _mean_field(spec: GridSpec, potential: PotentialSpec):
-    """The map from stacked densities (rho_A dx_A, rho_B dx_B) to stacked potentials.
+    """The map from stacked densities (rho_A dx, rho_B dx) to stacked potentials.
 
     The convolution kernel is circulant (V's column 0 from
     ``potential_on_grid``), so both effective potentials come from one FFT
@@ -91,7 +82,7 @@ def _mean_field(spec: GridSpec, potential: PotentialSpec):
     interaction is even in the separation, so the same kernel serves both
     sides.  The kernel is built once, here.
     """
-    kernel_fft = np.fft.fft(potential_on_grid(spec, potential, spec.x_b[0]))
+    kernel_fft = np.fft.fft(potential_on_grid(spec, potential, spec.x[0]))
     return lambda densities: np.fft.ifft(kernel_fft * np.fft.fft(densities[::-1])).real
 
 
@@ -114,13 +105,12 @@ def iterate_hartree(
     spec = pair.spec
     mean_field = None if potential is None else _mean_field(spec, potential)
     kinetic = np.exp(-1j * dt * np.array(spec.kinetic()))
-    cells = np.array([[spec.dx_a], [spec.dx_b]])
-    factors = np.array([pair.psi_a, pair.psi_b])
+    factors = np.array(pair.factors)
     half_v = None
     yield (0, *factors.copy())
     for step in range(1, n_steps + 1):
         if mean_field is not None:
-            half_v = np.exp(-0.5j * dt * mean_field(np.abs(factors) ** 2 * cells))
+            half_v = np.exp(-0.5j * dt * mean_field(np.abs(factors) ** 2 * spec.dx))
         strang_step(factors, half_v, kinetic)
         if step % sample_every == 0 or step == n_steps:
             if not np.all(np.isfinite(factors)):
@@ -130,7 +120,7 @@ def iterate_hartree(
 
 def _overlap_fidelity(grid: np.ndarray, a: np.ndarray, b: np.ndarray, spec: GridSpec) -> float:
     """Squared overlap |<psi_A (x) psi_B | Psi>|^2 by lattice quadrature."""
-    amp = (a.conj() @ grid @ b.conj()) * (spec.dx_a * spec.dx_b)
+    amp = (a.conj() @ grid @ b.conj()) * (spec.dx * spec.dx)
     return float(abs(amp) ** 2)
 
 

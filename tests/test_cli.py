@@ -420,13 +420,24 @@ def _set(section, key, value):
     return change
 
 
+def _changes(*changes):
+    def change(config):
+        for one in changes:
+            one(config)
+
+    return change
+
+
 INVALID_GRID_RUNS = {
     "nan_dt": _set(None, "dt", math.nan),
     "infinite_strength": _set("potential", "strength", math.inf),
     "negative_n_steps": _set(None, "n_steps", -5),
     "zero_sample_every": _set(None, "sample_every", 0),
     "unequal_boxes_with_potential": _set("grid", "length_b", 32.0),
+    "unequal_boxes_free": _changes(_set("grid", "length_b", 32.0), lambda c: c.pop("potential")),
     "unequal_point_counts": _set("grid", "n_b", 64),
+    # pi/dx is 4.19 on 32 points in a box of 24: momentum 5 would alias to 5 - 2 pi/dx
+    "momentum_past_nyquist": _set("packet_a", "momentum", 5.0),
     "unstable_dt": _set(None, "dt", 0.2),  # dt * max|V| = 0.2 rad per step
     # the boxes span [-12, 12): a tail cut at the seam, and a grid that underflows to NaN
     "packet_centre_past_seam": _set("packet_a", "center", 30.0),
@@ -438,14 +449,6 @@ GRID_COMMANDS = {
     "evolve": tiny_grid_config(),
     "islands": tiny_grid_config(kind="material_point", width_ratios=[0.5], seed=0),
 }
-
-
-def _changes(*changes):
-    def change(config):
-        for one in changes:
-            one(config)
-
-    return change
 
 
 def _matrix(values):
@@ -672,8 +675,10 @@ class TestPackagedFixturesParse:
         config = load_config(oracle_script.FIXTURES / f"{name}.json")
         base = collision_fixture_from_config(config, name)
         refined = oracle_script.refine(base)
-        assert (refined.spec.n_a, refined.spec.n_b) == (2 * base.spec.n_a, 2 * base.spec.n_b)
+        assert refined.spec.n == 2 * base.spec.n
         assert refined.dt == base.dt / 2
+        assert refined.n_steps == 2 * base.n_steps
+        assert refined.sample_every == 2 * base.sample_every
         assert refined.n_steps * refined.dt == pytest.approx(base.n_steps * base.dt)
 
 

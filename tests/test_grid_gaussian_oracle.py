@@ -106,7 +106,7 @@ def errors():
     """Max deviation from the closed form over the samples of each run in RUNS."""
     out = {}
     for n, dt in RUNS:
-        spec = GridSpec(n, n, LENGTH, LENGTH, M_A, M_B)
+        spec = GridSpec(n, LENGTH, M_A, M_B)
         n_steps = round(T_FINAL / dt)
         psi = init_product(PACKET_A, PACKET_B, spec)
         trajectory = evolve_split_step(psi, Harmonic(KAPPA), dt, n_steps, n_steps // SAMPLES)

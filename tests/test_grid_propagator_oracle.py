@@ -24,7 +24,7 @@ from entanglab.grid import (
 )
 
 N = 16
-SPEC = GridSpec(N, N, 8.0, 8.0, 1.0, 2.0)
+SPEC = GridSpec(N, 8.0, 1.0, 2.0)
 POT = PotentialSpec("gaussian_well", 1.0, 1.0)
 
 
@@ -35,9 +35,9 @@ def axis_kinetic_matrix(k_values, mass):
 
 
 def dense_hamiltonian(spec, potential):
-    t_a = axis_kinetic_matrix(spec.k_a, spec.m_a)
-    t_b = axis_kinetic_matrix(spec.k_b, spec.m_b)
-    h = np.kron(t_a, np.eye(spec.n_b)) + np.kron(np.eye(spec.n_a), t_b)
+    t_a = axis_kinetic_matrix(spec.k, spec.m_a)
+    t_b = axis_kinetic_matrix(spec.k, spec.m_b)
+    h = np.kron(t_a, np.eye(spec.n)) + np.kron(np.eye(spec.n), t_b)
     h += np.diag(potential_on_grid(spec, potential).reshape(-1))
     assert np.linalg.norm(h - h.conj().T) < 1e-12
     return h
@@ -65,7 +65,7 @@ def problem():
 
 
 def state_error(a, b, spec):
-    return float(np.sqrt(np.sum(np.abs(a - b) ** 2) * spec.dx_a * spec.dx_b))
+    return float(np.sqrt(np.sum(np.abs(a - b) ** 2) * spec.dx * spec.dx))
 
 
 class TestAgainstExactPropagator:
@@ -95,7 +95,7 @@ class TestAgainstExactPropagator:
         evolved = Wavefunction2P(evolved_grid, SPEC)
         obs = ehrenfest_observables(evolved, POT)
         v = evolved_grid.reshape(-1)
-        expected = float(np.real(np.vdot(v, h @ v) * SPEC.dx_a * SPEC.dx_b))
+        expected = float(np.real(np.vdot(v, h @ v) * SPEC.dx * SPEC.dx))
         assert obs.energy == pytest.approx(expected, abs=1e-10)
 
     def test_position_means_match_matrix_element(self, problem):
@@ -103,17 +103,17 @@ class TestAgainstExactPropagator:
         evolved_grid = exact_state(h, psi.grid, 0.8)
         evolved = Wavefunction2P(evolved_grid, SPEC)
         obs = ehrenfest_observables(evolved, POT)
-        weight = np.abs(evolved_grid) ** 2 * SPEC.dx_a * SPEC.dx_b
-        assert obs.x_a == pytest.approx(float(np.sum(SPEC.x_a[:, None] * weight)), abs=1e-12)
-        assert obs.x_b == pytest.approx(float(np.sum(SPEC.x_b[None, :] * weight)), abs=1e-12)
+        weight = np.abs(evolved_grid) ** 2 * SPEC.dx * SPEC.dx
+        assert obs.x_a == pytest.approx(float(np.sum(SPEC.x[:, None] * weight)), abs=1e-12)
+        assert obs.x_b == pytest.approx(float(np.sum(SPEC.x[None, :] * weight)), abs=1e-12)
 
     def test_momentum_means_match_spectral_matrix_element(self, problem):
         psi, h = problem
         evolved_grid = exact_state(h, psi.grid, 0.8)
         evolved = Wavefunction2P(evolved_grid, SPEC)
         obs = ehrenfest_observables(evolved, POT)
-        p_a_matrix = np.fft.ifft(SPEC.k_a[:, None] * np.fft.fft(np.eye(N), axis=0), axis=0)
+        p_a_matrix = np.fft.ifft(SPEC.k[:, None] * np.fft.fft(np.eye(N), axis=0), axis=0)
         p_full = np.kron(p_a_matrix, np.eye(N))
         v = evolved_grid.reshape(-1)
-        expected = float(np.real(np.vdot(v, p_full @ v) * SPEC.dx_a * SPEC.dx_b))
+        expected = float(np.real(np.vdot(v, p_full @ v) * SPEC.dx * SPEC.dx))
         assert obs.p_a == pytest.approx(expected, abs=1e-10)

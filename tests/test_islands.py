@@ -33,7 +33,7 @@ from conftest import load_fixture
 
 
 def small_spec(n=64, length=32.0, m_a=1.0, m_b=1.0):
-    return GridSpec(n, n, length, length, m_a, m_b)
+    return GridSpec(n, length, m_a, m_b)
 
 
 def small_fixture(**overrides):
@@ -53,11 +53,18 @@ def small_fixture(**overrides):
 class TestHartreePair:
     def test_rejects_unnormalized_factor(self):
         spec = small_spec()
-        good = gaussian_wave(spec.x_a, GaussianPacket(0.0, 1.0, 0.0), spec.dx_a)
+        good = gaussian_wave(spec.x, GaussianPacket(0.0, 1.0, 0.0), spec.dx)
         with pytest.raises(ValueError, match="not normalized"):
-            HartreePair(good * 2.0, good, spec)
+            HartreePair([good * 2.0, good], spec)
         with pytest.raises(ValueError, match="not normalized"):
-            HartreePair(good * np.nan, good, spec)
+            HartreePair([good * np.nan, good], spec)
+
+    @pytest.mark.parametrize("shape", [(64,), (1, 64), (3, 64), (2, 32), (64, 2)])
+    def test_rejects_a_stack_not_of_shape_two_by_n(self, shape):
+        spec = small_spec()
+        factors = np.ones(shape) / np.sqrt(spec.length)  # unit rows on 64 points
+        with pytest.raises(ValueError, match=r"must be \(2, n\)"):
+            HartreePair(factors, spec)
 
     def test_norms(self):
         pair = init_hartree(
@@ -76,15 +83,14 @@ class TestEffectivePotentials:
         )
         pot = PotentialSpec("gaussian_well", 1.3, 1.5)
         rng = np.random.default_rng(0)
-        rho_a = np.abs(pair.psi_a) ** 2 * spec.dx_a
-        rho_b = np.abs(pair.psi_b) ** 2 * spec.dx_b
+        rho_a, rho_b = np.abs(pair.factors) ** 2 * spec.dx
         v_a, v_b = _mean_field(spec, pot)(np.array([rho_a, rho_b]))
-        for i in rng.integers(0, spec.n_a, 10):
+        for i in rng.integers(0, spec.n, 10):
             direct_a = float(
-                np.sum(rho_b * pot.evaluate(minimal_image(spec.x_a[i] - spec.x_b, 32.0)))
+                np.sum(rho_b * pot.evaluate(minimal_image(spec.x[i] - spec.x, 32.0)))
             )
             direct_b = float(
-                np.sum(rho_a * pot.evaluate(minimal_image(spec.x_a - spec.x_b[i], 32.0)))
+                np.sum(rho_a * pot.evaluate(minimal_image(spec.x - spec.x[i], 32.0)))
             )
             assert abs(v_a[i] - direct_a) < 1e-10
             assert abs(v_b[i] - direct_b) < 1e-10
@@ -95,12 +101,11 @@ class TestEffectivePotentials:
             GaussianPacket(-2.0, 1.0, 0.0), GaussianPacket(2.0, 1.0, 0.0), spec
         )
         pot = PotentialSpec("soft_coulomb", 0.5, 1.0)
-        rho_a = np.abs(pair.psi_a) ** 2 * spec.dx_a
-        rho_b = np.abs(pair.psi_b) ** 2 * spec.dx_b
+        rho_a, rho_b = np.abs(pair.factors) ** 2 * spec.dx
         v_a, _ = _mean_field(spec, pot)(np.array([rho_a, rho_b]))
         i = 17
         direct = float(
-            np.sum(rho_b * pot.evaluate(minimal_image(spec.x_a[i] - spec.x_b, 32.0)))
+            np.sum(rho_b * pot.evaluate(minimal_image(spec.x[i] - spec.x, 32.0)))
         )
         assert abs(v_a[i] - direct) < 1e-10
 
@@ -113,9 +118,9 @@ class TestHartreeEvolve:
         *_, (_, psi_a, _) = iterate_hartree(pair, None, 0.01, 300, 300)
         # oracle: exact free propagator, diagonal in momentum space
         t = 3.0
-        phase = np.exp(-1j * t * spec.k_a**2 / 2.0)
+        phase = np.exp(-1j * t * spec.k**2 / 2.0)
         oracle = np.fft.ifft(
-            np.fft.fft(gaussian_wave(spec.x_a, packet, spec.dx_a)) * phase
+            np.fft.fft(gaussian_wave(spec.x, packet, spec.dx)) * phase
         )
         assert np.max(np.abs(psi_a - oracle)) < 1e-10
 
@@ -124,20 +129,18 @@ class TestHartreeEvolve:
         pot = PotentialSpec("gaussian_well", 1.0, 1.5)
         packet_a = GaussianPacket(-4.0, 1.0, 1.5)
         pair = init_hartree(packet_a, GaussianPacket(3.0, 0.5, 0.0), spec)
-        v_static, _ = _mean_field(spec, pot)(
-            np.array([np.abs(pair.psi_a) ** 2 * spec.dx_a, np.abs(pair.psi_b) ** 2 * spec.dx_b])
-        )
+        v_static, _ = _mean_field(spec, pot)(np.abs(pair.factors) ** 2 * spec.dx)
         dt, n_steps = 0.005, 500
         *_, (_, psi_a, psi_b) = iterate_hartree(pair, pot, dt, n_steps, n_steps)
         # single-particle split-step oracle in the frozen convolved potential
-        psi = gaussian_wave(spec.x_a, packet_a, spec.dx_a)
+        psi = gaussian_wave(spec.x, packet_a, spec.dx)
         half = np.exp(-0.5j * dt * v_static)
-        kin = np.exp(-1j * dt * spec.k_a**2 / 2.0)
+        kin = np.exp(-1j * dt * spec.k**2 / 2.0)
         for _ in range(n_steps):
             psi = half * np.fft.ifft(np.fft.fft(half * psi) * kin)
         assert np.max(np.abs(psi_a - psi)) < 1e-8
         # the frozen factor's density must not move
-        assert np.max(np.abs(np.abs(psi_b) - np.abs(pair.psi_b))) < 1e-12
+        assert np.max(np.abs(np.abs(psi_b) - np.abs(pair.factors[1]))) < 1e-12
 
     def test_factors_stay_normalized(self):
         pair = init_hartree(
@@ -145,7 +148,7 @@ class TestHartreeEvolve:
         )
         samples = iterate_hartree(pair, PotentialSpec("gaussian_well", 1.0, 2.0), 0.01, 400, 100)
         for _, psi_a, psi_b in samples:
-            norm_a, norm_b = HartreePair(psi_a, psi_b, pair.spec).norms()
+            norm_a, norm_b = HartreePair([psi_a, psi_b], pair.spec).norms()
             assert abs(norm_a - 1.0) < 1e-8
             assert abs(norm_b - 1.0) < 1e-8
 
@@ -153,13 +156,13 @@ class TestHartreeEvolve:
 def per_factor_hartree(pair, potential, dt, n_steps, sample_every):
     """The mean-field step one factor at a time: an fft/ifft pair per density and per factor."""
     spec = pair.spec
-    kernel_fft = np.fft.fft(potential_on_grid(spec, potential, spec.x_b[0]))
+    kernel_fft = np.fft.fft(potential_on_grid(spec, potential, spec.x[0]))
     kin_a, kin_b = (np.exp(-1j * dt * kinetic) for kinetic in spec.kinetic())
-    a = np.array(pair.psi_a, dtype=complex)
-    b = np.array(pair.psi_b, dtype=complex)
+    a = np.array(pair.factors[0], dtype=complex)
+    b = np.array(pair.factors[1], dtype=complex)
     yield 0, a.copy(), b.copy()
     for step in range(1, n_steps + 1):
-        density_a, density_b = np.abs(a) ** 2 * spec.dx_a, np.abs(b) ** 2 * spec.dx_b
+        density_a, density_b = np.abs(a) ** 2 * spec.dx, np.abs(b) ** 2 * spec.dx
         half_a = np.exp(-0.5j * dt * np.fft.ifft(kernel_fft * np.fft.fft(density_b)).real)
         half_b = np.exp(-0.5j * dt * np.fft.ifft(kernel_fft * np.fft.fft(density_a)).real)
         a *= half_a
@@ -200,7 +203,7 @@ class TestHartreeFidelity:
         pa, pb = GaussianPacket(-4.0, 1.0, 1.0), GaussianPacket(4.0, 1.0, -1.0)
         full = init_product(pa, pb, spec)
         pair = init_hartree(pa, pb, spec)
-        fidelity = _overlap_fidelity(full.grid, pair.psi_a, pair.psi_b, spec)
+        fidelity = _overlap_fidelity(full.grid, *pair.factors, spec)
         assert fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_free_run_keeps_unit_fidelity(self):
@@ -212,8 +215,8 @@ class TestHartreeFidelity:
         pair = init_hartree(
             GaussianPacket(-4.0, 1.0, 0.0), GaussianPacket(4.0, 1.0, 0.0), small_spec()
         )
-        with pytest.raises(ValueError, match="must match the grid spec"):
-            HartreePair(pair.psi_a, pair.psi_b, small_spec(n=32, length=16.0))
+        with pytest.raises(ValueError, match="for the grid spec"):
+            HartreePair(pair.factors, small_spec(n=32, length=16.0))
 
 
 class TestClassicalComparator:
@@ -265,10 +268,9 @@ class TestCollisionRun:
 
 
 class TestDriversAgree:
-    @pytest.mark.parametrize("n_b", [32])
-    def test_collision_run_matches_grid_trajectory(self, n_b):
+    def test_collision_run_matches_grid_trajectory(self):
         fixture = small_fixture(
-            spec=GridSpec(32, n_b, 24.0, 24.0, 1.0, 1.0),
+            spec=GridSpec(32, 24.0, 1.0, 1.0),
             packet_a=GaussianPacket(-4.0, 1.0, 1.5),
             packet_b=GaussianPacket(4.0, 1.0, -1.5),
             potential=PotentialSpec("gaussian_well", 1.0, 1.5),
@@ -323,8 +325,9 @@ class TestScans:
     def test_small_material_scan_is_monotone(self):
         base = small_fixture(
             spec=small_spec(m_a=10.0, m_b=10.0),
-            packet_a=GaussianPacket(-6.0, 1.0, 12.0),
-            packet_b=GaussianPacket(6.0, 1.0, -12.0),
+            # in band: pi/dx is 6.28 on this 64-point, L = 32 axis
+            packet_a=GaussianPacket(-6.0, 1.0, 3.0),
+            packet_b=GaussianPacket(6.0, 1.0, -3.0),
             potential=PotentialSpec("gaussian_well", 1.5, 5.0),
             dt=0.01,
             n_steps=1000,

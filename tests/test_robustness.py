@@ -13,13 +13,7 @@ from entanglab.finite import (
     split_hamiltonian,
     theorem_witness,
 )
-from entanglab.grid import (
-    GaussianPacket,
-    GridSpec,
-    PotentialSpec,
-    evolve_split_step,
-    init_product,
-)
+from entanglab.grid import GaussianPacket, GridSpec, PotentialSpec
 from entanglab.measures import entanglement, schmidt_decompose
 from entanglab.states import PureState
 
@@ -53,16 +47,6 @@ class TestUnequalDimensions:
         assert d.rank == 2
         assert d.basis_b.shape == (4, 2)
 
-    def test_free_evolution_on_rectangular_grid(self):
-        # free runs may use unequal boxes; the point counts must match
-        spec = GridSpec(32, 32, 24.0, 48.0, 1.0, 2.0)
-        psi = init_product(
-            GaussianPacket(-3.0, 1.0, 1.0), GaussianPacket(3.0, 1.5, -0.5), spec
-        )
-        traj = evolve_split_step(psi, None, 0.01, 200, 100)
-        assert np.max(traj.entropy_bits) < 1e-10
-        assert np.max(np.abs(traj.norms - 1.0)) < 1e-10
-
 
 class TestConfigCornerPaths:
     def test_invalid_json_is_config_error(self, tmp_path, capsys):
@@ -75,6 +59,20 @@ class TestConfigCornerPaths:
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]", encoding="utf-8")
         assert main(["measure", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes('{"state": {"kind": "bell", "row": 0, "col": 0}}'.encode("utf-16"))
+        out = tmp_path / "out"
+        assert main(["measure", "--config", str(path), "--out", str(out)]) == 2
+        assert "cannot be read as UTF-8" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_directory_as_config_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["measure", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert "cannot be read as UTF-8" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_matrix_hamiltonian_kind(self, tmp_path):
         config = {
@@ -198,23 +196,22 @@ class TestHartreeMeanFieldQuadrature:
         from entanglab.grid import minimal_image
         from entanglab.islands import _mean_field, init_hartree
 
-        spec = GridSpec(32, 32, 24.0, 24.0, 1.0, 1.0)
+        spec = GridSpec(32, 24.0, 1.0, 1.0)
         pair = init_hartree(
             GaussianPacket(-3.0, 1.0, 0.5), GaussianPacket(3.0, 0.8, 0.0), spec
         )
         pot = PotentialSpec("gaussian_well", 1.0, 1.5)
-        rho_b = np.abs(pair.psi_b) ** 2 * spec.dx_b
-        rho_a = np.abs(pair.psi_a) ** 2 * spec.dx_a
+        rho_a, rho_b = np.abs(pair.factors) ** 2 * spec.dx
         v_a, v_b = _mean_field(spec, pot)(np.array([rho_a, rho_b]))
         assert v_a.shape == (32,)
         assert v_b.shape == (32,)
         i, j = 11, 20
         assert v_a[i] == pytest.approx(
-            float(np.sum(rho_b * pot.evaluate(minimal_image(spec.x_a[i] - spec.x_b, 24.0)))),
+            float(np.sum(rho_b * pot.evaluate(minimal_image(spec.x[i] - spec.x, 24.0)))),
             abs=1e-12,
         )
         assert v_b[j] == pytest.approx(
-            float(np.sum(rho_a * pot.evaluate(minimal_image(spec.x_a - spec.x_b[j], 24.0)))),
+            float(np.sum(rho_a * pot.evaluate(minimal_image(spec.x - spec.x[j], 24.0)))),
             abs=1e-12,
         )
 
