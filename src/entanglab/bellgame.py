@@ -117,7 +117,6 @@ class GameStats:
 
     rounds: np.ndarray
     equal: np.ndarray
-    seed: int
 
     def __post_init__(self):
         rounds = np.array(self.rounds, dtype=np.int64)
@@ -171,11 +170,9 @@ def _play_block(strategy, rng: np.random.Generator, size: int):
         equal = luts[pick, q_a] == luts[pick, q_b]
     else:
         raise TypeError(f"unknown strategy type: {type(strategy).__name__}")
-    rounds = np.zeros((3, 3), dtype=np.int64)
-    equals = np.zeros((3, 3), dtype=np.int64)
-    np.add.at(rounds, (q_a, q_b), 1)
-    np.add.at(equals, (q_a, q_b), equal.astype(np.int64))
-    return rounds, equals
+    pair = 3 * q_a + q_b
+    rounds = np.bincount(pair, minlength=9).reshape(3, 3)
+    return rounds, np.bincount(pair[equal], minlength=9).reshape(3, 3)
 
 
 def run_game(strategy, n_rounds: int, seed: int, threads: int = 1) -> GameStats:
@@ -205,7 +202,7 @@ def run_game(strategy, n_rounds: int, seed: int, threads: int = 1) -> GameStats:
     for r, e in parts:
         rounds += r
         equals += e
-    return GameStats(rounds, equals, seed)
+    return GameStats(rounds, equals)
 
 
 def bell_sum(stats: GameStats) -> float:

@@ -24,6 +24,7 @@ BLAS thread count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -344,16 +345,16 @@ def parse_bellgame(config: dict, args) -> tuple:
         stats = bg.run_game(strategy, n_rounds, seed, threads=args.threads)
         empirical = bg.bell_sum(stats)
         analytic = bg.analytic_bell_sum(strategy)
-        pair_rows = []
-        counts = {}
-        for q_a in bg.QUESTIONS:
-            for q_b in bg.QUESTIONS:
-                n = int(stats.rounds[q_a.value, q_b.value])
-                e = int(stats.equal[q_a.value, q_b.value])
-                pair_rows.append(
-                    (q_a.name.lower(), q_b.name.lower(), n, e, e / n if n else 0.0)
-                )
-                counts[f"{q_a.name.lower()},{q_b.name.lower()}"] = {"rounds": n, "equal": e}
+        names = [q.name.lower() for q in bg.QUESTIONS]
+        rounds, equal = stats.rounds.ravel(), stats.equal.ravel()  # row-major: (q_a, q_b)
+        pairs = {
+            "question_a": np.repeat(names, 3),
+            "question_b": np.tile(names, 3),
+            "rounds": rounds,
+            "equal": equal,
+            "frequency": np.divide(equal, rounds, out=np.zeros(rounds.size), where=rounds > 0),
+        }
+        counts = {f"{a},{b}": {"rounds": n, "equal": e} for a, b, n, e, _ in zip(*pairs.values())}
         write_json(
             out / "bellgame.json",
             {
@@ -364,11 +365,7 @@ def parse_bellgame(config: dict, args) -> tuple:
                 "analytic_reference": analytic,
             },
         )
-        write_csv(
-            out / "bellgame_pairs.csv",
-            ("question_a", "question_b", "rounds", "equal", "frequency"),
-            pair_rows,
-        )
+        write_csv(out / "bellgame_pairs.csv", pairs)
         print(f"bell_sum = {empirical:.6f}   analytic reference = {analytic}")
         print("inequality bound for shared answer lists: sum >= 1")
 
@@ -451,13 +448,16 @@ def parse_theorem(config: dict, args) -> tuple:
                 "seed": seed,
             },
         )
+        samples = report.per_sample_max
         write_csv(
             out / "witness_samples.csv",
-            ("sample", "max_entanglement"),
-            [(k, float(v)) for k, v in enumerate(report.per_sample_max)],
+            {"sample": np.arange(samples.size), "max_entanglement": samples},
         )
         worst = finite.evolve_finite(H, report.worst_initial_state, t_final, time_samples)
-        write_csv(out / "worst_trajectory.csv", ("time", "entropy", "norm"), worst.rows())
+        write_csv(
+            out / "worst_trajectory.csv",
+            {"time": worst.times, "entropy": worst.entropies, "norm": worst.norms},
+        )
         verdict = "separable" if report.split.separable else "coupled"
         print(
             f"{verdict}, residual {report.split.residual_norm:.6g}, "
@@ -480,7 +480,7 @@ def parse_evolve(config: dict, args) -> tuple:
 
     def run(out: Path) -> None:
         trajectory = grid.evolve_split_step(psi, potential, dt, n_steps, sample_every)
-        write_csv(out / "trajectory.csv", grid.GridTrajectory.CSV_HEADER, trajectory.rows())
+        write_csv(out / "trajectory.csv", trajectory.table())
         summary = {
             "final_entropy_bits": float(trajectory.entropy_bits[-1]),
             "max_entropy_bits": float(np.max(trajectory.entropy_bits)),
@@ -554,29 +554,26 @@ def parse_islands(config: dict, args) -> tuple:
     for ratio in ratios:  # build each scan point as the scan will, so a bad one fails here
         point = _build(point_where, point_fixture, base, ratio)
         _build(point_where, grid.init_product, point.packet_a, point.packet_b, point.spec)
-    columns = (
-        "parameters", "max_entropy_bits", "final_fidelity", "min_fidelity", "trajectory_deviation"
-    )
     outputs = ["islands.csv", "islands.json"]
     if fields["write_trajectories"]:
         outputs += [f"islands_point_{k}.csv" for k in range(len(ratios))]
 
     def run(out: Path) -> None:
         result = scan(ratios, base, threads=args.threads)
-        write_csv(out / "islands.csv", islands.RegimeScanResult.CSV_HEADER, result.rows())
+        write_csv(out / "islands.csv", result.table())
         if fields["write_trajectories"]:
             for k, point_run in enumerate(result.runs):
-                write_csv(
-                    out / f"islands_point_{k}.csv",
-                    islands.CollisionRun.POINT_CSV_HEADER,
-                    point_run.point_rows(),
-                )
-        summary = {name: getattr(result, name).tolist() for name in columns}
+                write_csv(out / f"islands_point_{k}.csv", point_run.point_table())
+        summary = {
+            field.name: getattr(result, field.name).tolist()
+            for field in dataclasses.fields(result)
+            if field.name != "runs"
+        }
         write_json(out / "islands.json", {"kind": kind, "seed": seed, **summary})
-        for row in result.rows():
+        for parameter, entropy, final, _, deviation in zip(*result.table().values()):
             print(
-                f"parameter {row[0]:g}: max entropy {row[1]:.6f} bits, "
-                f"final fidelity {row[2]:.6f}, deviation {row[4]:.6f}"
+                f"parameter {parameter:g}: max entropy {entropy:.6f} bits, "
+                f"final fidelity {final:.6f}, deviation {deviation:.6f}"
             )
 
     return seed, outputs, run

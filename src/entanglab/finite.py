@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import schmidt_entropy
-from .output import column_rows
 from .states import Ket, PureState
 
 HERMITIAN_TOL = 1e-10
@@ -68,10 +67,6 @@ class FiniteTrajectory:
     @property
     def max_entropy(self) -> float:
         return float(np.max(self.entropies))
-
-    def rows(self):
-        """CSV rows (time, entropy, norm)."""
-        return column_rows(self.times, self.entropies, self.norms)
 
 
 @dataclass(frozen=True)

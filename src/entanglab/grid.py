@@ -37,7 +37,6 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .measures import schmidt_entropy
-from .output import column_rows
 
 NORM_TOL = 1e-8
 DEFAULT_RANK_BOUND = 64  # entropy_normalized is entropy_bits / log2 of this Schmidt rank
@@ -209,18 +208,6 @@ class GridTrajectory:
     p_b: np.ndarray
     final_state: "Wavefunction2P"
 
-    CSV_HEADER = (
-        "time",
-        "norm",
-        "energy",
-        "entropy_bits",
-        "entropy_normalized",
-        "x_a",
-        "x_b",
-        "p_a",
-        "p_b",
-    )
-
     @classmethod
     def of(cls, steps, samples: list[GridSample], dt: float, final_state: Wavefunction2P):
         """The columns of a run sampled at ``steps``: the one place samples are stacked."""
@@ -229,18 +216,19 @@ class GridTrajectory:
         times = np.array(steps) * dt
         return cls(times, norms, energies, bits, normalized, x_a, x_b, p_a, p_b, final_state)
 
-    def rows(self):
-        return column_rows(
-            self.times,
-            self.norms,
-            self.energies,
-            self.entropy_bits,
-            self.entropy_normalized,
-            self.x_a,
-            self.x_b,
-            self.p_a,
-            self.p_b,
-        )
+    def table(self) -> dict:
+        """The columns of ``trajectory.csv``, keyed by header name in file order."""
+        return {
+            "time": self.times,
+            "norm": self.norms,
+            "energy": self.energies,
+            "entropy_bits": self.entropy_bits,
+            "entropy_normalized": self.entropy_normalized,
+            "x_a": self.x_a,
+            "x_b": self.x_b,
+            "p_a": self.p_a,
+            "p_b": self.p_b,
+        }
 
 
 def gaussian_wave(x: np.ndarray, packet: GaussianPacket, dx: float) -> np.ndarray:

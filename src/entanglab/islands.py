@@ -40,7 +40,6 @@ from .grid import (
     probe_split_step,
     strang_step,
 )
-from .output import column_rows
 
 FACTOR_NORM_TOL = 1e-8
 
@@ -229,30 +228,19 @@ class CollisionRun:
             )
         )
 
-    POINT_CSV_HEADER = (
-        "time",
-        "norm",
-        "energy",
-        "entropy_bits",
-        "fidelity",
-        "x_a",
-        "x_b",
-        "classical_x_a",
-        "classical_x_b",
-    )
-
-    def point_rows(self):
-        return column_rows(
-            self.full.times,
-            self.full.norms,
-            self.full.energies,
-            self.full.entropy_bits,
-            self.fidelity,
-            self.full.x_a,
-            self.full.x_b,
-            self.classical_x_a,
-            self.classical_x_b,
-        )
+    def point_table(self) -> dict:
+        """The columns of ``islands_point_<k>.csv``, keyed by header name in file order."""
+        return {
+            "time": self.full.times,
+            "norm": self.full.norms,
+            "energy": self.full.energies,
+            "entropy_bits": self.full.entropy_bits,
+            "fidelity": self.fidelity,
+            "x_a": self.full.x_a,
+            "x_b": self.full.x_b,
+            "classical_x_a": self.classical_x_a,
+            "classical_x_b": self.classical_x_b,
+        }
 
 
 def run_collision(fixture: CollisionFixture) -> CollisionRun:
@@ -297,22 +285,15 @@ class RegimeScanResult:
     trajectory_deviation: np.ndarray
     runs: tuple
 
-    CSV_HEADER = (
-        "parameter",
-        "max_entropy_bits",
-        "final_fidelity",
-        "min_fidelity",
-        "trajectory_deviation",
-    )
-
-    def rows(self):
-        return column_rows(
-            self.parameters,
-            self.max_entropy_bits,
-            self.final_fidelity,
-            self.min_fidelity,
-            self.trajectory_deviation,
-        )
+    def table(self) -> dict:
+        """The columns of ``islands.csv``, keyed by header name in file order."""
+        return {
+            "parameter": self.parameters,
+            "max_entropy_bits": self.max_entropy_bits,
+            "final_fidelity": self.final_fidelity,
+            "min_fidelity": self.min_fidelity,
+            "trajectory_deviation": self.trajectory_deviation,
+        }
 
 
 def _scan(fixtures: list[CollisionFixture], parameters, threads: int) -> RegimeScanResult:

@@ -1,7 +1,9 @@
 """CSV/JSON writers with a fixed dialect so identical runs are byte-identical.
 
-CSV: comma separators, '.' decimal point, one header row, LF line endings,
-floats printed with 17 significant digits (round-trip exact for doubles).
+CSV: one ordered mapping from header name to column per file, so the header
+is the mapping's keys in order; comma separators, '.' decimal point, LF line
+endings, floats printed with 17 significant digits (round-trip exact for
+doubles).
 JSON: sorted keys, two-space indent, trailing newline.
 """
 
@@ -25,16 +27,12 @@ def format_value(value) -> str:
     return str(value)
 
 
-def column_rows(*columns) -> list[tuple]:
-    """Parallel numeric columns turned into rows of Python scalars."""
-    return list(zip(*(np.asarray(column).tolist() for column in columns)))
-
-
-def write_csv(path, header, rows) -> None:
-    path = Path(path)
-    lines = [",".join(header)]
+def write_csv(path, columns) -> None:
+    """One row per index of ``columns``; columns of unequal length raise ValueError."""
+    lines = [",".join(columns)]
+    rows = zip(*(np.asarray(column).tolist() for column in columns.values()), strict=True)
     lines.extend(",".join(format_value(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _numpy_json(obj):

@@ -138,7 +138,7 @@ class TestBellSum:
     def test_missing_pair_reported(self):
         rounds = np.zeros((3, 3), dtype=np.int64)
         rounds[0, 0] = 5
-        stats = GameStats(rounds, np.zeros((3, 3), dtype=np.int64), seed=0)
+        stats = GameStats(rounds, np.zeros((3, 3), dtype=np.int64))
         with pytest.raises(MissingPairError, match="alpha, beta"):
             bell_sum(stats)
 
@@ -146,4 +146,4 @@ class TestBellSum:
         rounds = np.ones((3, 3), dtype=np.int64)
         equal = np.full((3, 3), 2, dtype=np.int64)
         with pytest.raises(ValueError):
-            GameStats(rounds, equal, seed=0)
+            GameStats(rounds, equal)

@@ -177,8 +177,12 @@ class TestMeasureCommand:
         assert "amplitudes have norm inf" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
-    def test_traced_run_has_every_measures_span(self, tmp_path, monkeypatch):
-        """The benchmark's tracer wraps these names; a measure run must call each."""
+    @pytest.mark.parametrize("command, fixture", [
+        ("measure", "measure_bell"), ("bellgame", "bellgame_lhv"),
+    ])
+    def test_traced_run_has_every_measures_span(self, tmp_path, monkeypatch, command, fixture):
+        """The benchmark's tracer wraps these names: a measure run must call each
+        ``measures`` entry point, and a bellgame run records each CSV it writes."""
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
         spec = importlib.util.spec_from_file_location(
             "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
@@ -192,15 +196,21 @@ class TestMeasureCommand:
                    "bellgame": bellgame, "measures": measures, "cli": cli}
         tracer = tracing.Tracer()
         tracing.install(tracer, modules)
+        out = tmp_path / "o"
         try:
-            config = str(FIXTURES / "measure_bell.json")
-            assert main(["measure", "--config", config, "--out", str(tmp_path / "o")]) == 0
+            config = str(FIXTURES / f"{fixture}.json")
+            assert main([command, "--config", config, "--out", str(out)]) == 0
         finally:
             tracer.uninstall()
-        names = {span.name for span in tracer.spans}
-        for name in ("schmidt_decompose", "reduced_density_matrix", "von_neumann_entropy",
-                     "coherence", "entanglement", "is_factorizable", "schmidt_number"):
-            assert f"measures.{name}" in names
+        if command == "measure":
+            names = {span.name for span in tracer.spans}
+            for name in ("schmidt_decompose", "reduced_density_matrix", "von_neumann_entropy",
+                         "coherence", "entanglement", "is_factorizable", "schmidt_number"):
+                assert f"measures.{name}" in names
+        else:
+            written = [span.attrs for span in tracer.spans if span.name == "output.write_csv"]
+            size = (out / "bellgame_pairs.csv").stat().st_size
+            assert written == [{"file": "bellgame_pairs.csv", "bytes": size}]
 
     def test_amplitude_list(self, tmp_path):
         config = write_config(
@@ -263,6 +273,9 @@ class TestTheoremCommand:
         assert payload["separable"] is False
         assert payload["residual_norm"] == pytest.approx(2.0, abs=1e-12)
         assert payload["max_witness_entanglement"] > 0.01
+        samples = (out / "witness_samples.csv").read_text().splitlines()
+        assert samples[0] == "sample,max_entanglement"
+        assert len(samples) == 1 + payload["n_product_samples"]
         trajectory = (out / "worst_trajectory.csv").read_text().splitlines()
         assert trajectory[0] == "time,entropy,norm"
         assert len(trajectory) == 1 + 33
@@ -389,6 +402,10 @@ class TestIslandsCommand:
         )
         assert len(lines) == 3
         payload = json.loads((out / "islands.json").read_text())
+        assert set(payload) == {
+            "kind", "seed", "parameters", "max_entropy_bits", "final_fidelity",
+            "min_fidelity", "trajectory_deviation",
+        }
         assert payload["max_entropy_bits"][0] > payload["max_entropy_bits"][1]
 
     def test_per_point_trajectories_written(self, tmp_path):
@@ -403,7 +420,9 @@ class TestIslandsCommand:
         assert main(["islands", "--config", str(path), "--out", str(out)]) == 0
         for k in (0, 1):
             point = (out / f"islands_point_{k}.csv").read_text().splitlines()
-            assert point[0].startswith("time,norm,energy,entropy_bits,fidelity")
+            assert point[0] == (
+                "time,norm,energy,entropy_bits,fidelity,x_a,x_b,classical_x_a,classical_x_b"
+            )
         manifest = json.loads((out / "manifest.json").read_text())
         assert "islands_point_1.csv" in manifest["outputs"]
 

@@ -479,14 +479,18 @@ class TestFixtureOracles:
 
 
 class TestTrajectoryRows:
-    def test_csv_rows_match_header(self):
+    def test_table_columns_in_header_order(self):
         psi = init_product(
             GaussianPacket(-4.0, 1.0, 1.0), GaussianPacket(4.0, 1.0, -1.0), small_spec()
         )
         traj = evolve_split_step(psi, None, 0.01, 20, 10)
-        rows = traj.rows()
-        assert len(rows[0]) == len(GridTrajectory.CSV_HEADER)
-        assert rows[0][0] == 0.0
+        table = traj.table()
+        assert list(table) == [
+            "time", "norm", "energy", "entropy_bits", "entropy_normalized",
+            "x_a", "x_b", "p_a", "p_b",
+        ]
+        assert all(len(column) == len(traj.times) for column in table.values())
+        assert table["time"][0] == 0.0
 
 
 class TestGaussianWave:

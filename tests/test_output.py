@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from entanglab.output import canonical_json
+from entanglab.output import canonical_json, write_csv
 
 
 def test_numpy_values_serialize_as_python_values():
@@ -14,3 +15,10 @@ def test_numpy_values_serialize_as_python_values():
     }
     assert canonical_json(numpy) == canonical_json(python)
     assert canonical_json([np.float32(0.5), np.bool_(False)]) == canonical_json([0.5, False])
+
+
+def test_csv_refuses_columns_of_unequal_length(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, {"a": [1.0, 2.0], "b": [3.0]})
+    assert not path.exists()
