@@ -10,6 +10,7 @@ script, so comparing two checkouts is
     python scripts/rerun_fixtures.py /tmp/before   # in one checkout
     python scripts/rerun_fixtures.py /tmp/after    # in the other
     diff -r /tmp/before /tmp/after                 # empty when byte-identical
+    python scripts/diff_outputs.py /tmp/before /tmp/after   # the cells that moved
 
 Run from anywhere:  python scripts/rerun_fixtures.py OUT
 """

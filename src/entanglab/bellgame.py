@@ -58,8 +58,8 @@ def _joint_outcome_table() -> np.ndarray:
     return table
 
 
-_JOINT = _joint_outcome_table()
-_CUMULATIVE = np.cumsum(_JOINT, axis=-1)
+# row j holds threshold c_j, the cumulative probability of outcomes 0..j, of pair 3 q_a + q_b
+_THRESHOLDS = np.cumsum(_joint_outcome_table(), axis=-1)[..., :3].reshape(9, 3).T
 
 
 class MissingPairError(ValueError):
@@ -149,10 +149,12 @@ def quantum_answers(
 
     Each round inverts the cumulative outcome distribution of its question
     pair at its uniform draw in ``u``, so identical questions always give
-    identical answers (their cross terms are exactly zero).
+    identical answers (their cross terms are exactly zero).  With outcomes
+    uu, ud, du, dd and thresholds c0 <= c1 <= c2, A is up below c1 and B is
+    up below c0 or between c1 and c2.
     """
-    k = np.minimum(np.sum(_CUMULATIVE[q_a, q_b] <= u[:, None], axis=1), 3)
-    return k < 2, (k & 1) == 0  # outcomes uu, ud, du, dd: A up for k < 2, B up for even k
+    c0, c1, c2 = _THRESHOLDS[:, 3 * q_a + q_b]
+    return u < c1, (u < c0) | ((c1 <= u) & (u < c2))
 
 
 def _play_block(strategy, rng: np.random.Generator, size: int):

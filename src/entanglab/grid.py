@@ -25,7 +25,13 @@ and the error never grows.  ``packet_factors`` refuses a packet that does
 not fit the box or whose momentum lies outside the lattice band [-pi/dx, pi/dx).
 
 Entanglement is tracked through the singular values of the amplitude grid,
-which are the Schmidt coefficients of the discretized state.
+which are the Schmidt coefficients of the discretized state.  A unitary FFT
+on each side keeps them, so they are taken from the block of the momentum
+grid fft2(Psi) / n that holds the weight: on each momentum marginal the
+lightest momenta, whose weights sum to at most CHANNEL_DUST / 2 of the
+total, are dropped.  The dropped squared 2-norm is at most CHANNEL_DUST of
+the total, so by Weyl's inequality no Schmidt coefficient moves by more
+than 1e-10.
 """
 
 from __future__ import annotations
@@ -282,6 +288,17 @@ def strang_step(state: np.ndarray, half_v: np.ndarray | None, kinetic: np.ndarra
         state *= half_v
 
 
+def _heavy(weights: np.ndarray, share: float) -> np.ndarray:
+    """Ascending indices of the entries that the dust rule keeps.
+
+    The lightest entries, whose weights sum to at most ``share`` of the total,
+    are dropped.
+    """
+    lightest = np.argsort(weights)
+    dropped = np.cumsum(weights[lightest]) <= share * weights.sum()
+    return np.sort(lightest[~dropped])
+
+
 def _channel_layout(psi: Wavefunction2P, potential: PotentialSpec | None, dt: float):
     """Total-momentum channels of an n x n grid, lightest ones dropped.
 
@@ -303,10 +320,7 @@ def _channel_layout(psi: Wavefunction2P, potential: PotentialSpec | None, dt: fl
     buffer = np.empty((n, n), dtype=complex)
     buffer.ravel()[unshear] = psi.grid
     np.fft.fft(buffer, axis=0, out=buffer)
-    weights = np.sum(np.abs(buffer) ** 2, axis=1)
-    lightest = np.argsort(weights)
-    dropped = np.cumsum(weights[lightest]) <= CHANNEL_DUST * weights.sum()
-    kept = lightest[~dropped]
+    kept = _heavy(np.sum(np.abs(buffer) ** 2, axis=1), CHANNEL_DUST)
     half_v = (
         None
         if potential is None
@@ -352,11 +366,6 @@ def iterate_split_step(
             yield step, grid
 
 
-def entanglement_entropy_bits(psi: Wavefunction2P) -> float:
-    """Base-2 entropy of the Schmidt spectrum; weights at or below 1e-14 are dust."""
-    return schmidt_entropy(psi.grid * math.sqrt(psi.spec.dx * psi.spec.dx), 2)
-
-
 class GridSample(NamedTuple):
     """Everything recorded about one sampled amplitude grid."""
 
@@ -385,21 +394,39 @@ class GridProbe:
 
     <x> is read off the position marginals, <p> and the kinetic energy off
     the momentum marginals, with the axis tables of ``GridSpec``; <V>
-    (zero when V is None) is summed in place on the position weights.  V and
-    one real and one complex scratch buffer, reused by every sample, are the
-    only n^2 arrays; ``ehrenfest_observables`` builds a probe for one state.
+    (zero when V is None) is summed in place on the position weights.  The
+    Schmidt entropy is taken from the momentum grid the marginals come from,
+    cropped to the rows and columns that hold all but CHANNEL_DUST of the
+    weight (the whole grid when nothing can be dropped).  V and one real and
+    one complex scratch buffer, reused by every sample, are the only n^2
+    arrays it keeps; ``ehrenfest_observables`` and
+    ``entanglement_entropy_bits`` build a probe for one state.
     """
 
     def __init__(self, spec: GridSpec, v_matrix: np.ndarray | None):
         self.cell = spec.dx * spec.dx
+        self.momentum_cell = spec.dx / spec.n  # Psi-hat = fft2(Psi) / n, times dx
         self.x, self.k = spec.x, spec.k
         self.kinetic_a, self.kinetic_b = spec.kinetic()
         self.v_matrix = v_matrix
         shape = (spec.n, spec.n)
         self.weights = np.empty(shape)  # position weights, then momentum weights
-        self.amplitudes = np.empty(shape, dtype=complex)  # the FFT, then the scaled grid
+        self.momentum = np.empty(shape, dtype=complex)  # fft2 of the sampled grid
 
-    def norm_and_observables(self, grid: np.ndarray) -> tuple[float, Observables]:
+    def _momentum_marginals(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """fft2 of ``grid`` into ``self.momentum``, and the momentum marginals of A and of B."""
+        np.fft.fft2(grid, out=self.momentum)
+        weights = np.square(np.abs(self.momentum, out=self.weights), out=self.weights)
+        return weights.sum(axis=1), _column_sums(weights)
+
+    def _block_entropy_bits(self, along_a: np.ndarray, along_b: np.ndarray) -> float:
+        """Schmidt entropy of the grid whose fft2 and marginals were just taken."""
+        share = CHANNEL_DUST / 2
+        block = self.momentum[np.ix_(_heavy(along_a, share), _heavy(along_b, share))]
+        block *= self.momentum_cell
+        return schmidt_entropy(block, 2)
+
+    def _measure(self, grid: np.ndarray) -> tuple[float, Observables, np.ndarray, np.ndarray]:
         weights = np.square(np.abs(grid, out=self.weights), out=self.weights)
         weights *= self.cell  # |Psi|^2 dx_A dx_B
         norm = float(np.sum(weights))
@@ -408,22 +435,30 @@ class GridProbe:
         potential_energy = 0.0
         if self.v_matrix is not None:
             potential_energy = float(np.sum(np.multiply(self.v_matrix, weights, out=weights)))
-        momentum = np.fft.fft2(grid, out=self.amplitudes)
-        weights = np.square(np.abs(momentum, out=self.weights), out=self.weights)
-        along_a = weights.sum(axis=1)
-        along_b, total = _column_sums(weights), float(along_a.sum())
-        return norm, Observables(
+        along_a, along_b = self._momentum_marginals(grid)
+        total = float(along_a.sum())
+        observables = Observables(
             x_a,
             x_b,
             float(self.k @ along_a) / total,
             float(self.k @ along_b) / total,
             float(self.kinetic_a @ along_a + self.kinetic_b @ along_b) / total + potential_energy,
         )
+        return norm, observables, along_a, along_b
+
+    def entropy_bits(self, grid: np.ndarray) -> float:
+        """Schmidt entropy of one grid in bits, without the other observables."""
+        return self._block_entropy_bits(*self._momentum_marginals(grid))
 
     def __call__(self, grid: np.ndarray) -> GridSample:
-        norm, observables = self.norm_and_observables(grid)
-        scaled = np.multiply(grid, math.sqrt(self.cell), out=self.amplitudes)
-        return GridSample(norm, *observables, entropy_bits=schmidt_entropy(scaled, 2))
+        norm, observables, along_a, along_b = self._measure(grid)
+        entropy_bits = self._block_entropy_bits(along_a, along_b)
+        return GridSample(norm, *observables, entropy_bits=entropy_bits)
+
+
+def entanglement_entropy_bits(psi: Wavefunction2P) -> float:
+    """Base-2 entropy of the Schmidt spectrum; weights at or below 1e-14 are dust."""
+    return GridProbe(psi.spec, None).entropy_bits(psi.grid)
 
 
 def ehrenfest_observables(
@@ -436,7 +471,7 @@ def ehrenfest_observables(
     (zero when ``potential`` is None).
     """
     v_matrix = None if potential is None else potential_on_grid(psi.spec, potential)
-    return GridProbe(psi.spec, v_matrix).norm_and_observables(psi.grid)[1]
+    return GridProbe(psi.spec, v_matrix)._measure(psi.grid)[1]
 
 
 def probe_split_step(

@@ -143,14 +143,15 @@ def spectrum_entropy(weights: np.ndarray, base: float = 2.0):
     Spectra run along the last axis: a 1-D input gives a float, a stack gives
     one entropy per spectrum.  Weights at or below 1e-14 are dust and count
     as 0, negative rounding noise included.  A base below 2 has no room for
-    uncertainty and gives 0.  A zero entropy is always +0.0.
+    uncertainty and gives 0.  An entropy is never below +0.0, also where
+    rounding puts a certain spectrum's weight above 1.
     """
     p = np.asarray(weights, dtype=float)
     if base < 2:
         entropy = np.zeros(p.shape[:-1])
     else:
         p = np.where(p > SPECTRUM_FLOOR, p, 1.0)  # 1 log 1 = 0 stands in for dust
-        entropy = -np.sum(p * np.log2(p), axis=-1) / np.log2(base) + 0.0  # -0.0 + 0.0 is +0.0
+        entropy = np.maximum(-np.sum(p * np.log2(p), axis=-1) / np.log2(base), 0.0)
     return float(entropy) if entropy.ndim == 0 else entropy
 
 

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from entanglab import grid as grid_module
 from entanglab.grid import (
     GaussianPacket,
     GridProbe,
@@ -21,7 +23,9 @@ from entanglab.grid import (
     iterate_split_step,
     minimal_image,
     potential_on_grid,
+    probe_split_step,
 )
+from entanglab.measures import schmidt_entropy
 
 from conftest import load_fixture
 
@@ -408,7 +412,6 @@ class TestGridProbe:
             float(spec.k @ along_b) / total,
             float(kinetic_a @ along_a + kinetic_b @ along_b) / total
             + float(np.sum(v_matrix * weight)),
-            entanglement_entropy_bits(Wavefunction2P(grid, spec)),
         )
 
     @staticmethod
@@ -442,11 +445,53 @@ class TestGridProbe:
         samples = list(iterate_split_step(psi, potential, 0.01, 60, 20))
         for _, grid in samples:
             sample = probe(grid)
-            assert tuple(sample) == self.reference(grid, spec, v_matrix)
+            assert tuple(sample[:6]) == self.reference(grid, spec, v_matrix)
             direct = self.direct_sums(grid, spec, v_matrix)
             assert np.all(np.abs(np.array(sample[:6]) - direct) <= 1e-14 * np.abs(direct))
+            # the cropped momentum block against the SVD of the whole position grid
+            assert abs(sample.entropy_bits - schmidt_entropy(grid * spec.dx, 2)) <= 1e-13
         # a probe that has seen other grids reads the first one as a fresh probe does
         assert probe(samples[0][1]) == GridProbe(spec, v_matrix)(samples[0][1])
+
+    @staticmethod
+    def record_blocks(monkeypatch):
+        """Shapes of the matrices the probe hands to the Schmidt entropy."""
+        shapes = []
+
+        def recording(amplitudes, base):
+            shapes.append(amplitudes.shape)
+            return schmidt_entropy(amplitudes, base)
+
+        monkeypatch.setattr(grid_module, "schmidt_entropy", recording)
+        return shapes
+
+    def test_collision_well_entropy_from_a_small_block(self, monkeypatch):
+        cfg, spec, pa, pb, pot = fixture_objects("collision_well.json")
+        shapes = self.record_blocks(monkeypatch)
+        samples = list(
+            probe_split_step(init_product(pa, pb, spec), pot, cfg["dt"], cfg["n_steps"], 50)
+        )
+        assert spec.n == 256 and len(shapes) == len(samples) == 31
+        for _, grid, sample in samples:
+            assert abs(sample.entropy_bits - schmidt_entropy(grid * spec.dx, 2)) <= 1e-13
+        assert max(max(shape) for shape in shapes) <= 100
+
+    def test_full_band_state_keeps_every_row_and_column(self, monkeypatch):
+        # material_point at width ratio 0.5: the seam tails fill the momentum band
+        cfg, spec, pa, pb, pot = fixture_objects("material_point.json")
+        sigma = 0.5 * pot.width
+        psi = init_product(replace(pa, sigma=sigma), replace(pb, sigma=sigma), spec)
+        shapes = self.record_blocks(monkeypatch)
+        GridProbe(spec, None)(psi.grid)
+        assert shapes == [(spec.n, spec.n)]
+
+    def test_product_state_entropy_is_positive_zero(self):
+        # the test_particle pair, whose leading Schmidt weight rounds above 1
+        _, spec, pa, pb, _ = fixture_objects("test_particle.json")
+        psi = init_product(pa, pb, spec)
+        probed = GridProbe(spec, None)(psi.grid).entropy_bits
+        for entropy in (probed, entanglement_entropy_bits(psi)):
+            assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
 
 class TestFixtureOracles:

@@ -233,6 +233,12 @@ class TestStackedEntropy:
             assert math.copysign(1.0, spectrum_entropy(certain, base)) == 1.0
         assert np.all(spectrum_entropy(stack, 1) == 0.0)
 
+    def test_weight_rounded_above_one_gives_positive_zero(self):
+        # -(1 + 2e-16) log2(1 + 2e-16) is about -3e-16: clamped, never negative
+        above_one = np.array([[1.0 + 2e-16, 0.0], [1.0 + 4.4e-16, 1e-16]])
+        for entropy in (spectrum_entropy(above_one[0, :1], 2), *spectrum_entropy(above_one, 2)):
+            assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+
     def test_schmidt_entropy_of_a_stack(self):
         rng = np.random.default_rng(17)
         pure = [random_pure_state(rng, 3, 4) for _ in range(4)]
