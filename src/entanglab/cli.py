@@ -153,10 +153,8 @@ def _build(where: str, make, *args, **kwargs):
 
 
 GRID = {
-    "n_a": (INTEGER, REQUIRED),
-    "n_b": (INTEGER, REQUIRED),
-    "length_a": (NUMBER, REQUIRED),
-    "length_b": (NUMBER, REQUIRED),
+    "n": (INTEGER, REQUIRED),
+    "length": (NUMBER, REQUIRED),
     "m_a": (NUMBER, REQUIRED),
     "m_b": (NUMBER, REQUIRED),
 }
@@ -174,19 +172,12 @@ GRID_RUN = {
 COLLISION = {**GRID_RUN, "potential": (POTENTIAL, REQUIRED)}
 
 
-def _grid_run(fields: dict, where: str) -> tuple:
-    """Grid, packets, optional potential and stepping, in CollisionFixture order.
+def _grid_run(fields: dict, where: str) -> islands.CollisionFixture:
+    """The lattice, packets, optional potential and stepping of a grid run.
 
     Values the solvers would only refuse mid-run are rejected here.
     """
-    lattice = fields["grid"]
-    for key_a, key_b in (("n_a", "n_b"), ("length_a", "length_b")):
-        if lattice[key_a] != lattice[key_b]:
-            raise ConfigError(
-                f"{where}.grid: both particles share one lattice, so {key_a} must equal {key_b}"
-            )
-    n, length, m_a, m_b = (lattice[key] for key in ("n_a", "length_a", "m_a", "m_b"))
-    spec = _build(f"{where}.grid", grid.GridSpec, n, length, m_a, m_b)
+    spec = _build(f"{where}.grid", grid.GridSpec, **fields["grid"])
     packets = [
         _build(f"{where}.{key}", grid.GaussianPacket, **fields[key])
         for key in ("packet_a", "packet_b")
@@ -199,7 +190,9 @@ def _grid_run(fields: dict, where: str) -> tuple:
                 f"config key 'dt' in {where} must keep dt * max|V| <= "
                 f"{grid.MAX_PHASE_PER_STEP} rad per step (max|V| is {potential.max_abs():g})"
             )
-    return (spec, *packets, potential, dt, fields["n_steps"], fields["sample_every"])
+    return islands.CollisionFixture(
+        spec, *packets, potential, dt, fields["n_steps"], fields["sample_every"]
+    )
 
 
 def collision_fixture_from_config(config: dict, where: str) -> islands.CollisionFixture:
@@ -209,7 +202,7 @@ def collision_fixture_from_config(config: dict, where: str) -> islands.Collision
     oracle keys, can be passed.
     """
     run = {key: config[key] for key in COLLISION if key in config}
-    return islands.CollisionFixture(*_grid_run(read_fields(run, where, COLLISION), where))
+    return _grid_run(read_fields(run, where, COLLISION), where)
 
 
 def _complex(value, where: str) -> complex:
@@ -378,9 +371,9 @@ MEASURE = {"state": (ANY, REQUIRED), "tolerance": (POSITIVE, 1e-8), "seed": (SEE
 def parse_measure(config: dict, args) -> tuple:
     fields = read_fields(config, "measure config", MEASURE)
     state = _state_from_config(fields["state"], "measure config.state", args.renormalize)
-    tol = fields["tolerance"]
+    tol, base = fields["tolerance"], min(state.d_a, state.d_b)
     # every state's leading Schmidt coefficient is at least 1/sqrt(min(d_A, d_B))
-    floor = 1.0 / math.sqrt(min(state.d_a, state.d_b))
+    floor = 1.0 / math.sqrt(base)
     if tol >= floor:
         raise ConfigError(
             f"config key 'tolerance' in measure config must be below"
@@ -390,8 +383,8 @@ def parse_measure(config: dict, args) -> tuple:
     def run(out: Path) -> None:
         decomposition = measures.schmidt_decompose(state)
         rho_a = measures.reduced_density_matrix(state, "A")
-        entropy = measures.von_neumann_entropy(rho_a)
-        coh = measures.coherence(rho_a)
+        entropy = measures.von_neumann_entropy(rho_a, base)  # so that E = 1 - C(A)
+        coh = measures.coherence(rho_a, base)
         ent = measures.entanglement(state)
         factorizable, nearest = measures.is_factorizable(decomposition, tol)
         result = {
@@ -474,12 +467,14 @@ EVOLVE = {**GRID_RUN, "oracle": (EVOLVE_ORACLE, None), "seed": (SEED, None)}
 def parse_evolve(config: dict, args) -> tuple:
     where = "evolve config"
     fields = read_fields(config, where, EVOLVE)
-    spec, packet_a, packet_b, potential, dt, n_steps, sample_every = _grid_run(fields, where)
-    psi = _build(where, grid.init_product, packet_a, packet_b, spec)
+    base = _grid_run(fields, where)
+    psi = _build(where, grid.init_product, base.packet_a, base.packet_b, base.spec)
     oracle = fields["oracle"]
 
     def run(out: Path) -> None:
-        trajectory = grid.evolve_split_step(psi, potential, dt, n_steps, sample_every)
+        trajectory = grid.evolve_split_step(
+            psi, base.potential, base.dt, base.n_steps, base.sample_every
+        )
         write_csv(out / "trajectory.csv", trajectory.table())
         summary = {
             "final_entropy_bits": float(trajectory.entropy_bits[-1]),
@@ -542,7 +537,7 @@ SCANS = {
 def parse_islands(config: dict, args) -> tuple:
     where = "islands config"
     fields = _read_kind(config, where, "scan", SCANS)
-    base = islands.CollisionFixture(*_grid_run(fields, where))
+    base = _grid_run(fields, where)
     kind, seed = fields["kind"], fields["seed"]
     if kind == "test_particle":
         ratio_key, scan = "mass_ratios", islands.test_particle_scan

@@ -45,7 +45,6 @@ import numpy as np
 from .measures import schmidt_entropy
 
 NORM_TOL = 1e-8
-DEFAULT_RANK_BOUND = 64  # entropy_normalized is entropy_bits / log2 of this Schmidt rank
 MAX_PHASE_PER_STEP = 0.1
 CHANNEL_DUST = 1e-20  # dropped channel weight, as a share of the total
 
@@ -207,7 +206,6 @@ class GridTrajectory:
     norms: np.ndarray
     energies: np.ndarray
     entropy_bits: np.ndarray
-    entropy_normalized: np.ndarray
     x_a: np.ndarray
     x_b: np.ndarray
     p_a: np.ndarray
@@ -218,9 +216,8 @@ class GridTrajectory:
     def of(cls, steps, samples: list[GridSample], dt: float, final_state: Wavefunction2P):
         """The columns of a run sampled at ``steps``: the one place samples are stacked."""
         norms, x_a, x_b, p_a, p_b, energies, bits = np.array(samples).T
-        normalized = bits / math.log2(DEFAULT_RANK_BOUND)
         times = np.array(steps) * dt
-        return cls(times, norms, energies, bits, normalized, x_a, x_b, p_a, p_b, final_state)
+        return cls(times, norms, energies, bits, x_a, x_b, p_a, p_b, final_state)
 
     def table(self) -> dict:
         """The columns of ``trajectory.csv``, keyed by header name in file order."""
@@ -229,7 +226,6 @@ class GridTrajectory:
             "norm": self.norms,
             "energy": self.energies,
             "entropy_bits": self.entropy_bits,
-            "entropy_normalized": self.entropy_normalized,
             "x_a": self.x_a,
             "x_b": self.x_b,
             "p_a": self.p_a,

@@ -148,7 +148,7 @@ def classical_two_body(
     packets' mass across the box seam is negligible.  That holds only
     approximately in the packaged ladders: at material_point width ratio 0.5
     about 5e-5 of each packet's initial mass lies within 4 lattice points of
-    the seam (ROADMAP open item 3).
+    the seam (see "Seam and Nyquist health" in ROADMAP.md).
     """
 
     def rhs(y):
@@ -185,12 +185,12 @@ def classical_two_body(
 
 @dataclass(frozen=True)
 class CollisionFixture:
-    """Complete description of one two-packet scattering run."""
+    """Complete description of one two-packet run; only a free ``evolve`` run has no potential."""
 
     spec: GridSpec
     packet_a: GaussianPacket
     packet_b: GaussianPacket
-    potential: PotentialSpec
+    potential: PotentialSpec | None
     dt: float
     n_steps: int
     sample_every: int

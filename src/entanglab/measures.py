@@ -1,10 +1,11 @@
 """Reduced states, Schmidt decomposition, and entropy-based entanglement measures.
 
 The entanglement of a bipartite pure state equals the von Neumann entropy of
-either reduced density matrix, taken in log base d so that it ranges over
-[0, 1]:  0 for factorizable states, 1 when the reduced state is maximally
-mixed.  Coherence is the complement, C = 1 - S, and the complementarity
-identity E(A-B) = 1 - C(A) = 1 - C(B) holds for every pure state.
+either reduced density matrix, taken in log base min(d_A, d_B) so that it
+ranges over [0, 1]:  0 for factorizable states, 1 when the smaller side's
+reduced state is maximally mixed.  Coherence is the complement, C = 1 - S,
+and with both taken in that base the complementarity identity
+E(A-B) = 1 - C(A) = 1 - C(B) holds for every pure state.
 
 A state is factorizable at a tolerance when its Schmidt number there is 1:
 exactly one Schmidt coefficient exceeds the tolerance.  The verdict, the

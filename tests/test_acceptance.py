@@ -256,11 +256,7 @@ def test_criterion_8_regime_scans():
 def test_criterion_9_reproducibility(tmp_path):
     fixtures = Path(__file__).resolve().parents[1] / "src" / "entanglab" / "fixtures"
     small_grid = {
-        "grid": {
-            "n_a": 32, "n_b": 32,
-            "length_a": 24.0, "length_b": 24.0,
-            "m_a": 1.0, "m_b": 1.0,
-        },
+        "grid": {"n": 32, "length": 24.0, "m_a": 1.0, "m_b": 1.0},
         "packet_a": {"center": -4.0, "sigma": 1.0, "momentum": 1.5},
         "packet_b": {"center": 4.0, "sigma": 1.0, "momentum": -1.5},
         "potential": {"kind": "gaussian_well", "strength": 1.0, "width": 1.5},

@@ -31,11 +31,7 @@ def read_outputs(directory: Path) -> dict:
 
 def tiny_grid_config(**extra):
     config = {
-        "grid": {
-            "n_a": 32, "n_b": 32,
-            "length_a": 24.0, "length_b": 24.0,
-            "m_a": 1.0, "m_b": 1.0,
-        },
+        "grid": {"n": 32, "length": 24.0, "m_a": 1.0, "m_b": 1.0},
         "packet_a": {"center": -4.0, "sigma": 1.0, "momentum": 1.5},
         "packet_b": {"center": 4.0, "sigma": 1.0, "momentum": -1.5},
         "potential": {"kind": "gaussian_well", "strength": 1.0, "width": 1.5},
@@ -141,6 +137,21 @@ class TestMeasureCommand:
         for key in ("entropy", "entanglement"):
             assert math.copysign(1.0, payload[key]) == 1.0  # +0.0, never -0.0
         assert "entropy              : 0.000000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("dims, values", [
+        ([4, 2], [math.sqrt(0.5), 0.0, 0.0, math.sqrt(0.5), 0.0, 0.0, 0.0, 0.0]),
+        ([2, 3], [math.sqrt(0.7), 0.0, 0.0, 0.0, 0.0, math.sqrt(0.3)]),
+    ])
+    def test_complementarity_holds_for_unequal_dims(self, tmp_path, dims, values):
+        # entropy and coherence take the base of entanglement, min(d_A, d_B)
+        state = {"kind": "amplitudes", "dims": dims, "values": values}
+        config = write_config(tmp_path, "m.json", {"state": state})
+        out = tmp_path / "out"
+        assert main(["measure", "--config", str(config), "--out", str(out)]) == 0
+        payload = json.loads((out / "measure.json").read_text())
+        assert abs(payload["entropy"] - payload["entanglement"]) <= 1e-12
+        assert abs(payload["coherence"] - (1.0 - payload["entanglement"])) <= 1e-12
+        assert payload["entanglement"] > 0.5
 
     def test_schmidt_number_one_is_factorizable(self, tmp_path, capsys):
         # the second coefficient is trimmed as dust but exceeds the tolerance
@@ -335,9 +346,7 @@ class TestEvolveCommand:
         out = tmp_path / "out"
         assert main(["evolve", "--config", str(config), "--out", str(out)]) == 0
         lines = (out / "trajectory.csv").read_text().splitlines()
-        assert lines[0] == (
-            "time,norm,energy,entropy_bits,entropy_normalized,x_a,x_b,p_a,p_b"
-        )
+        assert lines[0] == "time,norm,energy,entropy_bits,x_a,x_b,p_a,p_b"
         assert len(lines) == 1 + 5  # samples at steps 0, 25, 50, 75, 100
         summary = json.loads((out / "evolve.json").read_text())
         assert summary["max_norm_drift"] < 1e-10
@@ -452,9 +461,11 @@ INVALID_GRID_RUNS = {
     "infinite_strength": _set("potential", "strength", math.inf),
     "negative_n_steps": _set(None, "n_steps", -5),
     "zero_sample_every": _set(None, "sample_every", 0),
-    "unequal_boxes_with_potential": _set("grid", "length_b", 32.0),
-    "unequal_boxes_free": _changes(_set("grid", "length_b", 32.0), lambda c: c.pop("potential")),
-    "unequal_point_counts": _set("grid", "n_b", 64),
+    # one lattice has one point count and one box: the per-particle keys are unknown
+    "per_particle_grid_keys": _set(None, "grid", {
+        "n_a": 32, "n_b": 32, "length_a": 24.0, "length_b": 24.0, "m_a": 1.0, "m_b": 1.0,
+    }),
+    "missing_n": lambda config: config["grid"].pop("n"),
     # pi/dx is 4.19 on 32 points in a box of 24: momentum 5 would alias to 5 - 2 pi/dx
     "momentum_past_nyquist": _set("packet_a", "momentum", 5.0),
     "unstable_dt": _set(None, "dt", 0.2),  # dt * max|V| = 0.2 rad per step

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from entanglab import grid as grid_module
+from entanglab.cli import collision_fixture_from_config
 from entanglab.grid import (
     GaussianPacket,
     GridProbe,
@@ -62,14 +63,10 @@ def grid_strang(psi, potential, dt, n_steps, sample_every):
 
 
 def fixture_objects(name):
+    """A packaged config and its lattice, packets and potential, as the CLI parses them."""
     cfg = load_fixture(name)
-    grid = cfg["grid"]
-    assert (grid["n_a"], grid["length_a"]) == (grid["n_b"], grid["length_b"])
-    spec = GridSpec(grid["n_a"], grid["length_a"], grid["m_a"], grid["m_b"])
-    pa = GaussianPacket(**cfg["packet_a"])
-    pb = GaussianPacket(**cfg["packet_b"])
-    pot = PotentialSpec(**cfg["potential"]) if "potential" in cfg else None
-    return cfg, spec, pa, pb, pot
+    fixture = collision_fixture_from_config(cfg, name)
+    return cfg, fixture.spec, fixture.packet_a, fixture.packet_b, fixture.potential
 
 
 class TestGridSpec:
@@ -179,10 +176,8 @@ class TestEntropyGridConventions:
         grid[10, 20] = grid[30, 40] = 1.0 / math.sqrt(2.0 * cell)
         psi = Wavefunction2P(grid, spec)
         assert entanglement_entropy_bits(psi) == pytest.approx(1.0, abs=1e-12)
-        # the printed column normalizes the bits by log2 64
         trajectory = GridTrajectory.of([0], [GridProbe(spec, None)(psi.grid)], 0.01, psi)
         assert trajectory.entropy_bits[0] == pytest.approx(1.0, abs=1e-12)
-        assert trajectory.entropy_normalized[0] == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
 class TestEhrenfestObservables:
@@ -531,8 +526,7 @@ class TestTrajectoryRows:
         traj = evolve_split_step(psi, None, 0.01, 20, 10)
         table = traj.table()
         assert list(table) == [
-            "time", "norm", "energy", "entropy_bits", "entropy_normalized",
-            "x_a", "x_b", "p_a", "p_b",
+            "time", "norm", "energy", "entropy_bits", "x_a", "x_b", "p_a", "p_b",
         ]
         assert all(len(column) == len(traj.times) for column in table.values())
         assert table["time"][0] == 0.0

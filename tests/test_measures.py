@@ -266,13 +266,15 @@ class TestEntanglement:
         assert entanglement(state) == pytest.approx(ENTROPY_3_4, abs=1e-12)
 
     def test_complementarity_identity(self):
+        # E = 1 - C(A) = 1 - C(B) with coherence in the base of E, min(d_A, d_B)
         rng = np.random.default_rng(15)
-        for d in (2, 3, 4, 8):
+        for d_a, d_b in ((2, 2), (3, 3), (4, 4), (8, 8), (4, 2), (2, 3), (3, 8)):
+            base = min(d_a, d_b)
             for _ in range(25):
-                state = random_pure_state(rng, d, d)
+                state = random_pure_state(rng, d_a, d_b)
                 e = entanglement(state)
-                c_a = coherence(reduced_density_matrix(state, "A"))
-                c_b = coherence(reduced_density_matrix(state, "B"))
+                c_a = coherence(reduced_density_matrix(state, "A"), base)
+                c_b = coherence(reduced_density_matrix(state, "B"), base)
                 assert abs(e - (1.0 - c_a)) < 1e-10
                 assert abs(c_a - c_b) < 1e-10
 

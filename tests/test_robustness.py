@@ -142,11 +142,7 @@ class TestConfigCornerPaths:
 
     def test_soft_coulomb_through_config(self, tmp_path):
         config = {
-            "grid": {
-                "n_a": 32, "n_b": 32,
-                "length_a": 24.0, "length_b": 24.0,
-                "m_a": 1.0, "m_b": 1.0,
-            },
+            "grid": {"n": 32, "length": 24.0, "m_a": 1.0, "m_b": 1.0},
             "packet_a": {"center": -4.0, "sigma": 1.0, "momentum": 1.0},
             "packet_b": {"center": 4.0, "sigma": 1.0, "momentum": -1.0},
             "potential": {"kind": "soft_coulomb", "strength": 0.5, "width": 1.0},
