@@ -11,6 +11,11 @@ and so does every probabilistic mixture of lists.  The entangled strategy
 gives each cyclic pair a match probability cos^2(pi/3) = 1/4, hence a sum of
 3/4, violating the bound while still answering identical questions
 identically every single round.
+
+Each entangled round inverts its pair's cumulative outcome distribution
+(uu, ud, du, dd) at one uniform draw u, with thresholds c0 <= c1 <= c2.  The
+answers agree iff the outcome is uu or dd, i.e. u < c0 or u >= c2, so the game
+counts matches straight from the thresholds.
 """
 
 from __future__ import annotations
@@ -58,8 +63,9 @@ def _joint_outcome_table() -> np.ndarray:
     return table
 
 
-# row j holds threshold c_j, the cumulative probability of outcomes 0..j, of pair 3 q_a + q_b
-_THRESHOLDS = np.cumsum(_joint_outcome_table(), axis=-1)[..., :3].reshape(9, 3).T
+# row j holds threshold c_j, the cumulative probability of outcomes 0..j, of pair 3 q_a + q_b;
+# copied C-contiguous because every round gathers from a row
+_THRESHOLDS = np.cumsum(_joint_outcome_table(), axis=-1)[..., :3].reshape(9, 3).T.copy()
 
 
 class MissingPairError(ValueError):
@@ -77,8 +83,10 @@ class LhvStrategy:
     def answer(self, question: Question) -> bool:
         return (self.alpha, self.beta, self.gamma)[question.value]
 
-    def _answer_lut(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta, self.gamma], dtype=bool)
+    def _pair_match(self) -> np.ndarray:
+        """Whether the list answers q_a and q_b alike, at index 3 q_a + q_b."""
+        answers = np.array([self.alpha, self.beta, self.gamma])
+        return (answers[:, None] == answers).ravel()
 
 
 def deterministic_strategies() -> tuple[LhvStrategy, ...]:
@@ -89,6 +97,10 @@ def deterministic_strategies() -> tuple[LhvStrategy, ...]:
         for b in (0, 1)
         for c in (0, 1)
     )
+
+
+# row l: the pair matches of answer list l, in deterministic_strategies() order
+_LIST_MATCH = np.array([s._pair_match() for s in deterministic_strategies()])
 
 
 @dataclass(frozen=True)
@@ -151,30 +163,39 @@ def quantum_answers(
     pair at its uniform draw in ``u``, so identical questions always give
     identical answers (their cross terms are exactly zero).  With outcomes
     uu, ud, du, dd and thresholds c0 <= c1 <= c2, A is up below c1 and B is
-    up below c0 or between c1 and c2.
+    up below c0 or between c1 and c2.  The answers agree iff the outcome is
+    uu or dd, i.e. u < c0 or u >= c2: the rule ``_play_block`` counts by.
     """
     c0, c1, c2 = _THRESHOLDS[:, 3 * q_a + q_b]
     return u < c1, (u < c0) | ((c1 <= u) & (u < c2))
 
 
 def _play_block(strategy, rng: np.random.Generator, size: int):
-    q_a = rng.integers(0, 3, size=size)
-    q_b = rng.integers(0, 3, size=size)
+    """Rounds and equal-answer rounds of one block, as 3x3 counts by question pair.
+
+    An entangled round's answers agree iff u < c0 or u >= c2 (uu or dd; see
+    ``quantum_answers``), so no answers are formed.  A list's rounds agree
+    where the list answers the pair alike.
+    """
+    # pair = 3 q_a + q_b, built in the buffer of q_a
+    pair = rng.integers(0, 3, size=size)
+    pair *= 3
+    pair += rng.integers(0, 3, size=size)
     if isinstance(strategy, QuantumStrategy):
-        yes_a, yes_b = quantum_answers(q_a, q_b, rng.random(size))
-        equal = yes_a == yes_b
+        u = rng.random(size)
+        equal = (u < _THRESHOLDS[0][pair]) | (u >= _THRESHOLDS[2][pair])
     elif isinstance(strategy, LhvStrategy):
-        lut = strategy._answer_lut()
-        equal = lut[q_a] == lut[q_b]
+        equal = strategy._pair_match()[pair]
     elif isinstance(strategy, MixedLhvStrategy):
-        luts = np.array([s._answer_lut() for s in deterministic_strategies()])
         pick = rng.choice(8, size=size, p=np.array(strategy.weights))
-        equal = luts[pick, q_a] == luts[pick, q_b]
+        equal = _LIST_MATCH[pick, pair]
     else:
         raise TypeError(f"unknown strategy type: {type(strategy).__name__}")
-    pair = 3 * q_a + q_b
-    rounds = np.bincount(pair, minlength=9).reshape(3, 3)
-    return rounds, np.bincount(pair[equal], minlength=9).reshape(3, 3)
+    # one bincount over cells 2 pair + equal counts rounds and matches together
+    pair *= 2
+    pair += equal
+    counts = np.bincount(pair, minlength=18).reshape(3, 3, 2)
+    return counts.sum(axis=2), counts[..., 1]
 
 
 def run_game(strategy, n_rounds: int, seed: int, threads: int = 1) -> GameStats:

@@ -111,10 +111,28 @@ def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> 
     return scale * 0.5 * (z + z.conj().T)
 
 
+def haar_kets(rng: np.random.Generator, n: int, *dims: int) -> tuple[np.ndarray, ...]:
+    """``n`` uniformly random unit vectors per subsystem dimension, from one draw.
+
+    Row k of the draw holds the real and then the imaginary parts of each
+    subsystem in turn, the stream that alternating ``haar_ket`` calls consume,
+    and each row is normalised as ``np.linalg.norm`` normalises one vector, so
+    both give the same bits.  Returns one (n, dim) array per dimension.
+    """
+    draw = rng.normal(size=(n, 2 * sum(dims)))
+    kets, start = [], 0
+    for dim in dims:
+        z = draw[:, start : start + dim] + 1j * draw[:, start + dim : start + 2 * dim]
+        norms = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
+        kets.append(z / norms[:, None])
+        start += 2 * dim
+    return tuple(kets)
+
+
 def haar_ket(rng: np.random.Generator, dim: int) -> Ket:
     """Uniformly random pure state of one subsystem."""
-    z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return Ket(z / np.linalg.norm(z))
+    (z,) = haar_kets(rng, 1, dim)
+    return Ket(z[0])
 
 
 def _sample_times(t_final: float, n_samples: int) -> np.ndarray:
@@ -201,9 +219,7 @@ def theorem_witness(
     if n_product_samples < 1:
         raise ValueError("need at least one product sample")
     rng = np.random.default_rng(seed)
-    kets = [(haar_ket(rng, H.d_a), haar_ket(rng, H.d_b)) for _ in range(n_product_samples)]
-    kets_a = np.array([a.amplitudes for a, _ in kets])
-    kets_b = np.array([b.amplitudes for _, b in kets])
+    kets_a, kets_b = haar_kets(rng, n_product_samples, H.d_a, H.d_b)
     initial = (kets_a[:, :, None] * kets_b[:, None, :]).reshape(n_product_samples, -1)
     propagate = _propagator(H, _sample_times(t_final, n_time_samples))
     per_sample = np.concatenate([

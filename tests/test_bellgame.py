@@ -20,6 +20,7 @@ from entanglab.bellgame import (
     quantum_answers,
     run_game,
 )
+from entanglab.bellgame import _THRESHOLDS, BLOCK_SIZE, _play_block
 
 
 class TestQuestions:
@@ -47,6 +48,52 @@ class TestQuantumRound:
         p_hat = np.count_nonzero(a == b) / n
         sigma = math.sqrt(0.25 * 0.75 / n)
         assert abs(p_hat - 0.25) < 3 * sigma
+
+
+class _Scripted:
+    """Stands in for a block's generator: hands out fixed q_a, q_b and u in draw order."""
+
+    def __init__(self, q_a, q_b, u):
+        self._ints = [np.array(q_a), np.array(q_b)]
+        self._u = np.asarray(u, dtype=float)
+
+    def integers(self, low, high, size):
+        return self._ints.pop(0)
+
+    def random(self, size):
+        return self._u
+
+
+def _quantum_block_equal(q_a, q_b, u):
+    """The 3x3 equal-answer counts the game's block takes for these rounds."""
+    return _play_block(QuantumStrategy(), _Scripted(q_a, q_b, u), len(u))[1]
+
+
+class TestMatchRule:
+    """The block counts a match when u < c0 or u >= c2; the answers must agree."""
+
+    def test_rule_agrees_with_the_answers_at_every_threshold(self):
+        for pair in range(9):
+            q_a, q_b = divmod(pair, 3)
+            for c in _THRESHOLDS[:, pair]:
+                for u in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf)):
+                    yes_a, yes_b = quantum_answers(np.array([q_a]), np.array([q_b]), np.array([u]))
+                    counted = _quantum_block_equal([q_a], [q_b], [u])
+                    assert counted[q_a, q_b] == int(yes_a[0] == yes_b[0]), (pair, u)
+                    assert counted.sum() == counted[q_a, q_b]
+
+    def test_rule_agrees_with_the_answers_on_random_draws(self):
+        rng = np.random.default_rng(19)
+        n = 1_000_000
+        q_a, q_b, u = rng.integers(0, 3, n), rng.integers(0, 3, n), rng.random(n)
+        yes_a, yes_b = quantum_answers(q_a, q_b, u)
+        pair = 3 * q_a + q_b
+        expected = np.bincount(pair[yes_a == yes_b], minlength=9).reshape(3, 3)
+        assert np.array_equal(_quantum_block_equal(q_a, q_b, u), expected)
+
+    def test_thresholds_are_ordered_per_pair(self):
+        assert _THRESHOLDS.shape == (3, 9)
+        assert np.all(np.diff(_THRESHOLDS, axis=0) >= 0)
 
 
 class TestAnalyticValues:
@@ -125,9 +172,31 @@ class TestRunGame:
         assert abs(value - 1.5) < sigma
 
     def test_same_question_mismatch_count_is_zero(self):
-        stats = run_game(QuantumStrategy(), 90_000, seed=8)
+        stats = run_game(QuantumStrategy(), 200_000, seed=8)
         for q in QUESTIONS:
             assert stats.equal[q.value, q.value] == stats.rounds[q.value, q.value]
+
+    # Counts of 3 * BLOCK_SIZE + 1234 rounds (four blocks) at seed 2024, recorded
+    # before the block counted matches from the thresholds; every strategy draws
+    # the same question pairs, so the rounds are shared.
+    PINNED_ROUNDS = [[5520, 5624, 5610], [5533, 5656, 5570], [5656, 5637, 5580]]
+    PINNED_EQUAL = {
+        "quantum": [[5520, 1438, 1403], [1339, 5656, 1339], [1362, 1456, 5580]],
+        "list": [[5520, 0, 5610], [0, 5656, 0], [5656, 0, 5580]],
+        "mixed": [[5520, 3373, 1982], [3305, 5656, 2441], [1987, 2501, 5580]],
+    }
+    PINNED_STRATEGIES = {
+        "quantum": QuantumStrategy(),
+        "list": LhvStrategy(True, False, True),
+        "mixed": MixedLhvStrategy((0.1, 0.2, 0.05, 0.15, 0.1, 0.1, 0.2, 0.1)),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("name", sorted(PINNED_EQUAL))
+    def test_counts_are_pinned(self, name, threads):
+        stats = run_game(self.PINNED_STRATEGIES[name], 3 * BLOCK_SIZE + 1234, 2024, threads)
+        assert stats.rounds.tolist() == self.PINNED_ROUNDS
+        assert stats.equal.tolist() == self.PINNED_EQUAL[name]
 
     def test_rejects_non_positive_rounds(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from entanglab.finite import (
     BipartiteHamiltonian,
     evolve_finite,
     haar_ket,
+    haar_kets,
     kron_pair,
     non_interacting,
     random_hermitian,
@@ -130,6 +131,21 @@ class TestSplitHamiltonian:
             assert abs(np.trace(term.conj().T @ residual)) < 1e-10
 
 
+class TestHaarDraw:
+    @pytest.mark.parametrize("d_a, d_b", [(3, 2), (4, 4), (16, 16)])
+    def test_one_draw_equals_one_vector_at_a_time(self, d_a, d_b):
+        # Reference: each vector drawn as re then im and divided by np.linalg.norm.
+        def one(rng, dim):
+            z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            return z / np.linalg.norm(z)
+
+        rng = np.random.default_rng(18)
+        pairs = [(one(rng, d_a), one(rng, d_b)) for _ in range(500)]
+        kets_a, kets_b = haar_kets(np.random.default_rng(18), 500, d_a, d_b)
+        assert np.array_equal(kets_a, [a for a, _ in pairs])
+        assert np.array_equal(kets_b, [b for _, b in pairs])
+
+
 class TestTheoremWitness:
     def test_factorized_hamiltonian_generates_nothing(self):
         H = non_interacting(SIGMA_Z, SIGMA_X)
@@ -182,7 +198,7 @@ class TestTheoremWitness:
         ]
         assert np.max(np.abs(report.per_sample_max - expected)) < 1e-12
         worst = initial[int(np.argmax(expected))].amplitudes
-        assert np.max(np.abs(report.worst_initial_state.amplitudes - worst)) < 1e-12
+        assert np.array_equal(report.worst_initial_state.amplitudes, worst)
         assert report.max_entanglement == np.max(report.per_sample_max)
 
     @pytest.mark.parametrize("t_final, n_time_samples", [(0.0, 9), (-1.0, 9), (1.0, 0)])
