@@ -54,13 +54,26 @@ def _finite(text: str) -> float:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object as a dict; a key given twice is refused, not overwritten."""
+    section = dict(pairs)
+    if len(section) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ConfigError(f"config key '{repeated}' is given more than once")
+    return section
+
+
 def load_config(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
         config = json.loads(
-            path.read_text(encoding="utf-8"), parse_float=_finite, parse_constant=_finite
+            path.read_text(encoding="utf-8"),
+            object_pairs_hook=_unique_keys,
+            parse_float=_finite,
+            parse_constant=_finite,
         )
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"config file cannot be read as UTF-8: {err}") from err
@@ -478,7 +491,7 @@ def parse_evolve(config: dict, args) -> tuple:
         write_csv(out / "trajectory.csv", trajectory.table())
         summary = {
             "final_entropy_bits": float(trajectory.entropy_bits[-1]),
-            "max_entropy_bits": float(np.max(trajectory.entropy_bits)),
+            "max_entropy_bits": trajectory.max_entropy_bits,
             "max_norm_drift": float(np.max(np.abs(trajectory.norms - 1.0))),
             "max_relative_energy_drift": float(
                 np.max(np.abs(trajectory.energies - trajectory.energies[0]))
@@ -546,9 +559,11 @@ def parse_islands(config: dict, args) -> tuple:
         ratio_key, scan = "width_ratios", islands.material_point_scan
         point_fixture = islands.material_point_fixture
     ratios, point_where = fields[ratio_key], f"{where}.{ratio_key}"
+    # a width ratio sets the packets' sigma; a mass ratio leaves them as configured
+    packets_where = point_where if kind == "material_point" else where
     for ratio in ratios:  # build each scan point as the scan will, so a bad one fails here
         point = _build(point_where, point_fixture, base, ratio)
-        _build(point_where, grid.init_product, point.packet_a, point.packet_b, point.spec)
+        _build(packets_where, grid.init_product, point.packet_a, point.packet_b, point.spec)
     outputs = ["islands.csv", "islands.json"]
     if fields["write_trajectories"]:
         outputs += [f"islands_point_{k}.csv" for k in range(len(ratios))]

@@ -22,7 +22,8 @@ both substeps, so the lightest channels, whose weights sum to at most
 CHANNEL_DUST (1e-20) of the total, are dropped at the start: the norm moves
 by at most 1e-20 and the amplitudes by at most 1e-10 relative in 2-norm,
 and the error never grows.  ``packet_factors`` refuses a packet that does
-not fit the box or whose momentum lies outside the lattice band [-pi/dx, pi/dx).
+not fit the box, leaves no amplitude on the lattice, or whose momentum lies
+outside the lattice band [-pi/dx, pi/dx).
 
 Entanglement is tracked through the singular values of the amplitude grid,
 which are the Schmidt coefficients of the discretized state.  A unitary FFT
@@ -200,7 +201,7 @@ class Observables(NamedTuple):
 
 @dataclass(frozen=True)
 class GridTrajectory:
-    """Sampled observables of one split-step run plus the final state."""
+    """Sampled observables of one split-step run: one entry per sample in every column."""
 
     times: np.ndarray
     norms: np.ndarray
@@ -210,14 +211,16 @@ class GridTrajectory:
     x_b: np.ndarray
     p_a: np.ndarray
     p_b: np.ndarray
-    final_state: "Wavefunction2P"
 
     @classmethod
-    def of(cls, steps, samples: list[GridSample], dt: float, final_state: Wavefunction2P):
+    def of(cls, steps, samples: list[GridSample], dt: float):
         """The columns of a run sampled at ``steps``: the one place samples are stacked."""
         norms, x_a, x_b, p_a, p_b, energies, bits = np.array(samples).T
-        times = np.array(steps) * dt
-        return cls(times, norms, energies, bits, x_a, x_b, p_a, p_b, final_state)
+        return cls(np.array(steps) * dt, norms, energies, bits, x_a, x_b, p_a, p_b)
+
+    @property
+    def max_entropy_bits(self) -> float:
+        return float(np.max(self.entropy_bits))
 
     def table(self) -> dict:
         """The columns of ``trajectory.csv``, keyed by header name in file order."""
@@ -235,10 +238,11 @@ class GridTrajectory:
 
 def gaussian_wave(x: np.ndarray, packet: GaussianPacket, dx: float) -> np.ndarray:
     """Packet amplitudes on a coordinate array, normalized by quadrature."""
-    psi = np.exp(
-        -((x - packet.center) ** 2) / (4.0 * packet.sigma**2) + 1j * packet.momentum * x
-    )
-    return psi / math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dx)
+    with np.errstate(all="ignore"):  # no weight on the lattice gives NaN, for packet_factors
+        psi = np.exp(
+            -((x - packet.center) ** 2) / (4.0 * packet.sigma**2) + 1j * packet.momentum * x
+        )
+        return psi / math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dx)
 
 
 def packet_factors(
@@ -248,9 +252,11 @@ def packet_factors(
 
     A packet centred outside [-length/2, length/2) would be a tail cut at the
     seam, or no amplitude at all, and a momentum outside [-pi/dx, pi/dx) would
-    alias to another lattice momentum, so both are refused.
+    alias to another lattice momentum, so both are refused.  So is a packet
+    too narrow to leave a normalized row on the lattice.
     """
     nyquist = math.pi / spec.dx
+    factors = []
     for side, packet in (("A", packet_a), ("B", packet_b)):
         if packet.sigma >= spec.length / 8:
             raise PacketTooWideError(
@@ -263,7 +269,10 @@ def packet_factors(
                 f"packet {side} momentum {packet.momentum:g} lies outside the lattice band"
                 f" [-pi/dx, pi/dx) = [{-nyquist:g}, {nyquist:g})"
             )
-    return np.array([gaussian_wave(spec.x, packet, spec.dx) for packet in (packet_a, packet_b)])
+        factors.append(gaussian_wave(spec.x, packet, spec.dx))
+        if not abs(np.sum(np.abs(factors[-1]) ** 2) * spec.dx - 1.0) <= NORM_TOL:  # NaN fails too
+            raise ValueError(f"packet {side} has no amplitude on the grid (sigma {packet.sigma:g})")
+    return np.array(factors)
 
 
 def init_product(
@@ -497,7 +506,7 @@ def evolve_split_step(
 ) -> GridTrajectory:
     """Evolve and record norm, energy, entanglement, and Ehrenfest means."""
     steps, samples = [], []
-    for step, grid, sample in probe_split_step(psi, potential, dt, n_steps, sample_every):
+    for step, _, sample in probe_split_step(psi, potential, dt, n_steps, sample_every):
         steps.append(step)
         samples.append(sample)
-    return GridTrajectory.of(steps, samples, dt, Wavefunction2P(grid, psi.spec))
+    return GridTrajectory.of(steps, samples, dt)

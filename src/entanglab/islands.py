@@ -33,44 +33,12 @@ from .grid import (
     GridTrajectory,
     PotentialSpec,
     Wavefunction2P,
-    init_product,
     iterate_split_step,  # noqa: F401 - unused, but perfbench/tracing.py wraps it here
     packet_factors,
     potential_on_grid,
     probe_split_step,
     strang_step,
 )
-
-FACTOR_NORM_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class HartreePair:
-    """Factorized two-particle state: the normalized factors (psi_A, psi_B) as a (2, n) stack."""
-
-    factors: np.ndarray
-    spec: GridSpec
-
-    def __post_init__(self):
-        factors = np.array(self.factors, dtype=complex)
-        if factors.shape != (2, self.spec.n):
-            raise ValueError(f"factors of shape {factors.shape} must be (2, n) for the grid spec")
-        factors.flags.writeable = False
-        object.__setattr__(self, "factors", factors)
-        for side, norm in zip("AB", self.norms()):
-            if not abs(norm - 1.0) <= FACTOR_NORM_TOL:  # NaN fails too
-                raise ValueError(f"factor {side} is not normalized")
-
-    def norms(self) -> tuple[float, float]:
-        norm_a, norm_b = np.sum(np.abs(self.factors) ** 2, axis=1) * self.spec.dx
-        return float(norm_a), float(norm_b)
-
-
-def init_hartree(
-    packet_a: GaussianPacket, packet_b: GaussianPacket, spec: GridSpec
-) -> HartreePair:
-    return HartreePair(packet_factors(packet_a, packet_b, spec), spec)
-
 
 def _mean_field(spec: GridSpec, potential: PotentialSpec):
     """The map from stacked densities (rho_A dx, rho_B dx) to stacked potentials.
@@ -86,7 +54,8 @@ def _mean_field(spec: GridSpec, potential: PotentialSpec):
 
 
 def iterate_hartree(
-    pair: HartreePair,
+    factors: np.ndarray,
+    spec: GridSpec,
     potential: PotentialSpec | None,
     dt: float,
     n_steps: int,
@@ -94,17 +63,17 @@ def iterate_hartree(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Coupled split-step mean-field evolution, yielding factor copies at samples.
 
-    Both factors step as the rows of one state, one FFT call per substep.  The
-    effective potentials are refreshed from the densities at the start of
-    each step and held for both half phases of that step, so a frozen partner
-    density reproduces the single-particle scheme in a static potential.
+    ``factors`` is the (2, n) stack of ``packet_factors``, stepped in a copy
+    as the rows of one state, one FFT call per substep.  The effective
+    potentials are refreshed from the densities at the start of each step and
+    held for both half phases of that step, so a frozen partner density
+    reproduces the single-particle scheme in a static potential.
     """
     if dt <= 0 or n_steps < 1 or sample_every < 1:
         raise ValueError("need positive dt, n_steps and sample_every")
-    spec = pair.spec
     mean_field = None if potential is None else _mean_field(spec, potential)
     kinetic = np.exp(-1j * dt * np.array(spec.kinetic()))
-    factors = np.array(pair.factors)
+    factors = np.array(factors, dtype=complex)
     half_v = None
     yield (0, *factors.copy())
     for step in range(1, n_steps + 1):
@@ -208,7 +177,7 @@ class CollisionRun:
 
     @property
     def max_entropy_bits(self) -> float:
-        return float(np.max(self.full.entropy_bits))
+        return self.full.max_entropy_bits
 
     @property
     def final_fidelity(self) -> float:
@@ -244,11 +213,12 @@ class CollisionRun:
 
 
 def run_collision(fixture: CollisionFixture) -> CollisionRun:
-    """Run the full solver and the mean-field solver in lockstep."""
+    """Run the full solver and the mean-field solver in lockstep from one packet stack."""
     spec = fixture.spec
     stepping = (fixture.potential, fixture.dt, fixture.n_steps, fixture.sample_every)
-    full = probe_split_step(init_product(fixture.packet_a, fixture.packet_b, spec), *stepping)
-    mean_field = iterate_hartree(init_hartree(fixture.packet_a, fixture.packet_b, spec), *stepping)
+    factors = packet_factors(fixture.packet_a, fixture.packet_b, spec)
+    full = probe_split_step(Wavefunction2P(np.outer(*factors), spec), *stepping)
+    mean_field = iterate_hartree(factors, spec, *stepping)
     steps, samples, fid = [], [], []
     for (step, grid, sample), (step_h, a, b) in zip(full, mean_field):
         assert step == step_h
@@ -266,7 +236,7 @@ def run_collision(fixture: CollisionFixture) -> CollisionRun:
     )
     assert cl_times.size == len(steps)
     return CollisionRun(
-        full=GridTrajectory.of(steps, samples, fixture.dt, Wavefunction2P(grid, spec)),
+        full=GridTrajectory.of(steps, samples, fixture.dt),
         fidelity=np.array(fid),
         classical_x_a=cl_a,
         classical_x_b=cl_b,
@@ -296,14 +266,13 @@ class RegimeScanResult:
         }
 
 
-def _scan(fixtures: list[CollisionFixture], parameters, threads: int) -> RegimeScanResult:
-    if threads > 1 and len(fixtures) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(run_collision, fixtures))
-    else:
-        runs = [run_collision(f) for f in fixtures]
+def _scan(point_fixture, ratios, base: CollisionFixture, threads: int) -> RegimeScanResult:
+    """Run ``point_fixture(base, ratio)`` for every ratio, largest first: the one scan body."""
+    ratios = sorted((float(r) for r in ratios), reverse=True)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        runs = list(pool.map(run_collision, [point_fixture(base, r) for r in ratios]))
     return RegimeScanResult(
-        parameters=np.array(parameters, dtype=float),
+        parameters=np.array(ratios),
         max_entropy_bits=np.array([r.max_entropy_bits for r in runs]),
         final_fidelity=np.array([r.final_fidelity for r in runs]),
         min_fidelity=np.array([r.min_fidelity for r in runs]),
@@ -338,9 +307,7 @@ def test_particle_scan(mass_ratios, base: CollisionFixture, threads: int = 1) ->
     target, the less which-path information the target acquires, and the
     maximum entanglement along the run falls.  The scan is deterministic.
     """
-    ratios = sorted((float(r) for r in mass_ratios), reverse=True)
-    fixtures = [test_particle_fixture(base, r) for r in ratios]
-    return _scan(fixtures, ratios, threads)
+    return _scan(test_particle_fixture, mass_ratios, base, threads)
 
 
 def material_point_scan(width_ratios, base: CollisionFixture, threads: int = 1) -> RegimeScanResult:
@@ -350,6 +317,4 @@ def material_point_scan(width_ratios, base: CollisionFixture, threads: int = 1) 
     support, which keeps the state factorized and the Ehrenfest means glued
     to the classical two-body trajectory.
     """
-    ratios = sorted((float(r) for r in width_ratios), reverse=True)
-    fixtures = [material_point_fixture(base, r) for r in ratios]
-    return _scan(fixtures, ratios, threads)
+    return _scan(material_point_fixture, width_ratios, base, threads)

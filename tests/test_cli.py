@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -636,6 +637,80 @@ SEEDED_RUNS = {
         tiny_grid_config(kind="material_point", width_ratios=[0.5], seed=1), "islands.json"
     ),
 }
+
+
+class TestDuplicateConfigKeys:
+    """json keeps the last of two equal keys, and the manifest hashes the parsed dict."""
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            (
+                "bellgame",
+                '{"strategy": "quantum", "n_rounds": 100, "n_rounds": 200, "seed": 1}',
+                "n_rounds",
+            ),
+            (
+                "evolve",
+                json.dumps(tiny_grid_config()).replace('"n": 32', '"n": 32, "n": 64'),
+                "n",
+            ),
+        ],
+        ids=["top_level", "nested_grid_n"],
+    )
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, command, text, key):
+        path = tmp_path / "c.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config key '{key}' is given more than once" in err
+        assert not (out / "manifest.json").exists()
+
+    def test_equal_keys_in_different_objects_are_kept(self, tmp_path):
+        config = tiny_grid_config()  # "center" and "sigma" appear in both packets
+        assert load_config(write_config(tmp_path, "c.json", config)) == config
+
+
+# (command, valid config, where the error is reported)
+NO_LATTICE_WEIGHT = {
+    "evolve": (
+        "evolve", json.loads((FIXTURES / "convergence_small.json").read_text()), "evolve config:"
+    ),
+    "islands_test_particle": (
+        "islands",
+        tiny_grid_config(kind="test_particle", mass_ratios=[1.0, 0.1], seed=0),
+        "islands config:",  # the mass ratio leaves the packets as configured
+    ),
+}
+
+
+class TestPacketWithoutLatticeWeight:
+    @pytest.mark.parametrize("case", sorted(NO_LATTICE_WEIGHT))
+    def test_refused_by_name_without_warning(self, tmp_path, capsys, case):
+        command, config, where = NO_LATTICE_WEIGHT[case]
+        config = json.loads(json.dumps(config))
+        # far narrower than the lattice spacing and centred between two lattice points
+        config["packet_a"].update(sigma=1e-200, center=-6.1)
+        path = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert f"config error: {where} packet A has no amplitude on the grid" in err
+        assert "RuntimeWarning" not in err
+        assert not (out / "manifest.json").exists()
+
+    def test_material_point_blames_the_width_ratio(self, tmp_path, capsys):
+        config = tiny_grid_config(kind="material_point", width_ratios=[0.5, 1e-200], seed=0)
+        path = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "out"
+        assert main(["islands", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "islands config.width_ratios: packet A has no amplitude on the grid" in err
+        assert not (out / "manifest.json").exists()
 
 
 class TestSeedFlagOverridesConfigSeed:

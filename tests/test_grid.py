@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from entanglab.grid import (
     init_product,
     iterate_split_step,
     minimal_image,
+    packet_factors,
     potential_on_grid,
     probe_split_step,
 )
@@ -162,6 +164,17 @@ class TestInitProduct:
         with pytest.raises(ValueError, match="centred outside its box"):
             init_product(inside, GaussianPacket(center, 1.0, 0.0), small_spec())
 
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-160, 1e-100])
+    def test_packet_with_no_lattice_weight_rejected_without_warning(self, sigma):
+        # -6.1 lies between lattice points: the packet's every sample underflows to 0
+        inside, spec = GaussianPacket(0.0, 1.0, 0.0), small_spec()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="packet A has no amplitude"):
+                packet_factors(GaussianPacket(-6.1, sigma, 0.0), inside, spec)
+            with pytest.raises(ValueError, match="packet B has no amplitude"):
+                packet_factors(inside, GaussianPacket(-6.1, sigma, 0.0), spec)
+
     def test_nan_grid_rejected(self):
         grid = np.full((64, 64), np.nan, dtype=complex)
         with pytest.raises(ValueError, match="not normalized"):
@@ -176,8 +189,9 @@ class TestEntropyGridConventions:
         grid[10, 20] = grid[30, 40] = 1.0 / math.sqrt(2.0 * cell)
         psi = Wavefunction2P(grid, spec)
         assert entanglement_entropy_bits(psi) == pytest.approx(1.0, abs=1e-12)
-        trajectory = GridTrajectory.of([0], [GridProbe(spec, None)(psi.grid)], 0.01, psi)
+        trajectory = GridTrajectory.of([0], [GridProbe(spec, None)(psi.grid)], 0.01)
         assert trajectory.entropy_bits[0] == pytest.approx(1.0, abs=1e-12)
+        assert trajectory.max_entropy_bits == trajectory.entropy_bits[0]
 
 
 class TestEhrenfestObservables:
@@ -256,8 +270,8 @@ class TestSplitStepEvolution:
         psi = init_product(
             GaussianPacket(-5.0, 1.0, 1.5), GaussianPacket(5.0, 1.0, -1.5), spec
         )
-        traj = evolve_split_step(psi, pot, 0.005, 600, 600)
-        grid = traj.final_state.grid * math.sqrt(spec.dx * spec.dx)
+        *_, (_, grid) = iterate_split_step(psi, pot, 0.005, 600, 600)
+        grid = grid * math.sqrt(spec.dx * spec.dx)
         p_a = np.linalg.eigvalsh(grid @ grid.conj().T)
         p_b = np.linalg.eigvalsh(grid.T @ grid.conj())
 

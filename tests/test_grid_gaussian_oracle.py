@@ -10,6 +10,13 @@ equations, the energy is conserved, and A's entanglement entropy follows from
 the symplectic eigenvalue nu = sqrt(det Sigma_A) of A's (x, p) covariance:
 S = (nu + 1/2) log2(nu + 1/2) - (nu - 1/2) log2(nu - 1/2).
 
+The mean-field (Hartree) factors stay Gaussian too: A feels
+kappa/2 [(x - <x_B>)^2 + Var_B], so its covariance follows an oscillator of
+frequency sqrt(kappa / m_A), Var_B is only a phase, and the means obey the
+same Newton equations as the exact state.  Two pure Gaussians with equal
+means overlap with F = det(Sigma_full + Sigma_Hartree)^(-1/2), in the
+convention where Var x Var p = 1/4 for a minimal packet.
+
 The coupling is a duck-typed stand-in for ``PotentialSpec``: the grid reads
 a potential only through ``evaluate`` and the classical comparator only
 through ``derivative``.  The run stops at t = 3, before more than 1e-20 of
@@ -22,7 +29,7 @@ import numpy as np
 import pytest
 
 from entanglab.grid import GaussianPacket, GridSpec, evolve_split_step, init_product
-from entanglab.islands import classical_two_body
+from entanglab.islands import CollisionFixture, classical_two_body, run_collision
 
 KAPPA, M_A, M_B, LENGTH, T_FINAL = 0.3, 1.0, 2.0, 32.0, 3.0
 PACKET_A, PACKET_B = GaussianPacket(-2.0, 1.0, 1.0), GaussianPacket(2.0, 0.8, -0.5)
@@ -69,19 +76,37 @@ def phase_space_flow(t):
     return np.linalg.solve(to_normal, normal_flow @ to_normal)
 
 
+INITIAL_COVARIANCE = np.diag(
+    [
+        PACKET_A.sigma**2,
+        PACKET_B.sigma**2,
+        1.0 / (4.0 * PACKET_A.sigma**2),
+        1.0 / (4.0 * PACKET_B.sigma**2),
+    ]
+)
+
+
 def closed_form(t):
     """(means, covariance) of (x_A, x_B, p_A, p_B) at time t."""
     means = np.array([PACKET_A.center, PACKET_B.center, PACKET_A.momentum, PACKET_B.momentum])
-    covariance = np.diag(
-        [
-            PACKET_A.sigma**2,
-            PACKET_B.sigma**2,
-            1.0 / (4.0 * PACKET_A.sigma**2),
-            1.0 / (4.0 * PACKET_B.sigma**2),
-        ]
-    )
     flow = phase_space_flow(t)
-    return flow @ means, flow @ covariance @ flow.T
+    return flow @ means, flow @ INITIAL_COVARIANCE @ flow.T
+
+
+def hartree_flow(t):
+    """The 4 x 4 map of each Hartree factor's (x, p): an oscillator of frequency sqrt(kappa/m)."""
+    flow = np.zeros((4, 4))
+    for x, p, mass in ((0, 2, M_A), (1, 3, M_B)):
+        omega = math.sqrt(KAPPA / mass)
+        c, s = math.cos(omega * t), math.sin(omega * t)
+        flow[np.ix_([x, p], [x, p])] = [[c, s / (mass * omega)], [-mass * omega * s, c]]
+    return flow
+
+
+def mean_field_fidelity(t):
+    """|<psi_A psi_B | Psi>|^2 of the Hartree product against the exact state at time t."""
+    flow = hartree_flow(t)
+    return np.linalg.det(closed_form(t)[1] + flow @ INITIAL_COVARIANCE @ flow.T) ** -0.5
 
 
 def entropy_bits(covariance):
@@ -131,6 +156,56 @@ TOLERANCES = {
     (128, 0.005): {"entropy": 4e-6, "x": 8e-6, "p": 8e-6, "energy": 1.5e-5},
     (128, 0.0025): {"entropy": 1e-6, "x": 2e-6, "p": 2e-6, "energy": 4e-6},
 }
+
+
+@pytest.fixture(scope="module")
+def mean_field_errors():
+    """Max deviation of ``run_collision``'s columns from the closed form, per run in RUNS."""
+    out = {}
+    for n, dt in RUNS:
+        n_steps = round(T_FINAL / dt)
+        fixture = CollisionFixture(
+            GridSpec(n, LENGTH, M_A, M_B), PACKET_A, PACKET_B, Harmonic(KAPPA),
+            dt, n_steps, n_steps // SAMPLES,
+        )
+        run = run_collision(fixture)
+        exact = np.array([mean_field_fidelity(t) for t in run.full.times])
+        out[n, dt] = {
+            "fidelity": np.max(np.abs(run.fidelity - exact)),
+            "min_fidelity": run.min_fidelity,
+            "trajectory_deviation": run.trajectory_deviation,
+        }
+    return out
+
+
+# measured on these runs: 1.98e-5 / 4.94e-6 / 1.23e-6 in the fidelity and a trajectory
+# deviation of 1.49e-5 / 3.72e-6 / 9.30e-7; each bound is about twice that
+MEAN_FIELD_TOLERANCES = {
+    (64, 0.01): {"fidelity": 4e-5, "trajectory_deviation": 3e-5},
+    (128, 0.005): {"fidelity": 1e-5, "trajectory_deviation": 8e-6},
+    (128, 0.0025): {"fidelity": 2.5e-6, "trajectory_deviation": 2e-6},
+}
+
+
+class TestMeanFieldClosedForm:
+    @pytest.mark.parametrize("run", RUNS)
+    @pytest.mark.parametrize("quantity", ["fidelity", "trajectory_deviation"])
+    def test_matches_closed_form(self, mean_field_errors, run, quantity):
+        assert mean_field_errors[run][quantity] <= MEAN_FIELD_TOLERANCES[run][quantity]
+
+    def test_mean_field_is_exercised_away_from_one(self, mean_field_errors):
+        # the closed-form fidelity falls to 0.785880 by t = 3 over the sampled times
+        assert min(mean_field_fidelity(t) for t in np.linspace(0.0, T_FINAL, SAMPLES + 1)) == (
+            pytest.approx(0.785880, abs=1e-6)
+        )
+        for run in RUNS:
+            assert mean_field_errors[run]["min_fidelity"] == pytest.approx(0.785880, abs=5e-5)
+
+    @pytest.mark.parametrize("quantity", ["fidelity", "trajectory_deviation"])
+    def test_error_falls_fourfold_per_dt_halving(self, mean_field_errors, quantity):
+        coarse, fine, finer = (mean_field_errors[run][quantity] for run in RUNS)
+        assert coarse / fine == pytest.approx(4.0, rel=0.15)
+        assert fine / finer == pytest.approx(4.0, rel=0.15)
 
 
 class TestHarmonicClosedForm:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,16 +14,15 @@ from entanglab.grid import (
     gaussian_wave,
     init_product,
     minimal_image,
+    packet_factors,
     potential_on_grid,
 )
 from entanglab import islands
 from entanglab.islands import (
     CollisionFixture,
-    HartreePair,
     _mean_field,
     _overlap_fidelity,
     classical_two_body,
-    init_hartree,
     iterate_hartree,
     material_point_fixture,
     material_point_scan,
@@ -50,40 +50,15 @@ def small_fixture(**overrides):
     return CollisionFixture(**params)
 
 
-class TestHartreePair:
-    def test_rejects_unnormalized_factor(self):
-        spec = small_spec()
-        good = gaussian_wave(spec.x, GaussianPacket(0.0, 1.0, 0.0), spec.dx)
-        with pytest.raises(ValueError, match="not normalized"):
-            HartreePair([good * 2.0, good], spec)
-        with pytest.raises(ValueError, match="not normalized"):
-            HartreePair([good * np.nan, good], spec)
-
-    @pytest.mark.parametrize("shape", [(64,), (1, 64), (3, 64), (2, 32), (64, 2)])
-    def test_rejects_a_stack_not_of_shape_two_by_n(self, shape):
-        spec = small_spec()
-        factors = np.ones(shape) / np.sqrt(spec.length)  # unit rows on 64 points
-        with pytest.raises(ValueError, match=r"must be \(2, n\)"):
-            HartreePair(factors, spec)
-
-    def test_norms(self):
-        pair = init_hartree(
-            GaussianPacket(-3.0, 1.0, 1.0), GaussianPacket(3.0, 0.8, 0.0), small_spec()
-        )
-        norm_a, norm_b = pair.norms()
-        assert norm_a == pytest.approx(1.0, abs=1e-10)
-        assert norm_b == pytest.approx(1.0, abs=1e-10)
-
-
 class TestEffectivePotentials:
     def test_spectral_convolution_matches_direct_sum(self):
         spec = small_spec()
-        pair = init_hartree(
+        factors = packet_factors(
             GaussianPacket(-3.0, 1.0, 1.0), GaussianPacket(3.0, 0.7, 0.0), spec
         )
         pot = PotentialSpec("gaussian_well", 1.3, 1.5)
         rng = np.random.default_rng(0)
-        rho_a, rho_b = np.abs(pair.factors) ** 2 * spec.dx
+        rho_a, rho_b = np.abs(factors) ** 2 * spec.dx
         v_a, v_b = _mean_field(spec, pot)(np.array([rho_a, rho_b]))
         for i in rng.integers(0, spec.n, 10):
             direct_a = float(
@@ -97,11 +72,11 @@ class TestEffectivePotentials:
 
     def test_soft_coulomb_also_agrees(self):
         spec = small_spec()
-        pair = init_hartree(
+        factors = packet_factors(
             GaussianPacket(-2.0, 1.0, 0.0), GaussianPacket(2.0, 1.0, 0.0), spec
         )
         pot = PotentialSpec("soft_coulomb", 0.5, 1.0)
-        rho_a, rho_b = np.abs(pair.factors) ** 2 * spec.dx
+        rho_a, rho_b = np.abs(factors) ** 2 * spec.dx
         v_a, _ = _mean_field(spec, pot)(np.array([rho_a, rho_b]))
         i = 17
         direct = float(
@@ -114,8 +89,8 @@ class TestHartreeEvolve:
     def test_free_limit_matches_single_particle_oracle(self):
         spec = small_spec()
         packet = GaussianPacket(-3.0, 1.0, 1.5)
-        pair = init_hartree(packet, GaussianPacket(3.0, 0.8, -0.5), spec)
-        *_, (_, psi_a, _) = iterate_hartree(pair, None, 0.01, 300, 300)
+        factors = packet_factors(packet, GaussianPacket(3.0, 0.8, -0.5), spec)
+        *_, (_, psi_a, _) = iterate_hartree(factors, spec, None, 0.01, 300, 300)
         # oracle: exact free propagator, diagonal in momentum space
         t = 3.0
         phase = np.exp(-1j * t * spec.k**2 / 2.0)
@@ -128,10 +103,10 @@ class TestHartreeEvolve:
         spec = small_spec(m_b=math.inf)
         pot = PotentialSpec("gaussian_well", 1.0, 1.5)
         packet_a = GaussianPacket(-4.0, 1.0, 1.5)
-        pair = init_hartree(packet_a, GaussianPacket(3.0, 0.5, 0.0), spec)
-        v_static, _ = _mean_field(spec, pot)(np.abs(pair.factors) ** 2 * spec.dx)
+        factors = packet_factors(packet_a, GaussianPacket(3.0, 0.5, 0.0), spec)
+        v_static, _ = _mean_field(spec, pot)(np.abs(factors) ** 2 * spec.dx)
         dt, n_steps = 0.005, 500
-        *_, (_, psi_a, psi_b) = iterate_hartree(pair, pot, dt, n_steps, n_steps)
+        *_, (_, psi_a, psi_b) = iterate_hartree(factors, spec, pot, dt, n_steps, n_steps)
         # single-particle split-step oracle in the frozen convolved potential
         psi = gaussian_wave(spec.x, packet_a, spec.dx)
         half = np.exp(-0.5j * dt * v_static)
@@ -140,26 +115,34 @@ class TestHartreeEvolve:
             psi = half * np.fft.ifft(np.fft.fft(half * psi) * kin)
         assert np.max(np.abs(psi_a - psi)) < 1e-8
         # the frozen factor's density must not move
-        assert np.max(np.abs(np.abs(psi_b) - np.abs(pair.factors[1]))) < 1e-12
+        assert np.max(np.abs(np.abs(psi_b) - np.abs(factors[1]))) < 1e-12
 
     def test_factors_stay_normalized(self):
-        pair = init_hartree(
-            GaussianPacket(-5.0, 1.2, 1.5), GaussianPacket(5.0, 1.2, -1.5), small_spec()
+        spec = small_spec()
+        factors = packet_factors(
+            GaussianPacket(-5.0, 1.2, 1.5), GaussianPacket(5.0, 1.2, -1.5), spec
         )
-        samples = iterate_hartree(pair, PotentialSpec("gaussian_well", 1.0, 2.0), 0.01, 400, 100)
-        for _, psi_a, psi_b in samples:
-            norm_a, norm_b = HartreePair([psi_a, psi_b], pair.spec).norms()
-            assert abs(norm_a - 1.0) < 1e-8
-            assert abs(norm_b - 1.0) < 1e-8
+        potential = PotentialSpec("gaussian_well", 1.0, 2.0)
+        for _, psi_a, psi_b in iterate_hartree(factors, spec, potential, 0.01, 400, 100):
+            norms = np.sum(np.abs([psi_a, psi_b]) ** 2, axis=1) * spec.dx
+            assert np.all(np.abs(norms - 1.0) < 1e-8)
+
+    def test_packet_stack_is_not_stepped_in_place(self):
+        spec = small_spec()
+        factors = packet_factors(
+            GaussianPacket(-5.0, 1.2, 1.5), GaussianPacket(5.0, 1.2, -1.5), spec
+        )
+        before = factors.copy()
+        list(iterate_hartree(factors, spec, PotentialSpec("gaussian_well", 1.0, 2.0), 0.01, 50, 10))
+        assert np.array_equal(factors, before)
 
 
-def per_factor_hartree(pair, potential, dt, n_steps, sample_every):
+def per_factor_hartree(factors, spec, potential, dt, n_steps, sample_every):
     """The mean-field step one factor at a time: an fft/ifft pair per density and per factor."""
-    spec = pair.spec
     kernel_fft = np.fft.fft(potential_on_grid(spec, potential, spec.x[0]))
     kin_a, kin_b = (np.exp(-1j * dt * kinetic) for kinetic in spec.kinetic())
-    a = np.array(pair.factors[0], dtype=complex)
-    b = np.array(pair.factors[1], dtype=complex)
+    a = np.array(factors[0], dtype=complex)
+    b = np.array(factors[1], dtype=complex)
     yield 0, a.copy(), b.copy()
     for step in range(1, n_steps + 1):
         density_a, density_b = np.abs(a) ** 2 * spec.dx, np.abs(b) ** 2 * spec.dx
@@ -186,11 +169,12 @@ class TestStackedHartreeMatchesPerFactorLoop:
         ids=["gaussian_well", "soft_coulomb", "infinite_m_b"],
     )
     def test_bit_for_bit(self, potential, m_b):
-        pair = init_hartree(
-            GaussianPacket(-5.0, 1.2, 1.5), GaussianPacket(5.0, 1.2, -1.5), small_spec(m_b=m_b)
+        spec = small_spec(m_b=m_b)
+        factors = packet_factors(
+            GaussianPacket(-5.0, 1.2, 1.5), GaussianPacket(5.0, 1.2, -1.5), spec
         )
-        stacked = list(iterate_hartree(pair, potential, 0.01, 400, 50))
-        reference = list(per_factor_hartree(pair, potential, 0.01, 400, 50))
+        stacked = list(iterate_hartree(factors, spec, potential, 0.01, 400, 50))
+        reference = list(per_factor_hartree(factors, spec, potential, 0.01, 400, 50))
         assert [step for step, *_ in stacked] == [step for step, *_ in reference]
         for (_, a, b), (_, ref_a, ref_b) in zip(stacked, reference):
             assert np.array_equal(a, ref_a)
@@ -202,21 +186,13 @@ class TestHartreeFidelity:
         spec = small_spec()
         pa, pb = GaussianPacket(-4.0, 1.0, 1.0), GaussianPacket(4.0, 1.0, -1.0)
         full = init_product(pa, pb, spec)
-        pair = init_hartree(pa, pb, spec)
-        fidelity = _overlap_fidelity(full.grid, *pair.factors, spec)
+        fidelity = _overlap_fidelity(full.grid, *packet_factors(pa, pb, spec), spec)
         assert fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_free_run_keeps_unit_fidelity(self):
         run = run_collision(small_fixture(potential=PotentialSpec("gaussian_well", 0.0, 2.0)))
         assert np.all(run.fidelity > 1.0 - 1e-8)
         assert np.max(run.full.entropy_bits) < 1e-10
-
-    def test_grid_mismatch_rejected(self):
-        pair = init_hartree(
-            GaussianPacket(-4.0, 1.0, 0.0), GaussianPacket(4.0, 1.0, 0.0), small_spec()
-        )
-        with pytest.raises(ValueError, match="for the grid spec"):
-            HartreePair(pair.factors, small_spec(n=32, length=16.0))
 
 
 class TestClassicalComparator:
@@ -266,6 +242,19 @@ class TestCollisionRun:
         b = run_collision(swapped)
         assert abs(a.max_entropy_bits - b.max_entropy_bits) < 1e-9
 
+    def test_run_keeps_only_per_sample_columns(self):
+        # 400 steps sampled every 50 give nine samples; no n x n state is kept
+        run = run_collision(small_fixture())
+        assert isinstance(run.full, GridTrajectory)
+        held = {**vars(run), **{f"full.{k}": v for k, v in vars(run.full).items()}}
+        del held["full"]
+        for name, value in held.items():
+            if isinstance(value, np.ndarray):
+                assert value.shape == (9,), name
+            else:
+                assert isinstance(value, float), name
+        assert len(pickle.dumps(run)) < 4096  # a 64 x 64 complex grid alone is 64 kB
+
 
 class TestDriversAgree:
     def test_collision_run_matches_grid_trajectory(self):
@@ -288,9 +277,6 @@ class TestDriversAgree:
         assert run.full.times.size == 5
         for field in dataclasses.fields(GridTrajectory):
             ours, theirs = getattr(run.full, field.name), getattr(trajectory, field.name)
-            if field.name == "final_state":
-                assert ours.spec == theirs.spec
-                ours, theirs = ours.grid, theirs.grid
             assert np.array_equal(ours, theirs), field.name
         assert run.fidelity.size == 5 and np.all(run.fidelity > 0.5)
 

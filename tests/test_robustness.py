@@ -189,15 +189,15 @@ class TestMixedAnswerListEmpirically:
 class TestHartreeMeanFieldQuadrature:
     def test_direct_quadrature_route(self):
         # the FFT mean field against the direct quadrature sum at single points
-        from entanglab.grid import minimal_image
-        from entanglab.islands import _mean_field, init_hartree
+        from entanglab.grid import minimal_image, packet_factors
+        from entanglab.islands import _mean_field
 
         spec = GridSpec(32, 24.0, 1.0, 1.0)
-        pair = init_hartree(
+        factors = packet_factors(
             GaussianPacket(-3.0, 1.0, 0.5), GaussianPacket(3.0, 0.8, 0.0), spec
         )
         pot = PotentialSpec("gaussian_well", 1.0, 1.5)
-        rho_a, rho_b = np.abs(pair.factors) ** 2 * spec.dx
+        rho_a, rho_b = np.abs(factors) ** 2 * spec.dx
         v_a, v_b = _mean_field(spec, pot)(np.array([rho_a, rho_b]))
         assert v_a.shape == (32,)
         assert v_b.shape == (32,)
