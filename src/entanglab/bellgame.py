@@ -21,7 +21,6 @@ counts matches straight from the thresholds.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,7 +28,8 @@ import numpy as np
 
 from .states import MeasurementDirection, bell_state, joint_spin_probabilities
 
-# Rounds per RNG substream; fixed so that thread scheduling never changes results.
+# Rounds per block, each block drawing from its own RNG substream: bounds a
+# block's arrays, and is fixed because every count depends on it.
 BLOCK_SIZE = 1 << 14
 
 
@@ -111,9 +111,11 @@ class MixedLhvStrategy:
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
-        if w.size != 8 or np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("need 8 non-negative weights with positive sum")
-        object.__setattr__(self, "weights", tuple(w / w.sum()))
+        with np.errstate(over="ignore"):  # an overflowing sum is refused just below
+            total = w.sum()
+        if w.size != 8 or np.any(w < 0) or not 0 < total < math.inf:
+            raise ValueError("need 8 non-negative weights with a positive, finite sum")
+        object.__setattr__(self, "weights", tuple(w / total))
 
 
 class QuantumStrategy:
@@ -198,31 +200,19 @@ def _play_block(strategy, rng: np.random.Generator, size: int):
     return counts.sum(axis=2), counts[..., 1]
 
 
-def run_game(strategy, n_rounds: int, seed: int, threads: int = 1) -> GameStats:
+def run_game(strategy, n_rounds: int, seed: int) -> GameStats:
     """Play ``n_rounds`` rounds, drawing each question pair uniformly at random.
 
-    Rounds are processed in fixed blocks of BLOCK_SIZE; block ``b`` derives its
-    RNG substream from (seed, b), and block counts merge additively, so the
-    result is bit-identical for any thread count.
+    Rounds are played in order in fixed blocks of BLOCK_SIZE; block ``b``
+    draws from the RNG substream (seed, b), and block counts add up.
     """
     if n_rounds <= 0:
         raise ValueError("n_rounds must be positive")
-    sizes = [
-        min(BLOCK_SIZE, n_rounds - start) for start in range(0, n_rounds, BLOCK_SIZE)
-    ]
-
-    def one(block_index: int):
-        rng = np.random.default_rng([seed, block_index])
-        return _play_block(strategy, rng, sizes[block_index])
-
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, range(len(sizes))))
-    else:
-        parts = [one(b) for b in range(len(sizes))]
     rounds = np.zeros((3, 3), dtype=np.int64)
     equals = np.zeros((3, 3), dtype=np.int64)
-    for r, e in parts:
+    for b, start in enumerate(range(0, n_rounds, BLOCK_SIZE)):
+        rng = np.random.default_rng([seed, b])
+        r, e = _play_block(strategy, rng, min(BLOCK_SIZE, n_rounds - start))
         rounds += r
         equals += e
     return GameStats(rounds, equals)

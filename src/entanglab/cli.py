@@ -5,20 +5,21 @@ Subcommands: bellgame, measure, theorem, evolve, islands.  Every run goes
 through ``main`` in three steps:
 
 1. parse: the subcommand reads its config through one field table per
-   section (``read_fields``) and builds every object the run will use, so an
-   invalid config fails here with a ``ConfigError`` before any file is
-   written;
+   section (``read_fields``; each key's ``Kind`` is the one check of its
+   value's type and shape) and builds every object the run will use, so an
+   invalid config fails here with a ``ConfigError`` before any file is written;
 2. manifest: ``manifest.json`` (config hash, seed, versions, expected
    outputs) goes into the output directory;
 3. run: the compute, then the result files.
 
 Exit codes: 0 success, 1 runtime failure (also an ``evolve`` run whose final
 entropy misses its config oracle, after its outputs are written), 2
-configuration or command-line error (``--threads`` below 1 included).
-Identical config and seed reproduce results byte for byte.  BLAS runs on one
-thread for the whole call (``blas.single_thread``), so ``--threads``
-(default 1) is the only parallelism and no output depends on the host's
-BLAS thread count.
+configuration or command-line error (``--threads`` below 1 or an ``--out``
+that cannot be a directory included).  Identical config and seed reproduce
+results byte for byte.  BLAS runs on one thread for the whole call
+(``blas.single_thread``), so no output depends on the host's BLAS thread
+count; ``--threads`` (default 1) sizes the ``islands`` scan pool, the only
+parallelism.
 """
 
 from __future__ import annotations
@@ -107,11 +108,34 @@ INTEGER = Kind(_is_integer, int, "an integer")
 POSITIVE_INTEGER = Kind(lambda v: _is_integer(v) and v > 0, int, "a positive integer")
 SEED = Kind(lambda v: _is_integer(v) and v >= 0, int, "a non-negative integer")
 BOOL = Kind(lambda v: isinstance(v, bool), bool, "true or false")
-NUMBERS = Kind(
-    lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_number, v)),
-    lambda v: [float(x) for x in v],
-    "a non-empty list of numbers",
+
+
+def _list_of(test, length=None) -> Callable:
+    """The test of a non-empty list, of ``length`` entries if given, each passing ``test``."""
+    return lambda v: isinstance(v, list) and 0 < len(v) == (length or len(v)) and all(map(test, v))
+
+
+def _is_complex(value) -> bool:
+    """A number, or an ``[re, im]`` pair of numbers."""
+    return _is_number(value) or _is_pair(value)
+
+
+_is_pair = _list_of(_is_number, 2)
+NUMBERS = Kind(_list_of(_is_number), lambda v: list(map(float, v)), "a non-empty list of numbers")
+AMPLITUDES = Kind(
+    _list_of(_is_complex),
+    lambda v: np.array([complex(*z) if isinstance(z, list) else complex(z) for z in v]),
+    "a non-empty list of numbers or [re, im] pairs",
 )
+ROWS = Kind(
+    _list_of(AMPLITUDES.accepts), lambda v: list(map(AMPLITUDES.convert, v)),
+    "a non-empty list of rows of numbers or [re, im] pairs",
+)
+DIMS = Kind(_list_of(POSITIVE_INTEGER.accepts, 2), tuple, "two positive integers")
+PAULI_LABEL = Kind(
+    lambda v: isinstance(v, str) and v in finite.PAULI, finite.PAULI.get, "one of i, x, y, z"
+)
+LIST = Kind(_list_of(lambda v: True), list, "a non-empty list")
 ANY = Kind(lambda v: True, lambda v: v, "any value")
 
 REQUIRED = object()  # table default of a key that the config must give
@@ -218,19 +242,8 @@ def collision_fixture_from_config(config: dict, where: str) -> islands.Collision
     return _grid_run(read_fields(run, where, COLLISION), where)
 
 
-def _complex(value, where: str) -> complex:
-    """A config number, or an ``[re, im]`` pair of numbers, as a complex number."""
-    if _is_number(value):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where}: entries must be numbers or [re, im] pairs")
-
-
-def _amplitude_vector(values, where, renormalize: bool) -> np.ndarray:
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{where} must be a non-empty list of amplitudes")
-    arr = np.array([_complex(v, where) for v in values], dtype=complex)
+def _normalized(arr: np.ndarray, where: str, renormalize: bool) -> np.ndarray:
+    """``arr`` if it has unit norm, rescaled to it under ``--renormalize``."""
     with np.errstate(over="ignore"):  # an overflowing norm is refused just below
         norm = float(np.linalg.norm(arr))
     if not math.isfinite(norm):
@@ -248,8 +261,10 @@ def _amplitude_vector(values, where, renormalize: bool) -> np.ndarray:
 
 STATES = {
     "bell": {"kind": KIND_FIELD, "row": (INTEGER, REQUIRED), "col": (INTEGER, REQUIRED)},
-    "product": {"kind": KIND_FIELD, "factor_a": (ANY, REQUIRED), "factor_b": (ANY, REQUIRED)},
-    "amplitudes": {"kind": KIND_FIELD, "dims": (ANY, REQUIRED), "values": (ANY, REQUIRED)},
+    "product": {
+        "kind": KIND_FIELD, "factor_a": (AMPLITUDES, REQUIRED), "factor_b": (AMPLITUDES, REQUIRED)
+    },
+    "amplitudes": {"kind": KIND_FIELD, "dims": (DIMS, REQUIRED), "values": (AMPLITUDES, REQUIRED)},
 }
 
 
@@ -258,20 +273,13 @@ def _state_from_config(section, where, renormalize: bool) -> states.PureState:
     if fields["kind"] == "bell":
         return _build(where, states.bell_state, fields["row"], fields["col"])
     if fields["kind"] == "product":
-        a = _amplitude_vector(fields["factor_a"], f"{where}.factor_a", renormalize)
-        b = _amplitude_vector(fields["factor_b"], f"{where}.factor_b", renormalize)
+        a = _normalized(fields["factor_a"], f"{where}.factor_a", renormalize)
+        b = _normalized(fields["factor_b"], f"{where}.factor_b", renormalize)
         return _build(where, lambda: states.tensor_product(states.Ket(a), states.Ket(b)))
-    dims = fields["dims"]
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 2
-        or not all(_is_integer(d) and d >= 1 for d in dims)
-    ):
-        raise ConfigError(f"config key 'dims' in {where} must be two positive integers")
-    flat = _amplitude_vector(fields["values"], f"{where}.values", renormalize)
+    dims, flat = fields["dims"], _normalized(fields["values"], f"{where}.values", renormalize)
     if flat.size != dims[0] * dims[1]:
         raise ConfigError(f"{where}: got {flat.size} amplitudes for dims {dims[0]}x{dims[1]}")
-    return states.PureState(flat.reshape(dims[0], dims[1]))
+    return states.PureState(flat.reshape(dims))
 
 
 LHV = {"alpha": (BOOL, REQUIRED), "beta": (BOOL, REQUIRED), "gamma": (BOOL, REQUIRED)}
@@ -292,14 +300,14 @@ def _strategy_from_config(value, where):
     )
 
 
-PAULI_TERM = {"a": (ANY, REQUIRED), "b": (ANY, REQUIRED), "coeff": (NUMBER, 1.0)}
+PAULI_TERM = {"a": (PAULI_LABEL, REQUIRED), "b": (PAULI_LABEL, REQUIRED), "coeff": (NUMBER, 1.0)}
 HAMILTONIANS = {
-    "pauli_sum": {"kind": KIND_FIELD, "terms": (ANY, REQUIRED)},
+    "pauli_sum": {"kind": KIND_FIELD, "terms": (LIST, REQUIRED)},
     "matrix": {
         "kind": KIND_FIELD,
         "d_a": (POSITIVE_INTEGER, REQUIRED),
         "d_b": (POSITIVE_INTEGER, REQUIRED),
-        "values": (ANY, REQUIRED),
+        "values": (ROWS, REQUIRED),
     },
 }
 
@@ -307,24 +315,12 @@ HAMILTONIANS = {
 def _hamiltonian_from_config(section, where) -> finite.BipartiteHamiltonian:
     fields = _read_kind(section, where, "Hamiltonian", HAMILTONIANS)
     if fields["kind"] == "matrix":
-        rows = fields["values"]
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise ConfigError(f"config key 'values' in {where} must be a list of rows")
-        matrix = [[_complex(v, f"{where}.values") for v in row] for row in rows]
-        return _build(where, finite.BipartiteHamiltonian, matrix, fields["d_a"], fields["d_b"])
-    terms = fields["terms"]
-    if not isinstance(terms, list) or not terms:
-        raise ConfigError(f"config key 'terms' in {where} must be a non-empty list")
+        matrix, d_a, d_b = fields["values"], fields["d_a"], fields["d_b"]
+        return _build(where, finite.BipartiteHamiltonian, matrix, d_a, d_b)
     total = np.zeros((4, 4), dtype=complex)
-    for k, term in enumerate(terms):
-        term_where = f"{where}.terms[{k}]"
-        term = read_fields(term, term_where, PAULI_TERM)
-        for side in ("a", "b"):
-            if not isinstance(term[side], str) or term[side] not in finite.PAULI:
-                raise ConfigError(
-                    f"config key '{side}' in {term_where} must be one of i, x, y, z"
-                )
-        total += term["coeff"] * np.kron(finite.PAULI[term["a"]], finite.PAULI[term["b"]])
+    for k, term in enumerate(fields["terms"]):
+        term = read_fields(term, f"{where}.terms[{k}]", PAULI_TERM)
+        total += term["coeff"] * np.kron(term["a"], term["b"])
     return _build(where, finite.BipartiteHamiltonian, total, 2, 2)
 
 
@@ -348,7 +344,7 @@ def parse_bellgame(config: dict, args) -> tuple:
     seed, n_rounds = fields["seed"], fields["n_rounds"]
 
     def run(out: Path) -> None:
-        stats = bg.run_game(strategy, n_rounds, seed, threads=args.threads)
+        stats = bg.run_game(strategy, n_rounds, seed)
         empirical = bg.bell_sum(stats)
         analytic = bg.analytic_bell_sum(strategy)
         names = [q.name.lower() for q in bg.QUESTIONS]
@@ -617,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=1,
-            help="worker threads, at least 1 (default: 1)",
+            help="islands scan threads, at least 1 (default: 1)",
         )
         if name == "measure":
             p.add_argument(
@@ -630,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand with BLAS on one thread; ``--threads`` is the only parallelism."""
+    """Run one subcommand with BLAS on one thread; ``--threads`` sizes the islands pool."""
     with blas.single_thread():
         return _run(argv)
 
@@ -646,7 +642,10 @@ def _run(argv) -> int:
         seeded = config if args.seed is None else {**config, "seed": args.seed}
         seed, outputs, run = args.parse(seeded, args)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            parser.error(f"argument --out: cannot be used as a directory: {err}")
         write_json(out / "manifest.json", run_manifest(args.command, config, seed, outputs))
         run(out)
         return 0

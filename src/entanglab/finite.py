@@ -40,6 +40,10 @@ class BipartiteHamiltonian:
         n = self.d_a * self.d_b
         if arr.shape != (n, n):
             raise ValueError(f"matrix must be {n}x{n} for dims ({self.d_a}, {self.d_b})")
+        with np.errstate(over="ignore"):  # an overflowing norm is refused just below
+            norm = float(np.linalg.norm(arr))
+        if not np.isfinite(norm):
+            raise ValueError(f"matrix entries have norm {norm!r}")
         if np.linalg.norm(arr - arr.conj().T) > HERMITIAN_TOL:
             raise ValueError("Hamiltonian must be Hermitian")
         arr.flags.writeable = False

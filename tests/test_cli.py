@@ -503,8 +503,17 @@ def _diagonal(entry):
 
 SOFT_COULOMB = {"kind": "soft_coulomb", "strength": 1.0, "width": 0.05}  # max|V| = 20
 
+PRODUCT_STATE = {"kind": "product", "factor_a": [1.0, 0.0], "factor_b": [0.0, 1.0]}
+AMPLITUDE_STATE = {"kind": "amplitudes", "dims": [2, 2], "values": [1.0, 0.0, 0.0, 0.0]}
+
+
+def _leaf(key, where):
+    """The start of the error a field table gives for a malformed value of ``key``."""
+    return f"config key '{key}' in {where} must be"
+
+
 # One row per config a subcommand must refuse before writing anything:
-# (command, valid config, change that makes it invalid).
+# (command, valid config, change that makes it invalid[, text the error holds]).
 INVALID_CONFIGS = {
     "islands_zero_mass_ratio": (
         "islands", tiny_grid_config(kind="test_particle", mass_ratios=[1.0], seed=0),
@@ -542,16 +551,33 @@ INVALID_CONFIGS = {
         _set(None, "hamiltonian", {**_matrix([[1.0, 0.0], [0.0, -1.0]]), "d_a": 1}),
     ),
     "pauli_label_in_list": (
-        "theorem", _theorem_config(), _set("hamiltonian", "terms", [{"a": ["z"], "b": "z"}])
+        "theorem", _theorem_config(), _set("hamiltonian", "terms", [{"a": ["z"], "b": "z"}]),
+        _leaf("a", "theorem config.hamiltonian.terms[0]"),
+    ),
+    "pauli_unknown_label": (
+        "theorem", _theorem_config(),
+        _set("hamiltonian", "terms", [{"a": "z", "b": "z"}, {"a": "x", "b": "w"}]),
+        _leaf("b", "theorem config.hamiltonian.terms[1]"),
+    ),
+    "pauli_no_terms": (
+        "theorem", _theorem_config(), _set("hamiltonian", "terms", []),
+        _leaf("terms", "theorem config.hamiltonian"),
     ),
     "matrix_text_entry": (
-        "theorem", _theorem_config(), _set(None, "hamiltonian", _matrix(_diagonal("1")))
+        "theorem", _theorem_config(), _set(None, "hamiltonian", _matrix(_diagonal("1"))),
+        _leaf("values", "theorem config.hamiltonian"),
     ),
     "matrix_bool_entry": (
-        "theorem", _theorem_config(), _set(None, "hamiltonian", _matrix(_diagonal(True)))
+        "theorem", _theorem_config(), _set(None, "hamiltonian", _matrix(_diagonal(True))),
+        _leaf("values", "theorem config.hamiltonian"),
     ),
     "matrix_triple_entry": (
-        "theorem", _theorem_config(), _set(None, "hamiltonian", _matrix(_diagonal([1, 0, 99])))
+        "theorem", _theorem_config(), _set(None, "hamiltonian", _matrix(_diagonal([1, 0, 99]))),
+        _leaf("values", "theorem config.hamiltonian"),
+    ),
+    "matrix_flat_values": (
+        "theorem", _theorem_config(), _set(None, "hamiltonian", _matrix([1.0, 0.0, 0.0, 1.0])),
+        _leaf("values", "theorem config.hamiltonian"),
     ),
     "measure_zero_tolerance": (
         "measure", {"state": {"kind": "bell", "row": 0, "col": 0}}, _set(None, "tolerance", 0)
@@ -564,9 +590,27 @@ INVALID_CONFIGS = {
         "measure", {"state": {"kind": "bell", "row": 0, "col": 0}}, _set(None, "seed", "zz")
     ),
     "measure_one_amplitude_factor": (
-        "measure",
-        {"state": {"kind": "product", "factor_a": [1.0, 0.0], "factor_b": [0.0, 1.0]}},
-        _set("state", "factor_a", [1.0]),
+        "measure", {"state": PRODUCT_STATE}, _set("state", "factor_a", [1.0]),
+    ),
+    "measure_text_factor": (
+        "measure", {"state": PRODUCT_STATE}, _set("state", "factor_a", "up"),
+        _leaf("factor_a", "measure config.state"),
+    ),
+    "measure_empty_values": (
+        "measure", {"state": AMPLITUDE_STATE}, _set("state", "values", []),
+        _leaf("values", "measure config.state"),
+    ),
+    "measure_pair_of_three_values": (
+        "measure", {"state": AMPLITUDE_STATE}, _set("state", "values", [[1, 0, 0], 0, 0, 0]),
+        _leaf("values", "measure config.state"),
+    ),
+    "measure_one_dim": (
+        "measure", {"state": AMPLITUDE_STATE}, _set("state", "dims", [4]),
+        _leaf("dims", "measure config.state"),
+    ),
+    "measure_zero_dim": (
+        "measure", {"state": AMPLITUDE_STATE}, _set("state", "dims", [0, 4]),
+        _leaf("dims", "measure config.state"),
     ),
     "evolve_integer_dt_past_double_range": (
         "evolve", tiny_grid_config(), _set(None, "dt", 10**400)
@@ -592,7 +636,7 @@ class TestInvalidGridRunsExitBeforeManifest:
 
     @pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
     def test_every_subcommand_refuses_before_manifest(self, tmp_path, capsys, case):
-        command, valid, change = INVALID_CONFIGS[case]
+        command, valid, change, *named = INVALID_CONFIGS[case]
         path = write_config(tmp_path, "valid.json", valid)
         assert main([command, "--config", str(path), "--out", str(tmp_path / "valid")]) == 0
         config = json.loads(json.dumps(valid))
@@ -600,7 +644,10 @@ class TestInvalidGridRunsExitBeforeManifest:
         path = write_config(tmp_path, "c.json", config)
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        for text in named:
+            assert text in err
         assert not (out / "manifest.json").exists()
 
     def test_unstable_packaged_step_is_refused(self, tmp_path, capsys):
@@ -713,6 +760,37 @@ class TestPacketWithoutLatticeWeight:
         assert not (out / "manifest.json").exists()
 
 
+# (command, config whose numbers are finite but whose sum or norm overflows, error)
+OVERFLOWING = {
+    "mixed_weights": (
+        "bellgame",
+        {"strategy": {"mixed": [0, 0, 0, 0, 0, 0, 1e308, 1e308]}, "n_rounds": 1000, "seed": 1},
+        "config error: bellgame config.strategy.mixed: need 8 non-negative weights",
+    ),
+    "hamiltonian_entries": (
+        "theorem",
+        _theorem_config(hamiltonian=_matrix(_diagonal(1e308))),
+        "config error: theorem config.hamiltonian: matrix entries have norm inf",
+    ),
+}
+
+
+class TestOverflowingInputs:
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING))
+    def test_refused_without_warning(self, tmp_path, capsys, case):
+        command, config, message = OVERFLOWING[case]
+        path = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert message in err
+        assert "RuntimeWarning" not in err
+        assert not (out / "manifest.json").exists()
+
+
 class TestSeedFlagOverridesConfigSeed:
     @pytest.mark.parametrize("command", sorted(SEEDED_RUNS))
     def test_flag_seed_is_recorded(self, tmp_path, command):
@@ -799,6 +877,21 @@ class TestThreadsFlag:
         assert not (out / "manifest.json").exists()
 
 
+class TestOutFlag:
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_a_file_exits_2_before_manifest(self, tmp_path, capsys, below):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n", encoding="utf-8")
+        out = afile / below if below else afile
+        config = str(FIXTURES / "bellgame_lhv.json")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bellgame", "--config", config, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "argument --out: cannot be used as a directory" in capsys.readouterr().err
+        assert afile.read_text(encoding="utf-8") == "kept\n"
+        assert not list(tmp_path.rglob("manifest.json"))
+
+
 class TestManifestAndReproducibility:
     def test_manifest_written_with_hash_and_outputs(self, tmp_path):
         config = write_config(
@@ -875,9 +968,17 @@ class TestBlasOnOneThread:
         bell = str(FIXTURES / "measure_bell.json")
         assert main(["measure", "--config", bell, "--out", str(tmp_path / "ok")]) == 0
         assert seen and set(seen) == {1} and controls() == 2
+        # an entropy of 10 bits is out of reach on 32 points: the oracle check fails the run
+        missed = write_config(
+            tmp_path, "missed.json",
+            tiny_grid_config(oracle={"entropy_bits_final": 10.0, "tolerance": 1e-3}),
+        )
+        assert main(["evolve", "--config", str(missed), "--out", str(tmp_path / "m")]) == 1
+        assert controls() == 2
         blocked = tmp_path / "a_file"
         blocked.write_text("")
-        assert main(["measure", "--config", bell, "--out", str(blocked)]) == 1
+        with pytest.raises(SystemExit):
+            main(["measure", "--config", bell, "--out", str(blocked)])
         assert controls() == 2
         bad = write_config(tmp_path, "bad.json", {"state": {"kind": "bell"}, "extra": 1})
         assert main(["measure", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ class TestBipartiteHamiltonian:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             BipartiteHamiltonian(np.eye(4), 2, 3)
+
+    def test_rejects_overflowing_norm_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="norm inf"):
+                BipartiteHamiltonian(1e308 * np.eye(4), 2, 2)
 
 
 class TestEvolveFinite:
