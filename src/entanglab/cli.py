@@ -128,8 +128,9 @@ AMPLITUDES = Kind(
     "a non-empty list of numbers or [re, im] pairs",
 )
 ROWS = Kind(
-    _list_of(AMPLITUDES.accepts), lambda v: list(map(AMPLITUDES.convert, v)),
-    "a non-empty list of rows of numbers or [re, im] pairs",
+    lambda v: _list_of(AMPLITUDES.accepts)(v) and len(set(map(len, v))) == 1,
+    lambda v: list(map(AMPLITUDES.convert, v)),
+    "a non-empty list of rows of one length, of numbers or [re, im] pairs",
 )
 DIMS = Kind(_list_of(POSITIVE_INTEGER.accepts, 2), tuple, "two positive integers")
 PAULI_LABEL = Kind(

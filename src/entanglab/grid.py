@@ -16,23 +16,25 @@ dt * max|V| at or below MAX_PHASE_PER_STEP (0.1 rad per step).
 On an n x n lattice V depends on a - b mod n only, so the total momentum
 K = k_A + k_B is conserved exactly.  The state is sheared and transformed
 once into its n total-momentum channels; in channel K both phases act along
-the relative index alone, so a step is one 1-D FFT pair per channel, and
-the grid is rebuilt only at samples.  Each channel's weight is conserved by
-both substeps, so the lightest channels, whose weights sum to at most
-CHANNEL_DUST (1e-20) of the total, are dropped at the start: the norm moves
-by at most 1e-20 and the amplitudes by at most 1e-10 relative in 2-norm,
-and the error never grows.  ``packet_factors`` refuses a packet that does
-not fit the box, leaves no amplitude on the lattice, or whose momentum lies
-outside the lattice band [-pi/dx, pi/dx).
+the relative index alone, so a step is one 1-D FFT pair per channel.  A
+sample is a copy of the kept channel rows (``ChannelSample``); the n x n
+grid is built only when one is asked for.  Each channel's weight is
+conserved by both substeps, so the lightest channels, whose weights sum to
+at most CHANNEL_DUST (1e-20) of the total, are dropped at the start: the
+norm moves by at most 1e-20 and the amplitudes by at most 1e-10 relative in
+2-norm, and the error never grows.  ``packet_factors`` refuses a packet
+that does not fit the box, leaves no amplitude on the lattice, or whose
+momentum lies outside the lattice band [-pi/dx, pi/dx).
 
 Entanglement is tracked through the singular values of the amplitude grid,
 which are the Schmidt coefficients of the discretized state.  A unitary FFT
-on each side keeps them, so they are taken from the block of the momentum
-grid fft2(Psi) / n that holds the weight: on each momentum marginal the
-lightest momenta, whose weights sum to at most CHANNEL_DUST / 2 of the
-total, are dropped.  The dropped squared 2-norm is at most CHANNEL_DUST of
-the total, so by Weyl's inequality no Schmidt coefficient moves by more
-than 1e-10.
+on each side keeps them, so they are taken from the momentum grid
+Psi-hat / n, which the kept channel rows hold after one FFT along the
+relative index (row K, column p is Psi-hat[p, (K - p) mod n]), cropped to
+the block that holds the weight: on each momentum marginal the lightest
+momenta, whose weights sum to at most CHANNEL_DUST / 2 of the total, are
+dropped.  The dropped squared 2-norm is at most CHANNEL_DUST of the total,
+so by Weyl's inequality no Schmidt coefficient moves by more than 1e-10.
 """
 
 from __future__ import annotations
@@ -304,43 +306,85 @@ def _heavy(weights: np.ndarray, share: float) -> np.ndarray:
     return np.sort(lightest[~dropped])
 
 
-def _channel_layout(psi: Wavefunction2P, potential: PotentialSpec | None, dt: float):
-    """Total-momentum channels of an n x n grid, lightest ones dropped.
+class ChannelLayout:
+    """Which total-momentum channels a run keeps, and the maps that read their rows.
 
-    Row K of the state is Phi_K[r] = sum_s Psi[(r + s) mod n, s] e^{-2 pi i K s / n}.
-    V depends on r = a - b mod n only, and the FFT of row K along r holds
-    Psi-hat[p, (K - p) mod n], so both phases act row by row and each row's
-    weight is conserved exactly.  Rows whose weights sum to at most
-    CHANNEL_DUST of the total are dropped once, at the start.
-
-    Returns ``(rows, half_v, kinetic, to_grid)``: the kept rows, the phase
-    tables of ``strang_step`` for them (``half_v`` None when free), and a map
-    from the rows to a new amplitude grid Psi[a, b].
+    Row i of a state in this layout is channel K = kept[i],
+    Phi_K[r] = sum_s Psi[(r + s) mod n, s] e^{-2 pi i K s / n}.  V depends on
+    r = a - b mod n only, and the FFT of row i along r holds
+    Psi-hat[p, (K - p) mod n] at column p (Psi-hat = fft2(Psi)), so both
+    phases act row by row and each row's weight is conserved exactly.  The
+    inverse FFT over K of all n rows, the dropped ones zero, is the sheared
+    grid S[s, r] = Psi[(r + s) mod n, s].
     """
-    spec = psi.spec
-    n = spec.n
-    index = np.arange(n, dtype=np.int32)
-    # Psi[a, b] sits at flat position b * n + (a - b) mod n of the (s, r) buffer
-    unshear = index[None, :] * n + (index[:, None] - index[None, :]) % n
-    buffer = np.empty((n, n), dtype=complex)
-    buffer.ravel()[unshear] = psi.grid
-    np.fft.fft(buffer, axis=0, out=buffer)
-    kept = _heavy(np.sum(np.abs(buffer) ** 2, axis=1), CHANNEL_DUST)
-    half_v = (
-        None
-        if potential is None
-        else np.exp(-0.5j * dt * potential_on_grid(spec, potential, spec.x[0]))
-    )
-    kinetic_a, kinetic_b = spec.kinetic()
-    kinetic = np.exp(-1j * dt * (kinetic_a + kinetic_b[(kept[:, None] - index) % n]))
 
-    def to_grid(state: np.ndarray) -> np.ndarray:
-        buffer.fill(0)
-        buffer[kept] = state
-        np.fft.ifft(buffer, axis=0, out=buffer)
-        return buffer.ravel()[unshear]
+    def __init__(self, spec: GridSpec, kept: np.ndarray, unshear: np.ndarray):
+        n = spec.n
+        self.spec, self.kept, self.unshear = spec, kept, unshear
+        self.q = ((kept[:, None] - np.arange(n)) % n).astype(np.int32)  # q of row i, column p
+        # flat offset of channel K mod n in the rows' FFT, for K < 2n; a dropped
+        # channel points at the row after the kept ones, which the probe zeroes
+        row = np.full(n, len(kept))
+        row[kept] = np.arange(len(kept))
+        self.offset = np.tile(row * n, 2)
 
-    return buffer[kept], half_v, kinetic, to_grid
+    @classmethod
+    def of(cls, psi: Wavefunction2P) -> tuple[ChannelLayout, np.ndarray]:
+        """The layout of ``psi`` and its kept rows.
+
+        Rows whose weights sum to at most CHANNEL_DUST of the total are dropped.
+        """
+        n = psi.spec.n
+        index = np.arange(n)
+        # Psi[a, b] sits at flat position b * n + (a - b) mod n of the (s, r) grid
+        unshear = index[None, :] * n + (index[:, None] - index[None, :]) % n
+        channels = np.empty((n, n), dtype=complex)
+        channels.ravel()[unshear] = psi.grid
+        np.fft.fft(channels, axis=0, out=channels)
+        kept = _heavy(np.sum(np.abs(channels) ** 2, axis=1), CHANNEL_DUST)
+        return cls(psi.spec, kept, unshear), channels[kept]
+
+    def phases(self, potential: PotentialSpec | None, dt: float):
+        """``(half_v, kinetic)`` of ``strang_step`` for the rows; ``half_v`` is None when free."""
+        spec = self.spec
+        half_v = (
+            None
+            if potential is None
+            else np.exp(-0.5j * dt * potential_on_grid(spec, potential, spec.x[0]))
+        )
+        kinetic_a, kinetic_b = spec.kinetic()
+        return half_v, np.exp(-1j * dt * (kinetic_a + kinetic_b[self.q]))
+
+    def sheared(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """S[s, r] = Psi[(r + s) mod n, s] of ``rows``, written into the n x n ``out``."""
+        out.fill(0)
+        out[self.kept] = rows
+        return np.fft.ifft(out, axis=0, out=out)
+
+
+class ChannelSample:
+    """One sampled state: a copy of its kept channel rows, in their layout.
+
+    ``np.asarray`` gives the n x n amplitude grid Psi[a, b], built on each call.
+    """
+
+    __slots__ = ("rows", "layout")
+
+    def __init__(self, rows: np.ndarray, layout: ChannelLayout):
+        self.rows, self.layout = rows, layout
+
+    def __array__(self, dtype=None, copy=None):
+        n = self.layout.spec.n
+        sheared = self.layout.sheared(self.rows, np.empty((n, n), dtype=complex))
+        return np.asarray(sheared.ravel()[self.layout.unshear], dtype=dtype)
+
+    def product_overlap(self, a: np.ndarray, b: np.ndarray) -> complex:
+        """<a (x) b | Psi> by lattice quadrature, summed over the kept momentum rows."""
+        spec = self.layout.spec
+        momentum = np.fft.fft(self.rows, axis=1)
+        momentum *= np.fft.fft(a).conj()
+        overlap = np.vdot(np.fft.fft(b)[self.layout.q], momentum)
+        return complex(overlap) * (spec.dx / spec.n) ** 2  # Parseval over both fft axes
 
 
 def iterate_split_step(
@@ -349,30 +393,31 @@ def iterate_split_step(
     dt: float,
     n_steps: int,
     sample_every: int,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Drive the Strang scheme, yielding (step_index, grid copy) at samples.
+) -> Iterator[tuple[int, ChannelSample]]:
+    """Drive the Strang scheme, yielding (step_index, sample) at samples.
 
-    The total-momentum channels are stepped in place.  Samples are taken at
-    step 0, every ``sample_every`` steps, and at the final step.  Aborts with
+    The kept total-momentum channels are stepped in place, and each sample
+    holds a copy of them.  Samples are taken at step 0, every
+    ``sample_every`` steps, and at the final step.  Aborts with
     FloatingPointError if amplitudes stop being finite.
     """
     if dt <= 0 or n_steps < 1 or sample_every < 1:
         raise ValueError("need positive dt, n_steps and sample_every")
-    state, half_v, kinetic, to_grid = _channel_layout(psi, potential, dt)
-    yield 0, np.array(psi.grid, dtype=complex)
+    layout, state = ChannelLayout.of(psi)
+    half_v, kinetic = layout.phases(potential, dt)
+    yield 0, ChannelSample(state.copy(), layout)
     for step in range(1, n_steps + 1):
         strang_step(state, half_v, kinetic)
         if step % sample_every == 0 or step == n_steps:
-            grid = to_grid(state)
-            if not np.all(np.isfinite(grid)):
+            if not np.all(np.isfinite(state)):
                 raise FloatingPointError(
                     f"non-finite amplitudes at step {step}; reduce dt or check the potential"
                 )
-            yield step, grid
+            yield step, ChannelSample(state.copy(), layout)
 
 
 class GridSample(NamedTuple):
-    """Everything recorded about one sampled amplitude grid."""
+    """Everything recorded about one sampled state."""
 
     norm: float
     x_a: float
@@ -383,87 +428,84 @@ class GridSample(NamedTuple):
     entropy_bits: float
 
 
-def _column_sums(table: np.ndarray) -> np.ndarray:
-    """Column sums of a table with 2^m rows, added pairwise in place; spends the table.
-
-    ``sum(axis=0)`` adds the rows one by one and loses up to ~n ulps a column.
-    """
-    while len(table) > 1:
-        half = len(table) // 2
-        table = np.add(table[:half], table[half:], out=table[:half])
-    return table[0]
-
-
 class GridProbe:
     """The per-sample probe of ``probe_split_step``, built there once per run.
 
-    <x> is read off the position marginals, <p> and the kinetic energy off
-    the momentum marginals, with the axis tables of ``GridSpec``; <V>
-    (zero when V is None) is summed in place on the position weights.  The
-    Schmidt entropy is taken from the momentum grid the marginals come from,
-    cropped to the rows and columns that hold all but CHANNEL_DUST of the
-    weight (the whole grid when nothing can be dropped).  V and one real and
-    one complex scratch buffer, reused by every sample, are the only n^2
-    arrays it keeps; ``ehrenfest_observables`` and
-    ``entanglement_entropy_bits`` build a probe for one state.
+    Every column comes from the sample's kept channel rows.  Their FFT along
+    r holds Psi-hat[p, (K - p) mod n]: <p> and the kinetic energy are read
+    off its two marginals, and the Schmidt entropy is taken from its block
+    of rows and columns that hold all but CHANNEL_DUST of the weight (the
+    whole momentum grid when nothing can be dropped).  The inverse FFT over
+    K gives the sheared grid S: the norm, <x_B> and <V> (zero when V is
+    None) are sums of |S|^2, and <x_A> reads them through the layout's
+    unshear map.  One complex and one real n x n scratch buffer, reused by
+    every sample, are the only n^2 arrays it keeps; ``ehrenfest_observables``
+    and ``entanglement_entropy_bits`` build a probe for one state.
     """
 
-    def __init__(self, spec: GridSpec, v_matrix: np.ndarray | None):
+    def __init__(self, spec: GridSpec, potential: PotentialSpec | None):
         self.cell = spec.dx * spec.dx
         self.momentum_cell = spec.dx / spec.n  # Psi-hat = fft2(Psi) / n, times dx
         self.x, self.k = spec.x, spec.k
         self.kinetic_a, self.kinetic_b = spec.kinetic()
-        self.v_matrix = v_matrix
+        self.v = None if potential is None else potential_on_grid(spec, potential, spec.x[0])
         shape = (spec.n, spec.n)
-        self.weights = np.empty(shape)  # position weights, then momentum weights
-        self.momentum = np.empty(shape, dtype=complex)  # fft2 of the sampled grid
+        self.buffer = np.empty(shape, dtype=complex)  # the rows' FFT, then S
+        self.weights = np.empty(shape)  # momentum weights, then position weights
 
-    def _momentum_marginals(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """fft2 of ``grid`` into ``self.momentum``, and the momentum marginals of A and of B."""
-        np.fft.fft2(grid, out=self.momentum)
-        weights = np.square(np.abs(self.momentum, out=self.weights), out=self.weights)
-        return weights.sum(axis=1), _column_sums(weights)
+    def _momentum_marginals(self, sample: ChannelSample) -> tuple[np.ndarray, np.ndarray]:
+        """The rows' FFT into ``self.buffer``, and the momentum marginals of A and of B."""
+        rows = len(sample.rows)
+        momentum = np.fft.fft(sample.rows, axis=1, out=self.buffer[:rows])
+        if rows < len(self.buffer):
+            self.buffer[rows] = 0  # Psi-hat of the dropped channels, for the block
+        weights = np.square(np.abs(momentum, out=self.weights[:rows]), out=self.weights[:rows])
+        along_b = np.bincount(sample.layout.q.ravel(), weights.ravel(), len(self.buffer))
+        return weights.sum(axis=0), along_b
 
-    def _block_entropy_bits(self, along_a: np.ndarray, along_b: np.ndarray) -> float:
-        """Schmidt entropy of the grid whose fft2 and marginals were just taken."""
+    def _block_entropy_bits(self, layout: ChannelLayout, along_a, along_b) -> float:
+        """Schmidt entropy of the sample whose momentum marginals were just taken."""
         share = CHANNEL_DUST / 2
-        block = self.momentum[np.ix_(_heavy(along_a, share), _heavy(along_b, share))]
+        p, q = _heavy(along_a, share)[:, None], _heavy(along_b, share)
+        block = self.buffer.ravel()[layout.offset[p + q] + p]  # Psi-hat[p, q]
         block *= self.momentum_cell
         return schmidt_entropy(block, 2)
 
-    def _measure(self, grid: np.ndarray) -> tuple[float, Observables, np.ndarray, np.ndarray]:
-        weights = np.square(np.abs(grid, out=self.weights), out=self.weights)
-        weights *= self.cell  # |Psi|^2 dx_A dx_B
+    def _observables(self, sample: ChannelSample, along_a, along_b) -> tuple[float, Observables]:
+        """Norm and means; spends ``self.buffer`` on S."""
+        sheared = sample.layout.sheared(sample.rows, self.buffer)
+        weights = np.square(np.abs(sheared, out=self.weights), out=self.weights)
+        weights *= self.cell  # |S|^2 dx_A dx_B
         norm = float(np.sum(weights))
-        # not _column_sums: <V> still needs these weights, and <x> has no k^2 to amplify rounding
-        x_a, x_b = float(self.x @ weights.sum(axis=1)), float(self.x @ weights.sum(axis=0))
-        potential_energy = 0.0
-        if self.v_matrix is not None:
-            potential_energy = float(np.sum(np.multiply(self.v_matrix, weights, out=weights)))
-        along_a, along_b = self._momentum_marginals(grid)
+        x_a = float(self.x @ weights.ravel()[sample.layout.unshear].sum(axis=1))
+        x_b = float(self.x @ weights.sum(axis=1))
+        potential_energy = 0.0 if self.v is None else float(self.v @ weights.sum(axis=0))
         total = float(along_a.sum())
-        observables = Observables(
+        return norm, Observables(
             x_a,
             x_b,
             float(self.k @ along_a) / total,
             float(self.k @ along_b) / total,
             float(self.kinetic_a @ along_a + self.kinetic_b @ along_b) / total + potential_energy,
         )
-        return norm, observables, along_a, along_b
 
-    def entropy_bits(self, grid: np.ndarray) -> float:
-        """Schmidt entropy of one grid in bits, without the other observables."""
-        return self._block_entropy_bits(*self._momentum_marginals(grid))
-
-    def __call__(self, grid: np.ndarray) -> GridSample:
-        norm, observables, along_a, along_b = self._measure(grid)
-        entropy_bits = self._block_entropy_bits(along_a, along_b)
+    def __call__(self, sample: ChannelSample) -> GridSample:
+        along_a, along_b = self._momentum_marginals(sample)
+        entropy_bits = self._block_entropy_bits(sample.layout, along_a, along_b)
+        norm, observables = self._observables(sample, along_a, along_b)
         return GridSample(norm, *observables, entropy_bits=entropy_bits)
+
+
+def _one_state(psi: Wavefunction2P, potential: PotentialSpec | None):
+    """A probe for ``psi`` and ``psi`` as its channel sample."""
+    layout, rows = ChannelLayout.of(psi)
+    return GridProbe(psi.spec, potential), ChannelSample(rows, layout)
 
 
 def entanglement_entropy_bits(psi: Wavefunction2P) -> float:
     """Base-2 entropy of the Schmidt spectrum; weights at or below 1e-14 are dust."""
-    return GridProbe(psi.spec, None).entropy_bits(psi.grid)
+    probe, sample = _one_state(psi, None)
+    return probe._block_entropy_bits(sample.layout, *probe._momentum_marginals(sample))
 
 
 def ehrenfest_observables(
@@ -471,12 +513,12 @@ def ehrenfest_observables(
 ) -> Observables:
     """Mean positions, mean momenta, and total energy by quadrature.
 
-    Positions are direct lattice sums; momenta and kinetic energy come from
-    the momentum-space distribution; energy adds the interaction quadrature
+    Positions are lattice sums; momenta and kinetic energy come from the
+    momentum-space distribution; energy adds the interaction quadrature
     (zero when ``potential`` is None).
     """
-    v_matrix = None if potential is None else potential_on_grid(psi.spec, potential)
-    return GridProbe(psi.spec, v_matrix)._measure(psi.grid)[1]
+    probe, sample = _one_state(psi, potential)
+    return probe._observables(sample, *probe._momentum_marginals(sample))[1]
 
 
 def probe_split_step(
@@ -485,16 +527,16 @@ def probe_split_step(
     dt: float,
     n_steps: int,
     sample_every: int,
-) -> Iterator[tuple[int, np.ndarray, GridSample]]:
-    """The one grid driver: ``iterate_split_step`` with each sampled grid probed.
+) -> Iterator[tuple[int, ChannelSample, GridSample]]:
+    """The one grid driver: ``iterate_split_step`` with each sampled state probed.
 
-    Yields (step, grid, sample).  Every run's ``GridProbe`` is built here, and
-    a sample is probed after the step's own ``next()`` has returned.
+    Yields (step, state, sample), ``state`` the ``ChannelSample``.  Every
+    run's ``GridProbe`` is built here, and a sample is probed after the
+    step's own ``next()`` has returned.
     """
-    spec = psi.spec
-    probe = GridProbe(spec, None if potential is None else potential_on_grid(spec, potential))
-    for step, grid in iterate_split_step(psi, potential, dt, n_steps, sample_every):
-        yield step, grid, probe(grid)
+    probe = GridProbe(psi.spec, potential)
+    for step, state in iterate_split_step(psi, potential, dt, n_steps, sample_every):
+        yield step, state, probe(state)
 
 
 def evolve_split_step(

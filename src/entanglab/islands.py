@@ -86,12 +86,6 @@ def iterate_hartree(
             yield (step, *factors.copy())
 
 
-def _overlap_fidelity(grid: np.ndarray, a: np.ndarray, b: np.ndarray, spec: GridSpec) -> float:
-    """Squared overlap |<psi_A (x) psi_B | Psi>|^2 by lattice quadrature."""
-    amp = (a.conj() @ grid @ b.conj()) * (spec.dx * spec.dx)
-    return float(abs(amp) ** 2)
-
-
 # ---------------------------------------------------------------------------
 # Classical comparator
 # ---------------------------------------------------------------------------
@@ -220,11 +214,11 @@ def run_collision(fixture: CollisionFixture) -> CollisionRun:
     full = probe_split_step(Wavefunction2P(np.outer(*factors), spec), *stepping)
     mean_field = iterate_hartree(factors, spec, *stepping)
     steps, samples, fid = [], [], []
-    for (step, grid, sample), (step_h, a, b) in zip(full, mean_field):
+    for (step, state, sample), (step_h, a, b) in zip(full, mean_field):
         assert step == step_h
         steps.append(step)
         samples.append(sample)
-        fid.append(_overlap_fidelity(grid, a, b, spec))
+        fid.append(abs(state.product_overlap(a, b)) ** 2)
     cl_times, cl_a, cl_b, drift = classical_two_body(
         fixture.packet_a.center,
         fixture.packet_a.momentum / spec.m_a,

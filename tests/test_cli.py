@@ -575,6 +575,11 @@ INVALID_CONFIGS = {
         "theorem", _theorem_config(), _set(None, "hamiltonian", _matrix(_diagonal([1, 0, 99]))),
         _leaf("values", "theorem config.hamiltonian"),
     ),
+    "matrix_ragged_rows": (
+        "theorem", _theorem_config(),
+        _set(None, "hamiltonian", _matrix([[1.0, 0, 0, 0], [0, 1.0, 0]] + _diagonal(1.0)[2:])),
+        _leaf("values", "theorem config.hamiltonian"),
+    ),
     "matrix_flat_values": (
         "theorem", _theorem_config(), _set(None, "hamiltonian", _matrix([1.0, 0.0, 0.0, 1.0])),
         _leaf("values", "theorem config.hamiltonian"),

@@ -8,6 +8,8 @@ import pytest
 from entanglab import grid as grid_module
 from entanglab.cli import collision_fixture_from_config
 from entanglab.grid import (
+    ChannelLayout,
+    ChannelSample,
     GaussianPacket,
     GridProbe,
     GridSpec,
@@ -15,8 +17,6 @@ from entanglab.grid import (
     PacketTooWideError,
     PotentialSpec,
     Wavefunction2P,
-    _channel_layout,
-    _column_sums,
     ehrenfest_observables,
     entanglement_entropy_bits,
     evolve_split_step,
@@ -46,7 +46,7 @@ def kinetic_grid(spec):
 def grid_strang(psi, potential, dt, n_steps, sample_every):
     """Reference Strang scheme on the grid itself, a 2-D FFT pair per kinetic substep.
 
-    Returns the (step, grid) samples that ``iterate_split_step`` yields.
+    Returns the (step, grid) pairs of the states that ``iterate_split_step`` yields.
     """
     spec = psi.spec
     half_v = None if potential is None else np.exp(-0.5j * dt * potential_on_grid(spec, potential))
@@ -62,6 +62,12 @@ def grid_strang(psi, potential, dt, n_steps, sample_every):
         if step % sample_every == 0 or step == n_steps:
             samples.append((step, state.copy()))
     return samples
+
+
+def channel_sample(psi):
+    """``psi`` as the probe reads it: its kept channel rows, in their layout."""
+    layout, rows = ChannelLayout.of(psi)
+    return ChannelSample(rows, layout)
 
 
 def fixture_objects(name):
@@ -189,7 +195,7 @@ class TestEntropyGridConventions:
         grid[10, 20] = grid[30, 40] = 1.0 / math.sqrt(2.0 * cell)
         psi = Wavefunction2P(grid, spec)
         assert entanglement_entropy_bits(psi) == pytest.approx(1.0, abs=1e-12)
-        trajectory = GridTrajectory.of([0], [GridProbe(spec, None)(psi.grid)], 0.01)
+        trajectory = GridTrajectory.of([0], [GridProbe(spec, None)(channel_sample(psi))], 0.01)
         assert trajectory.entropy_bits[0] == pytest.approx(1.0, abs=1e-12)
         assert trajectory.max_entropy_bits == trajectory.entropy_bits[0]
 
@@ -270,8 +276,8 @@ class TestSplitStepEvolution:
         psi = init_product(
             GaussianPacket(-5.0, 1.0, 1.5), GaussianPacket(5.0, 1.0, -1.5), spec
         )
-        *_, (_, grid) = iterate_split_step(psi, pot, 0.005, 600, 600)
-        grid = grid * math.sqrt(spec.dx * spec.dx)
+        *_, (_, state) = iterate_split_step(psi, pot, 0.005, 600, 600)
+        grid = np.asarray(state) * math.sqrt(spec.dx * spec.dx)
         p_a = np.linalg.eigvalsh(grid @ grid.conj().T)
         p_b = np.linalg.eigvalsh(grid.T @ grid.conj())
 
@@ -344,11 +350,17 @@ class TestChannelLayout:
         psi = init_product(
             GaussianPacket(-4.0, 1.0, 1.5), GaussianPacket(4.0, 1.0, -1.5), spec
         )
+        # listed first: each sample must hold the state at its own step, not the last one
         channels = list(iterate_split_step(psi, potential, 0.01, 60, sample_every))
         reference = grid_strang(psi, potential, 0.01, 60, sample_every)
         assert [step for step, _ in channels] == [step for step, _ in reference]
-        for (_, grid), (_, expected) in zip(channels, reference):
+        for (_, state), (_, expected) in zip(channels, reference):
+            grid = np.asarray(state)
             assert np.linalg.norm(grid - expected) <= 1e-9 * np.linalg.norm(expected)
+        read_at_once = [np.asarray(state) for _, state in
+                        iterate_split_step(psi, potential, 0.01, 60, sample_every)]
+        for (_, state), grid in zip(channels, read_at_once):
+            assert np.array_equal(np.asarray(state), grid)
 
     def test_channel_weights_conserved_and_dust_dropped(self):
         spec = small_spec(n=64, length=40.0)
@@ -357,14 +369,15 @@ class TestChannelLayout:
         )
         pot = PotentialSpec("gaussian_well", 2.0, 1.5)
         samples = list(iterate_split_step(psi, pot, 0.004, 1500, 250))
-        initial = self.channel_weights(samples[0][1])
+        initial = self.channel_weights(psi.grid)
         total = initial.sum()
         lightest = np.argsort(initial)
         dropped = lightest[np.cumsum(initial[lightest]) <= 1e-20 * total]
         kept = np.setdiff1d(np.arange(spec.n), dropped)
         assert 0 < dropped.size < spec.n
-        for _, grid in samples[1:]:
-            weights = self.channel_weights(grid)
+        assert np.array_equal(samples[0][1].layout.kept, kept)
+        for _, state in samples[1:]:
+            weights = self.channel_weights(np.asarray(state))
             assert np.max(np.abs(weights[kept] - initial[kept])) <= 1e-12 * total
             assert weights[dropped].sum() <= 1e-20 * total
 
@@ -380,7 +393,7 @@ class TestChannelLayout:
         )
         column = potential_on_grid(spec, potential)[:, 0]
         assert np.array_equal(potential_on_grid(spec, potential, spec.x[0]), column)
-        _, half_v, _, _ = _channel_layout(psi, potential, 0.01)
+        half_v, _ = ChannelLayout.of(psi)[0].phases(potential, 0.01)
         assert np.array_equal(half_v, np.exp(-0.5j * 0.01 * column))
 
     @pytest.mark.parametrize("m_b", [1.0, 3.0, math.inf])
@@ -391,10 +404,12 @@ class TestChannelLayout:
         psi = init_product(
             GaussianPacket(-2.0, 1.0, 1.0), GaussianPacket(2.0, 1.0, -1.0), spec
         )
-        state, _, kinetic, to_grid = _channel_layout(psi, None, 0.01)
+        layout, state = ChannelLayout.of(psi)
+        _, kinetic = layout.phases(None, 0.01)
         # find each state row's channel K: send the mark i + 1 through row i and read it back
         rows = len(state)
-        marked = to_grid(np.outer(np.arange(1.0, rows + 1), np.ones(n)))
+        marks = np.outer(np.arange(1.0, rows + 1), np.ones(n))
+        marked = np.asarray(ChannelSample(marks, layout))
         marks = np.rint(self.channels(marked))
         kept = np.argsort(marks[:, 0].real)[n - rows :]
         assert np.array_equal(marks[kept, 0], np.arange(1, rows + 1))
@@ -405,30 +420,34 @@ class TestChannelLayout:
 
 class TestGridProbe:
     @staticmethod
-    def reference(grid, spec, v_matrix):
-        # the probe's marginal formulas with fresh temporaries for every sample
-        weight = np.abs(grid) ** 2 * (spec.dx * spec.dx)
-        momentum_weight = np.abs(np.fft.fft2(grid)) ** 2
-        along_a = momentum_weight.sum(axis=1)
+    def reference(state, spec, potential):
+        # the probe's formulas from the channel rows, with fresh temporaries for every sample
+        rows, layout, n = state.rows, state.layout, spec.n
+        momentum_weight = np.abs(np.fft.fft(rows, axis=1)) ** 2
+        along_a = momentum_weight.sum(axis=0)
+        along_b = np.bincount(layout.q.ravel(), momentum_weight.ravel(), n)
         total = float(along_a.sum())
-        along_b = _column_sums(momentum_weight.copy())
+        channels = np.zeros((n, n), dtype=complex)
+        channels[layout.kept] = rows
+        weight = np.abs(np.fft.ifft(channels, axis=0)) ** 2 * (spec.dx * spec.dx)
         kinetic_a, kinetic_b = spec.kinetic()
         return (
             float(np.sum(weight)),
+            float(spec.x @ weight.ravel()[layout.unshear].sum(axis=1)),
             float(spec.x @ weight.sum(axis=1)),
-            float(spec.x @ weight.sum(axis=0)),
             float(spec.k @ along_a) / total,
             float(spec.k @ along_b) / total,
             float(kinetic_a @ along_a + kinetic_b @ along_b) / total
-            + float(np.sum(v_matrix * weight)),
+            + float(potential_on_grid(spec, potential, spec.x[0]) @ weight.sum(axis=0)),
         )
 
     @staticmethod
-    def direct_sums(grid, spec, v_matrix):
+    def direct_sums(grid, spec, potential):
         # every mean as a sum over the whole n^2 lattice
         weight = np.abs(grid) ** 2 * (spec.dx * spec.dx)
         momentum_weight = np.abs(np.fft.fft2(grid)) ** 2
         momentum_weight /= momentum_weight.sum()
+        v_matrix = 0.0 if potential is None else potential_on_grid(spec, potential)
         return np.array([
             np.sum(weight),
             np.sum(spec.x[:, None] * weight),
@@ -438,29 +457,86 @@ class TestGridProbe:
             np.sum(kinetic_grid(spec) * momentum_weight) + np.sum(v_matrix * weight),
         ])
 
-    def test_column_sums_are_exact_to_a_few_ulps(self):
-        table = np.random.default_rng(0).random((256, 8))
-        exact = np.array([math.fsum(column) for column in table.T])
-        assert np.all(np.abs(_column_sums(table.copy()) - exact) <= 8 * np.spacing(exact))
-
     def test_reused_buffers_match_fresh_temporaries_bit_for_bit(self):
         spec = GridSpec(32, 24.0, 1.0, 2.0)
         potential = PotentialSpec("gaussian_well", 1.0, 1.5)
-        v_matrix = potential_on_grid(spec, potential)
         psi = init_product(
             GaussianPacket(-4.0, 1.0, 1.5), GaussianPacket(4.0, 1.0, -1.5), spec
         )
-        probe = GridProbe(spec, v_matrix)
+        probe = GridProbe(spec, potential)
         samples = list(iterate_split_step(psi, potential, 0.01, 60, 20))
-        for _, grid in samples:
-            sample = probe(grid)
-            assert tuple(sample[:6]) == self.reference(grid, spec, v_matrix)
-            direct = self.direct_sums(grid, spec, v_matrix)
+        for _, state in samples:
+            sample = probe(state)
+            assert tuple(sample[:6]) == self.reference(state, spec, potential)
+            grid = np.asarray(state)
+            direct = self.direct_sums(grid, spec, potential)
             assert np.all(np.abs(np.array(sample[:6]) - direct) <= 1e-14 * np.abs(direct))
             # the cropped momentum block against the SVD of the whole position grid
             assert abs(sample.entropy_bits - schmidt_entropy(grid * spec.dx, 2)) <= 1e-13
-        # a probe that has seen other grids reads the first one as a fresh probe does
-        assert probe(samples[0][1]) == GridProbe(spec, v_matrix)(samples[0][1])
+        # a probe that has seen other states reads the first one as a fresh probe does
+        assert probe(samples[0][1]) == GridProbe(spec, potential)(samples[0][1])
+
+    @staticmethod
+    def dense_cases():
+        """(name, psi, potential, dt, n_steps, sample_every) of each run checked by n^2 sums."""
+        cfg, spec, pa, pb, pot = fixture_objects("collision_well.json")
+        yield "collision_well", init_product(pa, pb, spec), pot, cfg["dt"], cfg["n_steps"], 500
+        yield "free", init_product(pa, pb, spec), None, cfg["dt"], 400, 200
+        cfg, spec, pa, pb, pot = fixture_objects("material_point.json")
+        sigma = 0.5 * pot.width
+        psi = init_product(replace(pa, sigma=sigma), replace(pb, sigma=sigma), spec)
+        yield "material_point_0.5", psi, pot, cfg["dt"], 600, 300
+        cfg, spec, pa, pb, pot = fixture_objects("test_particle.json")
+        yield "test_particle", init_product(pa, pb, spec), pot, cfg["dt"], 1250, 625
+
+    @pytest.mark.parametrize(
+        "case", ["collision_well", "free", "material_point_0.5", "test_particle"]
+    )
+    def test_every_column_against_dense_references(self, monkeypatch, case):
+        _, psi, potential, dt, n_steps, sample_every = next(
+            c for c in self.dense_cases() if c[0] == case
+        )
+        spec = psi.spec
+        shapes = self.record_blocks(monkeypatch)
+        samples = list(probe_split_step(psi, potential, dt, n_steps, sample_every))
+        assert len(shapes) == len(samples) == n_steps // sample_every + 1
+        for _, state, sample in samples:
+            grid = np.asarray(state)
+            assert abs(sample.entropy_bits - schmidt_entropy(grid * spec.dx, 2)) <= 1e-13
+            direct = self.direct_sums(grid, spec, potential)
+            # p_b starts at exactly 0 on test_particle: no rounding is relative to that
+            scale = np.maximum(np.abs(direct), 1.0)
+            assert np.all(np.abs(np.array(sample[:6]) - direct) <= 1e-14 * scale)
+        kept = len(samples[0][1].rows)
+        if case == "collision_well":
+            assert kept < spec.n and max(max(shape) for shape in shapes) <= 100
+        elif case != "free":
+            assert kept == spec.n  # no dropped row exists to read as zero
+
+    @pytest.mark.parametrize("n, m_b", [(32, 2.0), (64, 1.0)])
+    def test_product_overlap_is_the_grid_quadrature(self, n, m_b):
+        spec = small_spec(n=n, length=40.0, m_b=m_b)
+        psi = init_product(
+            GaussianPacket(-6.0, 1.5, 2.0), GaussianPacket(6.0, 1.5, -2.0), spec
+        )
+        a, b = packet_factors(GaussianPacket(-1.0, 2.0, 1.0), GaussianPacket(1.0, 2.0, -1.0), spec)
+        pot = PotentialSpec("gaussian_well", 2.0, 1.5)
+        for _, state in iterate_split_step(psi, pot, 0.01, 600, 200):
+            expected = (a.conj() @ np.asarray(state) @ b.conj()) * (spec.dx * spec.dx)
+            assert abs(state.product_overlap(a, b) - expected) <= 1e-14
+
+    def test_non_finite_rows_raise_before_the_sample_is_yielded(self):
+        psi = init_product(
+            GaussianPacket(-4.0, 1.0, 1.0), GaussianPacket(4.0, 1.0, -1.0), small_spec()
+        )
+        steps = []
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite amplitudes at step 1"):
+                for step, _ in iterate_split_step(
+                    psi, PotentialSpec("gaussian_well", 1e308, 1.5), 1e6, 2, 1
+                ):
+                    steps.append(step)
+        assert steps == [0]
 
     @staticmethod
     def record_blocks(monkeypatch):
@@ -481,7 +557,8 @@ class TestGridProbe:
             probe_split_step(init_product(pa, pb, spec), pot, cfg["dt"], cfg["n_steps"], 50)
         )
         assert spec.n == 256 and len(shapes) == len(samples) == 31
-        for _, grid, sample in samples:
+        for _, state, sample in samples:
+            grid = np.asarray(state)
             assert abs(sample.entropy_bits - schmidt_entropy(grid * spec.dx, 2)) <= 1e-13
         assert max(max(shape) for shape in shapes) <= 100
 
@@ -491,14 +568,14 @@ class TestGridProbe:
         sigma = 0.5 * pot.width
         psi = init_product(replace(pa, sigma=sigma), replace(pb, sigma=sigma), spec)
         shapes = self.record_blocks(monkeypatch)
-        GridProbe(spec, None)(psi.grid)
+        GridProbe(spec, None)(channel_sample(psi))
         assert shapes == [(spec.n, spec.n)]
 
     def test_product_state_entropy_is_positive_zero(self):
         # the test_particle pair, whose leading Schmidt weight rounds above 1
         _, spec, pa, pb, _ = fixture_objects("test_particle.json")
         psi = init_product(pa, pb, spec)
-        probed = GridProbe(spec, None)(psi.grid).entropy_bits
+        probed = GridProbe(spec, None)(channel_sample(psi)).entropy_bits
         for entropy in (probed, entanglement_entropy_bits(psi)):
             assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 

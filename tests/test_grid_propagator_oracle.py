@@ -50,10 +50,8 @@ def exact_state(h, psi0_grid, t):
 
 
 def split_step_state(psi, dt, n_steps):
-    final = None
-    for _, grid in iterate_split_step(psi, POT, dt, n_steps, n_steps):
-        final = grid
-    return final
+    *_, (_, final) = iterate_split_step(psi, POT, dt, n_steps, n_steps)
+    return np.asarray(final)
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from entanglab.grid import (
+    ChannelLayout,
+    ChannelSample,
     GaussianPacket,
     GridSpec,
     GridTrajectory,
@@ -21,7 +23,6 @@ from entanglab import islands
 from entanglab.islands import (
     CollisionFixture,
     _mean_field,
-    _overlap_fidelity,
     classical_two_body,
     iterate_hartree,
     material_point_fixture,
@@ -185,9 +186,9 @@ class TestHartreeFidelity:
     def test_identical_initialization_gives_unity(self):
         spec = small_spec()
         pa, pb = GaussianPacket(-4.0, 1.0, 1.0), GaussianPacket(4.0, 1.0, -1.0)
-        full = init_product(pa, pb, spec)
-        fidelity = _overlap_fidelity(full.grid, *packet_factors(pa, pb, spec), spec)
-        assert fidelity == pytest.approx(1.0, abs=1e-10)
+        layout, rows = ChannelLayout.of(init_product(pa, pb, spec))
+        overlap = ChannelSample(rows, layout).product_overlap(*packet_factors(pa, pb, spec))
+        assert abs(overlap) ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_free_run_keeps_unit_fidelity(self):
         run = run_collision(small_fixture(potential=PotentialSpec("gaussian_well", 0.0, 2.0)))
