@@ -143,10 +143,6 @@ class GameStats:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
-    def n_rounds(self) -> int:
-        return int(self.rounds.sum())
-
     def frequency(self, q_a: Question, q_b: Question) -> float:
         n = int(self.rounds[q_a.value, q_b.value])
         if n == 0:

@@ -223,6 +223,13 @@ def _grid_run(fields: dict, where: str) -> islands.CollisionFixture:
     potential, dt = fields["potential"], fields["dt"]
     if potential is not None:
         potential = _build(f"{where}.potential", grid.PotentialSpec, **potential)
+        with np.errstate(all="ignore"):  # a non-finite column is refused just below
+            column = grid.potential_on_grid(spec, potential, spec.x[0])
+        if not np.all(np.isfinite(column)):
+            raise ConfigError(
+                f"config key 'potential' in {where} must give a finite V at every lattice"
+                " separation"
+            )
         if dt * potential.max_abs() > grid.MAX_PHASE_PER_STEP:
             raise ConfigError(
                 f"config key 'dt' in {where} must keep dt * max|V| <= "

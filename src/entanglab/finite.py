@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import schmidt_entropy
+from .measures import HERMITIAN_TOL, schmidt_entropy
 from .states import Ket, PureState
 
-HERMITIAN_TOL = 1e-10
 WITNESS_CHUNK = 256  # product samples evolved together; bounds the (chunk, d, T) stack
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -68,10 +67,6 @@ class FiniteTrajectory:
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
 
-    @property
-    def max_entropy(self) -> float:
-        return float(np.max(self.entropies))
-
 
 @dataclass(frozen=True)
 class SplitResult:
@@ -91,28 +86,6 @@ class WitnessReport:
     max_entanglement: float
     per_sample_max: np.ndarray
     worst_initial_state: PureState
-
-
-def kron_pair(op_a: np.ndarray, op_b: np.ndarray) -> BipartiteHamiltonian:
-    """Build op_a (x) op_b as a BipartiteHamiltonian."""
-    op_a = np.asarray(op_a, dtype=complex)
-    op_b = np.asarray(op_b, dtype=complex)
-    return BipartiteHamiltonian(np.kron(op_a, op_b), op_a.shape[0], op_b.shape[0])
-
-
-def non_interacting(h_a: np.ndarray, h_b: np.ndarray) -> BipartiteHamiltonian:
-    """Build h_a (x) I + I (x) h_b, which keeps every product state a product."""
-    h_a = np.asarray(h_a, dtype=complex)
-    h_b = np.asarray(h_b, dtype=complex)
-    d_a, d_b = h_a.shape[0], h_b.shape[0]
-    m = np.kron(h_a, np.eye(d_b)) + np.kron(np.eye(d_a), h_b)
-    return BipartiteHamiltonian(m, d_a, d_b)
-
-
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
-    """Gaussian Hermitian matrix with entries of typical size ``scale``."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * 0.5 * (z + z.conj().T)
 
 
 def haar_kets(rng: np.random.Generator, n: int, *dims: int) -> tuple[np.ndarray, ...]:

@@ -54,10 +54,6 @@ CHANNEL_DUST = 1e-20  # dropped channel weight, as a share of the total
 POTENTIAL_KINDS = ("gaussian_well", "gaussian_barrier", "soft_coulomb")
 
 
-class PacketTooWideError(ValueError):
-    """A Gaussian packet does not fit its periodic box (sigma >= length / 8)."""
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """One periodic axis shared by both particles: point count, box length, masses."""
@@ -74,6 +70,13 @@ class GridSpec:
             raise ValueError("box lengths must be positive")
         if self.m_a <= 0 or self.m_b <= 0:
             raise ValueError("masses must be positive")
+        with np.errstate(all="ignore"):  # an overflowing table is refused just below
+            finite = all(np.all(np.isfinite(table)) for table in self.kinetic())
+        if not finite:
+            raise ValueError(
+                "kinetic energy k^2/2m is not finite on the lattice band"
+                f" |k| <= pi/dx = {math.pi / self.dx:g} for masses {self.m_a:g}, {self.m_b:g}"
+            )
 
     @property
     def dx(self) -> float:
@@ -193,14 +196,6 @@ class Wavefunction2P:
         return self.norm_of(self.grid, self.spec)
 
 
-class Observables(NamedTuple):
-    x_a: float
-    x_b: float
-    p_a: float
-    p_b: float
-    energy: float
-
-
 @dataclass(frozen=True)
 class GridTrajectory:
     """Sampled observables of one split-step run: one entry per sample in every column."""
@@ -261,9 +256,7 @@ def packet_factors(
     factors = []
     for side, packet in (("A", packet_a), ("B", packet_b)):
         if packet.sigma >= spec.length / 8:
-            raise PacketTooWideError(
-                f"packet {side} is too wide for its box (need sigma < length/8)"
-            )
+            raise ValueError(f"packet {side} is too wide for its box (need sigma < length/8)")
         if not -spec.length / 2 <= packet.center < spec.length / 2:
             raise ValueError(f"packet {side} is centred outside its box [-length/2, length/2)")
         if not -nyquist <= packet.momentum < nyquist:
@@ -439,8 +432,8 @@ class GridProbe:
     K gives the sheared grid S: the norm, <x_B> and <V> (zero when V is
     None) are sums of |S|^2, and <x_A> reads them through the layout's
     unshear map.  One complex and one real n x n scratch buffer, reused by
-    every sample, are the only n^2 arrays it keeps; ``ehrenfest_observables``
-    and ``entanglement_entropy_bits`` build a probe for one state.
+    every sample, are the only n^2 arrays it keeps.  ``ehrenfest_observables``
+    and ``entanglement_entropy_bits`` run the whole probe on one state.
     """
 
     def __init__(self, spec: GridSpec, potential: PotentialSpec | None):
@@ -453,72 +446,56 @@ class GridProbe:
         self.buffer = np.empty(shape, dtype=complex)  # the rows' FFT, then S
         self.weights = np.empty(shape)  # momentum weights, then position weights
 
-    def _momentum_marginals(self, sample: ChannelSample) -> tuple[np.ndarray, np.ndarray]:
-        """The rows' FFT into ``self.buffer``, and the momentum marginals of A and of B."""
-        rows = len(sample.rows)
+    def __call__(self, sample: ChannelSample) -> GridSample:
+        layout, rows = sample.layout, len(sample.rows)
         momentum = np.fft.fft(sample.rows, axis=1, out=self.buffer[:rows])
         if rows < len(self.buffer):
             self.buffer[rows] = 0  # Psi-hat of the dropped channels, for the block
         weights = np.square(np.abs(momentum, out=self.weights[:rows]), out=self.weights[:rows])
-        along_b = np.bincount(sample.layout.q.ravel(), weights.ravel(), len(self.buffer))
-        return weights.sum(axis=0), along_b
-
-    def _block_entropy_bits(self, layout: ChannelLayout, along_a, along_b) -> float:
-        """Schmidt entropy of the sample whose momentum marginals were just taken."""
+        along_a = weights.sum(axis=0)
+        along_b = np.bincount(layout.q.ravel(), weights.ravel(), len(self.buffer))
         share = CHANNEL_DUST / 2
         p, q = _heavy(along_a, share)[:, None], _heavy(along_b, share)
         block = self.buffer.ravel()[layout.offset[p + q] + p]  # Psi-hat[p, q]
         block *= self.momentum_cell
-        return schmidt_entropy(block, 2)
-
-    def _observables(self, sample: ChannelSample, along_a, along_b) -> tuple[float, Observables]:
-        """Norm and means; spends ``self.buffer`` on S."""
-        sheared = sample.layout.sheared(sample.rows, self.buffer)
+        entropy_bits = schmidt_entropy(block, 2)
+        sheared = layout.sheared(sample.rows, self.buffer)  # spends the buffer on S
         weights = np.square(np.abs(sheared, out=self.weights), out=self.weights)
         weights *= self.cell  # |S|^2 dx_A dx_B
-        norm = float(np.sum(weights))
-        x_a = float(self.x @ weights.ravel()[sample.layout.unshear].sum(axis=1))
-        x_b = float(self.x @ weights.sum(axis=1))
         potential_energy = 0.0 if self.v is None else float(self.v @ weights.sum(axis=0))
         total = float(along_a.sum())
-        return norm, Observables(
-            x_a,
-            x_b,
+        return GridSample(
+            float(np.sum(weights)),
+            float(self.x @ weights.ravel()[layout.unshear].sum(axis=1)),
+            float(self.x @ weights.sum(axis=1)),
             float(self.k @ along_a) / total,
             float(self.k @ along_b) / total,
             float(self.kinetic_a @ along_a + self.kinetic_b @ along_b) / total + potential_energy,
+            entropy_bits,
         )
 
-    def __call__(self, sample: ChannelSample) -> GridSample:
-        along_a, along_b = self._momentum_marginals(sample)
-        entropy_bits = self._block_entropy_bits(sample.layout, along_a, along_b)
-        norm, observables = self._observables(sample, along_a, along_b)
-        return GridSample(norm, *observables, entropy_bits=entropy_bits)
 
-
-def _one_state(psi: Wavefunction2P, potential: PotentialSpec | None):
-    """A probe for ``psi`` and ``psi`` as its channel sample."""
+def _one_state(psi: Wavefunction2P, potential: PotentialSpec | None) -> GridSample:
+    """The whole probe of ``psi`` alone, from its channel form."""
     layout, rows = ChannelLayout.of(psi)
-    return GridProbe(psi.spec, potential), ChannelSample(rows, layout)
+    return GridProbe(psi.spec, potential)(ChannelSample(rows, layout))
 
 
 def entanglement_entropy_bits(psi: Wavefunction2P) -> float:
     """Base-2 entropy of the Schmidt spectrum; weights at or below 1e-14 are dust."""
-    probe, sample = _one_state(psi, None)
-    return probe._block_entropy_bits(sample.layout, *probe._momentum_marginals(sample))
+    return _one_state(psi, None).entropy_bits
 
 
 def ehrenfest_observables(
     psi: Wavefunction2P, potential: PotentialSpec | None = None
-) -> Observables:
-    """Mean positions, mean momenta, and total energy by quadrature.
+) -> GridSample:
+    """The ``GridSample`` of ``psi``: mean positions, mean momenta, total energy by quadrature.
 
     Positions are lattice sums; momenta and kinetic energy come from the
     momentum-space distribution; energy adds the interaction quadrature
     (zero when ``potential`` is None).
     """
-    probe, sample = _one_state(psi, potential)
-    return probe._observables(sample, *probe._momentum_marginals(sample))[1]
+    return _one_state(psi, potential)
 
 
 def probe_split_step(

@@ -94,14 +94,6 @@ class SchmidtDecomposition:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
-    def rank(self) -> int:
-        return self.coefficients.size
-
-    def reconstruct(self) -> np.ndarray:
-        """Amplitude matrix sum_k c_k |a_k><b_k^*| rebuilt from the decomposition."""
-        return (self.basis_a * self.coefficients) @ self.basis_b.T
-
 
 def reduced_density_matrix(state: PureState, subsystem: str) -> DensityMatrix:
     """Trace out one side of a bipartite pure state.

@@ -19,7 +19,7 @@ from entanglab import finite, islands, measures, states
 from entanglab.cli import collision_fixture_from_config, main
 from entanglab.grid import evolve_split_step, init_product
 
-from conftest import load_fixture
+from conftest import load_fixture, non_interacting, random_hermitian
 
 CRITERIA_LOG = []
 
@@ -118,15 +118,16 @@ def test_criterion_5_schmidt_correctness():
         d_a, d_b = rng.integers(2, 6, size=2)
         state = random_pure_state(rng, d_a, d_b)
         decomposition = measures.schmidt_decompose(state)
+        rebuilt = (decomposition.basis_a * decomposition.coefficients) @ decomposition.basis_b.T
         worst_rebuild = max(
             worst_rebuild,
-            float(np.max(np.abs(decomposition.reconstruct() - state.amplitudes))),
+            float(np.max(np.abs(rebuilt - state.amplitudes))),
         )
         eigenvalues = np.sort(
             np.linalg.eigvalsh(measures.reduced_density_matrix(state, "A").matrix)
         )[::-1]
         padded = np.zeros(eigenvalues.size)
-        padded[: decomposition.rank] = decomposition.coefficients**2
+        padded[: decomposition.coefficients.size] = decomposition.coefficients**2
         worst_eigen = max(worst_eigen, float(np.max(np.abs(padded - eigenvalues))))
     assert worst_rebuild < 1e-10
     assert worst_eigen < 1e-10
@@ -144,9 +145,7 @@ def test_criterion_6_factorization_theorem():
     forward_worst = 0.0
     for k in range(100):
         d = dims[k % 3]
-        H = finite.non_interacting(
-            finite.random_hermitian(rng, d), finite.random_hermitian(rng, d)
-        )
+        H = non_interacting(random_hermitian(rng, d), random_hermitian(rng, d))
         report_k = finite.theorem_witness(
             H, 50, t_final=10.0, seed=int(rng.integers(1 << 31))
         )
@@ -156,7 +155,7 @@ def test_criterion_6_factorization_theorem():
     converse_worst = math.inf
     for k in range(100):
         d = dims[k % 3]
-        H = finite.BipartiteHamiltonian(finite.random_hermitian(rng, d * d), d, d)
+        H = finite.BipartiteHamiltonian(random_hermitian(rng, d * d), d, d)
         split = finite.split_hamiltonian(H, 1e-8)
         assert split.residual_norm > 0.1
         report_k = finite.theorem_witness(

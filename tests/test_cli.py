@@ -539,6 +539,28 @@ INVALID_CONFIGS = {
     "evolve_unstable_soft_coulomb_dt": (
         "evolve", tiny_grid_config(), _set(None, "potential", SOFT_COULOMB)
     ),
+    # k^2/2m overflows on the band: pi/dx is 4.19 on 32 points in a box of 24
+    "evolve_kinetic_table_overflows": (
+        "evolve", tiny_grid_config(), _set("grid", "m_a", 1e-310), "k^2/2m"
+    ),
+    "islands_mass_ratio_overflows_kinetic_table": (
+        "islands", tiny_grid_config(kind="test_particle", mass_ratios=[1.0], seed=0),
+        _set(None, "mass_ratios", [1e308]), "k^2/2m",
+    ),
+    # V is 0/0 at contact: width^2 underflows to 0
+    "evolve_potential_not_finite_at_contact": (
+        "evolve", tiny_grid_config(), _set("potential", "width", 1e-200), "'potential'"
+    ),
+    "islands_potential_not_finite_at_contact": (
+        "islands", tiny_grid_config(kind="test_particle", mass_ratios=[1.0], seed=0),
+        _set("potential", "width", 1e-200), "'potential'",
+    ),
+    # max|V| reads 0, so the dt rule lets it through
+    "evolve_zero_soft_coulomb_not_finite_at_contact": (
+        "evolve", tiny_grid_config(),
+        _set(None, "potential", {"kind": "soft_coulomb", "strength": 0.0, "width": 1e-200}),
+        "'potential'",
+    ),
     "theorem_zero_samples": ("theorem", _theorem_config(), _set(None, "n_product_samples", 0)),
     "theorem_zero_t_final": ("theorem", _theorem_config(), _set(None, "t_final", 0)),
     "theorem_zero_time_samples": ("theorem", _theorem_config(), _set(None, "time_samples", 0)),

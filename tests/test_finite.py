@@ -13,14 +13,15 @@ from entanglab.finite import (
     evolve_finite,
     haar_ket,
     haar_kets,
-    kron_pair,
-    non_interacting,
-    random_hermitian,
     split_hamiltonian,
     theorem_witness,
 )
 from entanglab.measures import entanglement
 from entanglab.states import Ket, PureState, tensor_product
+
+from conftest import non_interacting, random_hermitian
+
+ISING_ZZ = BipartiteHamiltonian(np.kron(SIGMA_Z, SIGMA_Z), 2, 2)
 
 
 def plus_x_pair() -> PureState:
@@ -60,16 +61,16 @@ class TestEvolveFinite:
     def test_non_interacting_generator_keeps_products(self):
         H = non_interacting(SIGMA_Z, SIGMA_X)
         traj = evolve_finite(H, plus_x_pair(), t_final=5.0, n_samples=41)
-        assert traj.max_entropy < 1e-10
+        assert traj.entropies.max() < 1e-10
 
     def test_ising_coupling_reaches_maximal_entanglement(self):
-        H = kron_pair(SIGMA_Z, SIGMA_Z)
+        H = ISING_ZZ
         traj = evolve_finite(H, plus_x_pair(), t_final=math.pi / 4.0, n_samples=9)
         assert traj.entropies[-1] == pytest.approx(1.0, abs=1e-8)
 
     def test_ising_entropy_matches_closed_form(self):
         # Closed-form four-level oracle: reduced spectrum {cos^2 t, sin^2 t}.
-        H = kron_pair(SIGMA_Z, SIGMA_Z)
+        H = ISING_ZZ
         traj = evolve_finite(H, plus_x_pair(), t_final=2.0, n_samples=33)
         expected = np.array([binary_entropy(math.cos(t) ** 2) for t in traj.times])
         assert np.max(np.abs(traj.entropies - expected)) < 1e-12
@@ -82,14 +83,14 @@ class TestEvolveFinite:
         assert np.max(np.abs(traj.norms - 1.0)) < 1e-10
 
     def test_dimension_mismatch_rejected(self):
-        H = kron_pair(SIGMA_Z, SIGMA_Z)
+        H = ISING_ZZ
         rng = np.random.default_rng(2)
         psi0 = tensor_product(haar_ket(rng, 3), haar_ket(rng, 2))
         with pytest.raises(ValueError, match="mismatch"):
             evolve_finite(H, psi0, 1.0, 5)
 
     def test_times_strictly_increasing(self):
-        H = kron_pair(SIGMA_Z, SIGMA_Z)
+        H = ISING_ZZ
         traj = evolve_finite(H, plus_x_pair(), 1.0, 17)
         assert np.all(np.diff(traj.times) > 0)
 
@@ -104,7 +105,7 @@ class TestSplitHamiltonian:
     def test_ising_residual_is_two(self):
         # Projection oracle by hand: both partial traces vanish, so the
         # residual is the full Frobenius norm, sqrt(4 * 1) = 2.
-        result = split_hamiltonian(kron_pair(SIGMA_Z, SIGMA_Z), 1e-10)
+        result = split_hamiltonian(ISING_ZZ, 1e-10)
         assert not result.separable
         assert result.residual_norm == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(result.h_a, 0.0, atol=1e-12)
@@ -169,7 +170,7 @@ class TestTheoremWitness:
             assert report.max_entanglement < 1e-8
 
     def test_ising_coupling_is_witnessed(self):
-        report = theorem_witness(kron_pair(SIGMA_Z, SIGMA_Z), 50, t_final=1.0, seed=13)
+        report = theorem_witness(ISING_ZZ, 50, t_final=1.0, seed=13)
         assert not report.split.separable
         assert report.max_entanglement > 0.01
 
@@ -186,7 +187,7 @@ class TestTheoremWitness:
                 assert report.max_entanglement > 1e-3
 
     def test_worst_initial_state_is_a_product(self):
-        report = theorem_witness(kron_pair(SIGMA_Z, SIGMA_Z), 10, t_final=1.0, seed=15)
+        report = theorem_witness(ISING_ZZ, 10, t_final=1.0, seed=15)
         assert entanglement(report.worst_initial_state) < 1e-12
 
     @pytest.mark.parametrize("n_time_samples", [9, 1])
@@ -201,7 +202,7 @@ class TestTheoremWitness:
         draws = np.random.default_rng(17)
         initial = [tensor_product(haar_ket(draws, 3), haar_ket(draws, 2)) for _ in range(n)]
         expected = [
-            evolve_finite(H, psi0, 4.0, n_time_samples).max_entropy for psi0 in initial
+            evolve_finite(H, psi0, 4.0, n_time_samples).entropies.max() for psi0 in initial
         ]
         assert np.max(np.abs(report.per_sample_max - expected)) < 1e-12
         worst = initial[int(np.argmax(expected))].amplitudes
@@ -211,7 +212,7 @@ class TestTheoremWitness:
     @pytest.mark.parametrize("t_final, n_time_samples", [(0.0, 9), (-1.0, 9), (1.0, 0)])
     def test_rejects_bad_sample_times(self, t_final, n_time_samples):
         with pytest.raises(ValueError, match="at least one sample"):
-            theorem_witness(kron_pair(SIGMA_Z, SIGMA_Z), 5, t_final, 1, n_time_samples)
+            theorem_witness(ISING_ZZ, 5, t_final, 1, n_time_samples)
 
     def test_pauli_table_contains_expected_keys(self):
         assert set(PAULI) == {"i", "x", "y", "z"}

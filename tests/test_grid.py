@@ -14,7 +14,6 @@ from entanglab.grid import (
     GridProbe,
     GridSpec,
     GridTrajectory,
-    PacketTooWideError,
     PotentialSpec,
     Wavefunction2P,
     ehrenfest_observables,
@@ -156,7 +155,7 @@ class TestInitProduct:
         assert float(np.sum(spectrum[1:])) < 1e-12
 
     def test_wide_packet_rejected(self):
-        with pytest.raises(PacketTooWideError):
+        with pytest.raises(ValueError, match="too wide"):
             init_product(
                 GaussianPacket(0.0, 5.0, 0.0), GaussianPacket(0.0, 1.0, 0.0), small_spec()
             )
@@ -570,6 +569,15 @@ class TestGridProbe:
         shapes = self.record_blocks(monkeypatch)
         GridProbe(spec, None)(channel_sample(psi))
         assert shapes == [(spec.n, spec.n)]
+
+    @pytest.mark.parametrize("case", ["collision_well", "material_point_0.5"])
+    def test_one_state_helpers_are_the_probe(self, case):
+        _, psi, potential, *_ = next(c for c in self.dense_cases() if c[0] == case)
+        sample = GridProbe(psi.spec, potential)(channel_sample(psi))
+        # field for field, bit for bit (float.hex tells -0.0 from 0.0)
+        observables = ehrenfest_observables(psi, potential)
+        assert [value.hex() for value in observables] == [value.hex() for value in sample]
+        assert entanglement_entropy_bits(psi).hex() == sample.entropy_bits.hex()
 
     def test_product_state_entropy_is_positive_zero(self):
         # the test_particle pair, whose leading Schmidt weight rounds above 1

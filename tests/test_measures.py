@@ -131,7 +131,7 @@ class TestSchmidtDecomposition:
     def test_product_state_has_one_term(self):
         rng = np.random.default_rng(9)
         d = schmidt_decompose(tensor_product(random_ket(rng, 2), random_ket(rng, 3)))
-        assert d.rank == 1
+        assert d.coefficients.size == 1
         assert d.coefficients[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_coefficients_squared_are_reduced_eigenvalues(self):
@@ -141,7 +141,7 @@ class TestSchmidtDecomposition:
         eigenvalues = np.sort(
             np.linalg.eigvalsh(reduced_density_matrix(state, "A").matrix)
         )[::-1]
-        assert np.allclose(d.coefficients**2, eigenvalues[: d.rank], atol=1e-10)
+        assert np.allclose(d.coefficients**2, eigenvalues[: d.coefficients.size], atol=1e-10)
 
     def test_reconstruction_and_orthonormality_random_states(self):
         rng = np.random.default_rng(11)
@@ -149,11 +149,12 @@ class TestSchmidtDecomposition:
             d_a, d_b = rng.integers(2, 6, size=2)
             state = random_pure_state(rng, d_a, d_b)
             d = schmidt_decompose(state)
-            assert np.max(np.abs(d.reconstruct() - state.amplitudes)) < 1e-10
+            rebuilt = (d.basis_a * d.coefficients) @ d.basis_b.T
+            assert np.max(np.abs(rebuilt - state.amplitudes)) < 1e-10
             # orthonormality is enforced at construction; re-check both sides
             for basis in (d.basis_a, d.basis_b):
                 gram = basis.conj().T @ basis
-                assert np.max(np.abs(gram - np.eye(d.rank))) < 1e-10
+                assert np.max(np.abs(gram - np.eye(d.coefficients.size))) < 1e-10
 
     def test_schmidt_number_cases(self):
         assert schmidt_number(schmidt_decompose(bell_state(0, 0)), 1e-8) == 2

@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 
 from entanglab.cli import main
-from entanglab.finite import (
-    BipartiteHamiltonian,
-    kron_pair,
-    random_hermitian,
-    split_hamiltonian,
-    theorem_witness,
-)
+from entanglab.finite import BipartiteHamiltonian, split_hamiltonian, theorem_witness
 from entanglab.grid import GaussianPacket, GridSpec, PotentialSpec
 from entanglab.measures import entanglement, schmidt_decompose
 from entanglab.states import PureState
+
+from conftest import random_hermitian
 
 
 class TestUnequalDimensions:
@@ -29,7 +25,7 @@ class TestUnequalDimensions:
     def test_split_on_rectangular_system(self):
         pauli_like = np.diag([1.0, -1.0])
         spin1 = np.diag([1.0, 0.0, -1.0])
-        H = kron_pair(pauli_like, spin1)
+        H = BipartiteHamiltonian(np.kron(pauli_like, spin1), 2, 3)
         result = split_hamiltonian(H, 1e-10)
         assert not result.separable
         rebuilt = np.kron(result.h_a, np.eye(3)) + np.kron(np.eye(2), result.h_b)
@@ -44,7 +40,7 @@ class TestUnequalDimensions:
         state = PureState(m)
         assert entanglement(state) == pytest.approx(1.0, abs=1e-12)
         d = schmidt_decompose(state)
-        assert d.rank == 2
+        assert d.coefficients.size == 2
         assert d.basis_b.shape == (4, 2)
 
 
