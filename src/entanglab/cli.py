@@ -210,6 +210,18 @@ GRID_RUN = {
 COLLISION = {**GRID_RUN, "potential": (POTENTIAL, REQUIRED)}
 
 
+def _check_kinetic_phase(spec: grid.GridSpec, dt: float, where: str) -> None:
+    """Refuse a dt whose kinetic phase per step passes MAX_KINETIC_PHASE (rounding ~1e-10 rad)."""
+    kinetic_a, kinetic_b = spec.kinetic()
+    phase = dt * float(kinetic_a.max() + kinetic_b.max())
+    if phase > grid.MAX_KINETIC_PHASE:
+        raise ConfigError(
+            f"config key 'dt' in {where} must keep dt * max(k^2/2m_A + k^2/2m_B) <= "
+            f"{grid.MAX_KINETIC_PHASE:g} rad per step (it is {phase:g} rad for masses"
+            f" {spec.m_a:g}, {spec.m_b:g})"
+        )
+
+
 def _grid_run(fields: dict, where: str) -> islands.CollisionFixture:
     """The lattice, packets, optional potential and stepping of a grid run.
 
@@ -230,11 +242,13 @@ def _grid_run(fields: dict, where: str) -> islands.CollisionFixture:
                 f"config key 'potential' in {where} must give a finite V at every lattice"
                 " separation"
             )
-        if dt * potential.max_abs() > grid.MAX_PHASE_PER_STEP:
+        peak = float(np.max(np.abs(column)))
+        if dt * peak > grid.MAX_PHASE_PER_STEP:
             raise ConfigError(
                 f"config key 'dt' in {where} must keep dt * max|V| <= "
-                f"{grid.MAX_PHASE_PER_STEP} rad per step (max|V| is {potential.max_abs():g})"
+                f"{grid.MAX_PHASE_PER_STEP} rad per step (max|V| is {peak:g})"
             )
+    _check_kinetic_phase(spec, dt, where)
     return islands.CollisionFixture(
         spec, *packets, potential, dt, fields["n_steps"], fields["sample_every"]
     )
@@ -567,6 +581,7 @@ def parse_islands(config: dict, args) -> tuple:
     packets_where = point_where if kind == "material_point" else where
     for ratio in ratios:  # build each scan point as the scan will, so a bad one fails here
         point = _build(point_where, point_fixture, base, ratio)
+        _check_kinetic_phase(point.spec, point.dt, where)
         _build(packets_where, grid.init_product, point.packet_a, point.packet_b, point.spec)
     outputs = ["islands.csv", "islands.json"]
     if fields["write_trajectories"]:

@@ -11,20 +11,25 @@ Each step is a Strang splitting: half a potential phase (diagonal in
 position), a full kinetic phase (diagonal in momentum), and the second
 potential half.  Both substeps are exactly unitary, so the method conserves
 the norm to rounding; accuracy is second order in dt.  Stability rule: keep
-dt * max|V| at or below MAX_PHASE_PER_STEP (0.1 rad per step).
+dt * max|V| at or below MAX_PHASE_PER_STEP (0.1 rad per step).  A free run
+has no such bound, so the kinetic phase per step, dt * max(k^2/2m_A +
+k^2/2m_B), is kept at or below MAX_KINETIC_PHASE (1e6 rad), where its
+rounding error is about 1e-10 rad.
 
 On an n x n lattice V depends on a - b mod n only, so the total momentum
 K = k_A + k_B is conserved exactly.  The state is sheared and transformed
 once into its n total-momentum channels; in channel K both phases act along
 the relative index alone, so a step is one 1-D FFT pair per channel.  A
-sample is a copy of the kept channel rows (``ChannelSample``); the n x n
-grid is built only when one is asked for.  Each channel's weight is
-conserved by both substeps, so the lightest channels, whose weights sum to
-at most CHANNEL_DUST (1e-20) of the total, are dropped at the start: the
-norm moves by at most 1e-20 and the amplitudes by at most 1e-10 relative in
-2-norm, and the error never grows.  ``packet_factors`` refuses a packet
-that does not fit the box, leaves no amplitude on the lattice, or whose
-momentum lies outside the lattice band [-pi/dx, pi/dx).
+run's ``ChannelLayout`` builds V's column and both kinetic tables once; it
+gives the step its phases and probes each sample.  A sample is a copy of the
+kept channel rows (``ChannelSample``); the n x n grid is built only when one
+is asked for.  Each channel's weight is conserved by both substeps, so the
+lightest channels, whose weights sum to at most CHANNEL_DUST (1e-20) of the
+total, are dropped at the start: the norm moves by at most 1e-20 and the
+amplitudes by at most 1e-10 relative in 2-norm, and the error never grows.
+``packet_factors`` refuses a packet that does not fit the box, leaves no
+amplitude on the lattice, or whose momentum lies outside the lattice band
+[-pi/dx, pi/dx).
 
 Entanglement is tracked through the singular values of the amplitude grid,
 which are the Schmidt coefficients of the discretized state.  A unitary FFT
@@ -49,6 +54,7 @@ from .measures import schmidt_entropy
 
 NORM_TOL = 1e-8
 MAX_PHASE_PER_STEP = 0.1
+MAX_KINETIC_PHASE = 1e6
 CHANNEL_DUST = 1e-20  # dropped channel weight, as a share of the total
 
 POTENTIAL_KINDS = ("gaussian_well", "gaussian_barrier", "soft_coulomb")
@@ -147,11 +153,6 @@ class PotentialSpec:
         if self.kind == "gaussian_barrier":
             return -self.strength * (r / self.width**2) * np.exp(-(r**2) / (2.0 * self.width**2))
         return -self.strength * r * (r**2 + self.width**2) ** -1.5
-
-    def max_abs(self) -> float:
-        return abs(self.strength) if self.kind != "soft_coulomb" else abs(
-            self.strength
-        ) / self.width
 
 
 def minimal_image(r, period: float):
@@ -300,7 +301,7 @@ def _heavy(weights: np.ndarray, share: float) -> np.ndarray:
 
 
 class ChannelLayout:
-    """Which total-momentum channels a run keeps, and the maps that read their rows.
+    """A run's kept total-momentum channels and every lattice table its steps and probes read.
 
     Row i of a state in this layout is channel K = kept[i],
     Phi_K[r] = sum_s Psi[(r + s) mod n, s] e^{-2 pi i K s / n}.  V depends on
@@ -309,50 +310,95 @@ class ChannelLayout:
     phases act row by row and each row's weight is conserved exactly.  The
     inverse FFT over K of all n rows, the dropped ones zero, is the sheared
     grid S[s, r] = Psi[(r + s) mod n, s].
+
+    V's column (None when free) and both kinetic tables are built here, once
+    per run, and ``phases`` and ``probe`` both read them.  The complex n x n
+    buffer holds psi's channels while the layout is built; it and one real
+    n x n buffer are then the scratch that every ``probe`` call reuses.
     """
 
-    def __init__(self, spec: GridSpec, kept: np.ndarray, unshear: np.ndarray):
+    def __init__(self, psi: Wavefunction2P, potential: PotentialSpec | None):
+        spec = self.spec = psi.spec
         n = spec.n
-        self.spec, self.kept, self.unshear = spec, kept, unshear
-        self.q = ((kept[:, None] - np.arange(n)) % n).astype(np.int32)  # q of row i, column p
+        index = np.arange(n)
+        # Psi[a, b] sits at flat position b * n + (a - b) mod n of the (s, r) grid
+        self.unshear = index[None, :] * n + (index[:, None] - index[None, :]) % n
+        self.buffer = np.empty((n, n), dtype=complex)  # psi's channels, the rows' FFT, then S
+        self.buffer.ravel()[self.unshear] = psi.grid
+        np.fft.fft(self.buffer, axis=0, out=self.buffer)
+        kept = self.kept = _heavy(np.sum(np.abs(self.buffer) ** 2, axis=1), CHANNEL_DUST)
+        self.q = ((kept[:, None] - index) % n).astype(np.int32)  # q of row i, column p
         # flat offset of channel K mod n in the rows' FFT, for K < 2n; a dropped
         # channel points at the row after the kept ones, which the probe zeroes
         row = np.full(n, len(kept))
         row[kept] = np.arange(len(kept))
         self.offset = np.tile(row * n, 2)
+        self.v = None if potential is None else potential_on_grid(spec, potential, spec.x[0])
+        self.kinetic_a, self.kinetic_b = spec.kinetic()
+        self.x, self.k = spec.x, spec.k
+        self.cell = spec.dx * spec.dx
+        self.momentum_cell = spec.dx / n  # Psi-hat = fft2(Psi) / n, times dx
+        self.weights = np.empty((n, n))  # momentum weights, then position weights
 
     @classmethod
-    def of(cls, psi: Wavefunction2P) -> tuple[ChannelLayout, np.ndarray]:
-        """The layout of ``psi`` and its kept rows.
+    def of(
+        cls, psi: Wavefunction2P, potential: PotentialSpec | None
+    ) -> tuple[ChannelLayout, np.ndarray]:
+        """The layout of ``psi`` under ``potential`` and its kept rows.
 
         Rows whose weights sum to at most CHANNEL_DUST of the total are dropped.
         """
-        n = psi.spec.n
-        index = np.arange(n)
-        # Psi[a, b] sits at flat position b * n + (a - b) mod n of the (s, r) grid
-        unshear = index[None, :] * n + (index[:, None] - index[None, :]) % n
-        channels = np.empty((n, n), dtype=complex)
-        channels.ravel()[unshear] = psi.grid
-        np.fft.fft(channels, axis=0, out=channels)
-        kept = _heavy(np.sum(np.abs(channels) ** 2, axis=1), CHANNEL_DUST)
-        return cls(psi.spec, kept, unshear), channels[kept]
+        layout = cls(psi, potential)
+        return layout, layout.buffer[layout.kept]
 
-    def phases(self, potential: PotentialSpec | None, dt: float):
+    def phases(self, dt: float):
         """``(half_v, kinetic)`` of ``strang_step`` for the rows; ``half_v`` is None when free."""
-        spec = self.spec
-        half_v = (
-            None
-            if potential is None
-            else np.exp(-0.5j * dt * potential_on_grid(spec, potential, spec.x[0]))
-        )
-        kinetic_a, kinetic_b = spec.kinetic()
-        return half_v, np.exp(-1j * dt * (kinetic_a + kinetic_b[self.q]))
+        half_v = None if self.v is None else np.exp(-0.5j * dt * self.v)
+        return half_v, np.exp(-1j * dt * (self.kinetic_a + self.kinetic_b[self.q]))
 
     def sheared(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         """S[s, r] = Psi[(r + s) mod n, s] of ``rows``, written into the n x n ``out``."""
         out.fill(0)
         out[self.kept] = rows
         return np.fft.ifft(out, axis=0, out=out)
+
+    def probe(self, rows: np.ndarray) -> GridSample:
+        """The ``GridSample`` of one state's kept channel rows.
+
+        Their FFT along r holds Psi-hat[p, (K - p) mod n]: <p> and the kinetic
+        energy are read off its two marginals, and the Schmidt entropy is
+        taken from its block of rows and columns that hold all but
+        CHANNEL_DUST of the weight (the whole momentum grid when nothing can
+        be dropped).  The inverse FFT over K gives the sheared grid S: the
+        norm, <x_B> and <V> (zero when free) are sums of |S|^2, and <x_A>
+        reads them through the unshear map.
+        """
+        kept = len(rows)
+        momentum = np.fft.fft(rows, axis=1, out=self.buffer[:kept])
+        if kept < len(self.buffer):
+            self.buffer[kept] = 0  # Psi-hat of the dropped channels, for the block
+        weights = np.square(np.abs(momentum, out=self.weights[:kept]), out=self.weights[:kept])
+        along_a = weights.sum(axis=0)
+        along_b = np.bincount(self.q.ravel(), weights.ravel(), len(self.buffer))
+        share = CHANNEL_DUST / 2
+        p, q = _heavy(along_a, share)[:, None], _heavy(along_b, share)
+        block = self.buffer.ravel()[self.offset[p + q] + p]  # Psi-hat[p, q]
+        block *= self.momentum_cell
+        entropy_bits = schmidt_entropy(block, 2)
+        sheared = self.sheared(rows, self.buffer)  # spends the buffer on S
+        weights = np.square(np.abs(sheared, out=self.weights), out=self.weights)
+        weights *= self.cell  # |S|^2 dx_A dx_B
+        potential_energy = 0.0 if self.v is None else float(self.v @ weights.sum(axis=0))
+        total = float(along_a.sum())
+        return GridSample(
+            float(np.sum(weights)),
+            float(self.x @ weights.ravel()[self.unshear].sum(axis=1)),
+            float(self.x @ weights.sum(axis=1)),
+            float(self.k @ along_a) / total,
+            float(self.k @ along_b) / total,
+            float(self.kinetic_a @ along_a + self.kinetic_b @ along_b) / total + potential_energy,
+            entropy_bits,
+        )
 
 
 class ChannelSample:
@@ -396,8 +442,8 @@ def iterate_split_step(
     """
     if dt <= 0 or n_steps < 1 or sample_every < 1:
         raise ValueError("need positive dt, n_steps and sample_every")
-    layout, state = ChannelLayout.of(psi)
-    half_v, kinetic = layout.phases(potential, dt)
+    layout, state = ChannelLayout.of(psi, potential)
+    half_v, kinetic = layout.phases(dt)
     yield 0, ChannelSample(state.copy(), layout)
     for step in range(1, n_steps + 1):
         strang_step(state, half_v, kinetic)
@@ -421,64 +467,10 @@ class GridSample(NamedTuple):
     entropy_bits: float
 
 
-class GridProbe:
-    """The per-sample probe of ``probe_split_step``, built there once per run.
-
-    Every column comes from the sample's kept channel rows.  Their FFT along
-    r holds Psi-hat[p, (K - p) mod n]: <p> and the kinetic energy are read
-    off its two marginals, and the Schmidt entropy is taken from its block
-    of rows and columns that hold all but CHANNEL_DUST of the weight (the
-    whole momentum grid when nothing can be dropped).  The inverse FFT over
-    K gives the sheared grid S: the norm, <x_B> and <V> (zero when V is
-    None) are sums of |S|^2, and <x_A> reads them through the layout's
-    unshear map.  One complex and one real n x n scratch buffer, reused by
-    every sample, are the only n^2 arrays it keeps.  ``ehrenfest_observables``
-    and ``entanglement_entropy_bits`` run the whole probe on one state.
-    """
-
-    def __init__(self, spec: GridSpec, potential: PotentialSpec | None):
-        self.cell = spec.dx * spec.dx
-        self.momentum_cell = spec.dx / spec.n  # Psi-hat = fft2(Psi) / n, times dx
-        self.x, self.k = spec.x, spec.k
-        self.kinetic_a, self.kinetic_b = spec.kinetic()
-        self.v = None if potential is None else potential_on_grid(spec, potential, spec.x[0])
-        shape = (spec.n, spec.n)
-        self.buffer = np.empty(shape, dtype=complex)  # the rows' FFT, then S
-        self.weights = np.empty(shape)  # momentum weights, then position weights
-
-    def __call__(self, sample: ChannelSample) -> GridSample:
-        layout, rows = sample.layout, len(sample.rows)
-        momentum = np.fft.fft(sample.rows, axis=1, out=self.buffer[:rows])
-        if rows < len(self.buffer):
-            self.buffer[rows] = 0  # Psi-hat of the dropped channels, for the block
-        weights = np.square(np.abs(momentum, out=self.weights[:rows]), out=self.weights[:rows])
-        along_a = weights.sum(axis=0)
-        along_b = np.bincount(layout.q.ravel(), weights.ravel(), len(self.buffer))
-        share = CHANNEL_DUST / 2
-        p, q = _heavy(along_a, share)[:, None], _heavy(along_b, share)
-        block = self.buffer.ravel()[layout.offset[p + q] + p]  # Psi-hat[p, q]
-        block *= self.momentum_cell
-        entropy_bits = schmidt_entropy(block, 2)
-        sheared = layout.sheared(sample.rows, self.buffer)  # spends the buffer on S
-        weights = np.square(np.abs(sheared, out=self.weights), out=self.weights)
-        weights *= self.cell  # |S|^2 dx_A dx_B
-        potential_energy = 0.0 if self.v is None else float(self.v @ weights.sum(axis=0))
-        total = float(along_a.sum())
-        return GridSample(
-            float(np.sum(weights)),
-            float(self.x @ weights.ravel()[layout.unshear].sum(axis=1)),
-            float(self.x @ weights.sum(axis=1)),
-            float(self.k @ along_a) / total,
-            float(self.k @ along_b) / total,
-            float(self.kinetic_a @ along_a + self.kinetic_b @ along_b) / total + potential_energy,
-            entropy_bits,
-        )
-
-
 def _one_state(psi: Wavefunction2P, potential: PotentialSpec | None) -> GridSample:
     """The whole probe of ``psi`` alone, from its channel form."""
-    layout, rows = ChannelLayout.of(psi)
-    return GridProbe(psi.spec, potential)(ChannelSample(rows, layout))
+    layout, rows = ChannelLayout.of(psi, potential)
+    return layout.probe(rows)
 
 
 def entanglement_entropy_bits(psi: Wavefunction2P) -> float:
@@ -498,24 +490,6 @@ def ehrenfest_observables(
     return _one_state(psi, potential)
 
 
-def probe_split_step(
-    psi: Wavefunction2P,
-    potential: PotentialSpec | None,
-    dt: float,
-    n_steps: int,
-    sample_every: int,
-) -> Iterator[tuple[int, ChannelSample, GridSample]]:
-    """The one grid driver: ``iterate_split_step`` with each sampled state probed.
-
-    Yields (step, state, sample), ``state`` the ``ChannelSample``.  Every
-    run's ``GridProbe`` is built here, and a sample is probed after the
-    step's own ``next()`` has returned.
-    """
-    probe = GridProbe(psi.spec, potential)
-    for step, state in iterate_split_step(psi, potential, dt, n_steps, sample_every):
-        yield step, state, probe(state)
-
-
 def evolve_split_step(
     psi: Wavefunction2P,
     potential: PotentialSpec | None,
@@ -525,7 +499,7 @@ def evolve_split_step(
 ) -> GridTrajectory:
     """Evolve and record norm, energy, entanglement, and Ehrenfest means."""
     steps, samples = [], []
-    for step, _, sample in probe_split_step(psi, potential, dt, n_steps, sample_every):
+    for step, state in iterate_split_step(psi, potential, dt, n_steps, sample_every):
         steps.append(step)
-        samples.append(sample)
+        samples.append(state.layout.probe(state.rows))
     return GridTrajectory.of(steps, samples, dt)

@@ -33,10 +33,9 @@ from .grid import (
     GridTrajectory,
     PotentialSpec,
     Wavefunction2P,
-    iterate_split_step,  # noqa: F401 - unused, but perfbench/tracing.py wraps it here
+    iterate_split_step,
     packet_factors,
     potential_on_grid,
-    probe_split_step,
     strang_step,
 )
 
@@ -211,13 +210,13 @@ def run_collision(fixture: CollisionFixture) -> CollisionRun:
     spec = fixture.spec
     stepping = (fixture.potential, fixture.dt, fixture.n_steps, fixture.sample_every)
     factors = packet_factors(fixture.packet_a, fixture.packet_b, spec)
-    full = probe_split_step(Wavefunction2P(np.outer(*factors), spec), *stepping)
+    full = iterate_split_step(Wavefunction2P(np.outer(*factors), spec), *stepping)
     mean_field = iterate_hartree(factors, spec, *stepping)
     steps, samples, fid = [], [], []
-    for (step, state, sample), (step_h, a, b) in zip(full, mean_field):
+    for (step, state), (step_h, a, b) in zip(full, mean_field):
         assert step == step_h
         steps.append(step)
-        samples.append(sample)
+        samples.append(state.layout.probe(state.rows))
         fid.append(abs(state.product_overlap(a, b)) ** 2)
     cl_times, cl_a, cl_b, drift = classical_two_body(
         fixture.packet_a.center,

@@ -501,6 +501,7 @@ def _diagonal(entry):
     return [[entry if i == j else 0.0 for j in range(4)] for i in range(4)]
 
 
+FREE_RUN = {key: value for key, value in tiny_grid_config().items() if key != "potential"}
 SOFT_COULOMB = {"kind": "soft_coulomb", "strength": 1.0, "width": 0.05}  # max|V| = 20
 
 PRODUCT_STATE = {"kind": "product", "factor_a": [1.0, 0.0], "factor_b": [0.0, 1.0]}
@@ -555,11 +556,20 @@ INVALID_CONFIGS = {
         "islands", tiny_grid_config(kind="test_particle", mass_ratios=[1.0], seed=0),
         _set("potential", "width", 1e-200), "'potential'",
     ),
-    # max|V| reads 0, so the dt rule lets it through
+    # V is 0/0 at contact: the finiteness check refuses the column before the dt rule reads it
     "evolve_zero_soft_coulomb_not_finite_at_contact": (
         "evolve", tiny_grid_config(),
         _set(None, "potential", {"kind": "soft_coulomb", "strength": 0.0, "width": 1e-200}),
         "'potential'",
+    ),
+    # the kinetic phase per step is dt * 17.5 rad on 32 points in a box of 24
+    "evolve_free_kinetic_phase_too_large": (
+        "evolve", FREE_RUN, _set(None, "dt", 1e17), "'dt'"
+    ),
+    # m_B = 1e-8 at the second point: its kinetic phase is 8.8e6 rad per step
+    "islands_kinetic_phase_too_large_at_point": (
+        "islands", tiny_grid_config(kind="test_particle", mass_ratios=[1.0], seed=0),
+        _set(None, "mass_ratios", [1.0, 1e8]), "'dt'",
     ),
     "theorem_zero_samples": ("theorem", _theorem_config(), _set(None, "n_product_samples", 0)),
     "theorem_zero_t_final": ("theorem", _theorem_config(), _set(None, "t_final", 0)),

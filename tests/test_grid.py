@@ -11,7 +11,6 @@ from entanglab.grid import (
     ChannelLayout,
     ChannelSample,
     GaussianPacket,
-    GridProbe,
     GridSpec,
     GridTrajectory,
     PotentialSpec,
@@ -25,7 +24,6 @@ from entanglab.grid import (
     minimal_image,
     packet_factors,
     potential_on_grid,
-    probe_split_step,
 )
 from entanglab.measures import schmidt_entropy
 
@@ -63,10 +61,18 @@ def grid_strang(psi, potential, dt, n_steps, sample_every):
     return samples
 
 
-def channel_sample(psi):
-    """``psi`` as the probe reads it: its kept channel rows, in their layout."""
-    layout, rows = ChannelLayout.of(psi)
-    return ChannelSample(rows, layout)
+def probe_state(psi, potential=None):
+    """The probe of ``psi`` alone: a fresh layout of it reads its kept channel rows."""
+    layout, rows = ChannelLayout.of(psi, potential)
+    return layout.probe(rows)
+
+
+def probed_run(psi, potential, dt, n_steps, sample_every):
+    """(step, state, sample) of each sample of a run, probed by the run's own layout."""
+    return [
+        (step, state, state.layout.probe(state.rows))
+        for step, state in iterate_split_step(psi, potential, dt, n_steps, sample_every)
+    ]
 
 
 def fixture_objects(name):
@@ -194,7 +200,7 @@ class TestEntropyGridConventions:
         grid[10, 20] = grid[30, 40] = 1.0 / math.sqrt(2.0 * cell)
         psi = Wavefunction2P(grid, spec)
         assert entanglement_entropy_bits(psi) == pytest.approx(1.0, abs=1e-12)
-        trajectory = GridTrajectory.of([0], [GridProbe(spec, None)(channel_sample(psi))], 0.01)
+        trajectory = GridTrajectory.of([0], [probe_state(psi)], 0.01)
         assert trajectory.entropy_bits[0] == pytest.approx(1.0, abs=1e-12)
         assert trajectory.max_entropy_bits == trajectory.entropy_bits[0]
 
@@ -392,7 +398,7 @@ class TestChannelLayout:
         )
         column = potential_on_grid(spec, potential)[:, 0]
         assert np.array_equal(potential_on_grid(spec, potential, spec.x[0]), column)
-        half_v, _ = ChannelLayout.of(psi)[0].phases(potential, 0.01)
+        half_v, _ = ChannelLayout.of(psi, potential)[0].phases(0.01)
         assert np.array_equal(half_v, np.exp(-0.5j * 0.01 * column))
 
     @pytest.mark.parametrize("m_b", [1.0, 3.0, math.inf])
@@ -403,8 +409,8 @@ class TestChannelLayout:
         psi = init_product(
             GaussianPacket(-2.0, 1.0, 1.0), GaussianPacket(2.0, 1.0, -1.0), spec
         )
-        layout, state = ChannelLayout.of(psi)
-        _, kinetic = layout.phases(None, 0.01)
+        layout, state = ChannelLayout.of(psi, None)
+        _, kinetic = layout.phases(0.01)
         # find each state row's channel K: send the mark i + 1 through row i and read it back
         rows = len(state)
         marks = np.outer(np.arange(1.0, rows + 1), np.ones(n))
@@ -416,8 +422,31 @@ class TestChannelLayout:
         table = kinetic_grid(spec)[index, (kept[:, None] - index) % n]
         assert np.array_equal(kinetic, np.exp(-1j * 0.01 * table))
 
+    def test_one_run_builds_each_lattice_table_once(self, monkeypatch):
+        # the layout's phases and its probe read one V column and one pair of kinetic tables
+        spec = GridSpec(32, 24.0, 1.0, 2.0)
+        psi = init_product(
+            GaussianPacket(-4.0, 1.0, 1.5), GaussianPacket(4.0, 1.0, -1.5), spec
+        )
+        calls = []
+        column, kinetic = grid_module.potential_on_grid, GridSpec.kinetic
 
-class TestGridProbe:
+        def counting_column(*args):
+            calls.append("potential_on_grid")
+            return column(*args)
+
+        def counting_kinetic(self):
+            calls.append("kinetic")
+            return kinetic(self)
+
+        monkeypatch.setattr(grid_module, "potential_on_grid", counting_column)
+        monkeypatch.setattr(GridSpec, "kinetic", counting_kinetic)
+        trajectory = evolve_split_step(psi, PotentialSpec("gaussian_well", 1.0, 1.5), 0.01, 60, 20)
+        assert sorted(calls) == ["kinetic", "potential_on_grid"]
+        assert trajectory.times.size == 4
+
+
+class TestLayoutProbe:
     @staticmethod
     def reference(state, spec, potential):
         # the probe's formulas from the channel rows, with fresh temporaries for every sample
@@ -462,18 +491,21 @@ class TestGridProbe:
         psi = init_product(
             GaussianPacket(-4.0, 1.0, 1.5), GaussianPacket(4.0, 1.0, -1.5), spec
         )
-        probe = GridProbe(spec, potential)
         samples = list(iterate_split_step(psi, potential, 0.01, 60, 20))
+        layout = samples[0][1].layout
         for _, state in samples:
-            sample = probe(state)
+            assert state.layout is layout
+            sample = layout.probe(state.rows)
             assert tuple(sample[:6]) == self.reference(state, spec, potential)
             grid = np.asarray(state)
             direct = self.direct_sums(grid, spec, potential)
             assert np.all(np.abs(np.array(sample[:6]) - direct) <= 1e-14 * np.abs(direct))
             # the cropped momentum block against the SVD of the whole position grid
             assert abs(sample.entropy_bits - schmidt_entropy(grid * spec.dx, 2)) <= 1e-13
-        # a probe that has seen other states reads the first one as a fresh probe does
-        assert probe(samples[0][1]) == GridProbe(spec, potential)(samples[0][1])
+        # a layout that has probed later samples reads sample 0 as a fresh layout of psi does
+        fresh, rows = ChannelLayout.of(psi, potential)
+        assert np.array_equal(rows, samples[0][1].rows)
+        assert layout.probe(samples[0][1].rows) == fresh.probe(rows)
 
     @staticmethod
     def dense_cases():
@@ -497,7 +529,7 @@ class TestGridProbe:
         )
         spec = psi.spec
         shapes = self.record_blocks(monkeypatch)
-        samples = list(probe_split_step(psi, potential, dt, n_steps, sample_every))
+        samples = probed_run(psi, potential, dt, n_steps, sample_every)
         assert len(shapes) == len(samples) == n_steps // sample_every + 1
         for _, state, sample in samples:
             grid = np.asarray(state)
@@ -552,9 +584,7 @@ class TestGridProbe:
     def test_collision_well_entropy_from_a_small_block(self, monkeypatch):
         cfg, spec, pa, pb, pot = fixture_objects("collision_well.json")
         shapes = self.record_blocks(monkeypatch)
-        samples = list(
-            probe_split_step(init_product(pa, pb, spec), pot, cfg["dt"], cfg["n_steps"], 50)
-        )
+        samples = probed_run(init_product(pa, pb, spec), pot, cfg["dt"], cfg["n_steps"], 50)
         assert spec.n == 256 and len(shapes) == len(samples) == 31
         for _, state, sample in samples:
             grid = np.asarray(state)
@@ -567,13 +597,13 @@ class TestGridProbe:
         sigma = 0.5 * pot.width
         psi = init_product(replace(pa, sigma=sigma), replace(pb, sigma=sigma), spec)
         shapes = self.record_blocks(monkeypatch)
-        GridProbe(spec, None)(channel_sample(psi))
+        probe_state(psi)
         assert shapes == [(spec.n, spec.n)]
 
     @pytest.mark.parametrize("case", ["collision_well", "material_point_0.5"])
     def test_one_state_helpers_are_the_probe(self, case):
         _, psi, potential, *_ = next(c for c in self.dense_cases() if c[0] == case)
-        sample = GridProbe(psi.spec, potential)(channel_sample(psi))
+        sample = probe_state(psi, potential)
         # field for field, bit for bit (float.hex tells -0.0 from 0.0)
         observables = ehrenfest_observables(psi, potential)
         assert [value.hex() for value in observables] == [value.hex() for value in sample]
@@ -583,7 +613,7 @@ class TestGridProbe:
         # the test_particle pair, whose leading Schmidt weight rounds above 1
         _, spec, pa, pb, _ = fixture_objects("test_particle.json")
         psi = init_product(pa, pb, spec)
-        probed = GridProbe(spec, None)(channel_sample(psi)).entropy_bits
+        probed = probe_state(psi).entropy_bits
         for entropy in (probed, entanglement_entropy_bits(psi)):
             assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 

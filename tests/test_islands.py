@@ -186,7 +186,7 @@ class TestHartreeFidelity:
     def test_identical_initialization_gives_unity(self):
         spec = small_spec()
         pa, pb = GaussianPacket(-4.0, 1.0, 1.0), GaussianPacket(4.0, 1.0, -1.0)
-        layout, rows = ChannelLayout.of(init_product(pa, pb, spec))
+        layout, rows = ChannelLayout.of(init_product(pa, pb, spec), None)
         overlap = ChannelSample(rows, layout).product_overlap(*packet_factors(pa, pb, spec))
         assert abs(overlap) ** 2 == pytest.approx(1.0, abs=1e-10)
 
@@ -280,6 +280,23 @@ class TestDriversAgree:
             ours, theirs = getattr(run.full, field.name), getattr(trajectory, field.name)
             assert np.array_equal(ours, theirs), field.name
         assert run.fidelity.size == 5 and np.all(run.fidelity > 0.5)
+
+    def test_collision_steps_through_the_islands_name(self, monkeypatch):
+        # a wrapper put on islands.iterate_split_step sees every sample of the run
+        calls, yielded = [], []
+        stepping = islands.iterate_split_step
+
+        def counting(*args):
+            calls.append(args)
+            for step, state in stepping(*args):
+                yielded.append(step)
+                yield step, state
+
+        monkeypatch.setattr(islands, "iterate_split_step", counting)
+        run = run_collision(small_fixture())
+        assert len(calls) == 1
+        assert yielded == list(range(0, 401, 50))
+        assert np.array_equal(run.full.times, np.array(yielded) * 0.01)
 
 
 class TestScans:
