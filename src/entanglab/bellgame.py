@@ -13,9 +13,10 @@ gives each cyclic pair a match probability cos^2(pi/3) = 1/4, hence a sum of
 identically every single round.
 
 Each entangled round inverts its pair's cumulative outcome distribution
-(uu, ud, du, dd) at one uniform draw u, with thresholds c0 <= c1 <= c2.  The
-answers agree iff the outcome is uu or dd, i.e. u < c0 or u >= c2, so the game
-counts matches straight from the thresholds.
+(uu, ud, du, dd) at one uniform draw u, with thresholds c0 <= c1 <= c2: A is
+up below c1, and B is up below c0 or between c1 and c2.  The answers agree iff
+the outcome is uu or dd, i.e. u < c0 or u >= c2, so the game counts matches
+straight from the thresholds and forms no answers.
 """
 
 from __future__ import annotations
@@ -152,27 +153,11 @@ class GameStats:
         return int(self.equal[q_a.value, q_b.value]) / n
 
 
-def quantum_answers(
-    q_a: np.ndarray, q_b: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Answers of the entangled strategy, one round per entry; True means yes.
-
-    Each round inverts the cumulative outcome distribution of its question
-    pair at its uniform draw in ``u``, so identical questions always give
-    identical answers (their cross terms are exactly zero).  With outcomes
-    uu, ud, du, dd and thresholds c0 <= c1 <= c2, A is up below c1 and B is
-    up below c0 or between c1 and c2.  The answers agree iff the outcome is
-    uu or dd, i.e. u < c0 or u >= c2: the rule ``_play_block`` counts by.
-    """
-    c0, c1, c2 = _THRESHOLDS[:, 3 * q_a + q_b]
-    return u < c1, (u < c0) | ((c1 <= u) & (u < c2))
-
-
 def _play_block(strategy, rng: np.random.Generator, size: int):
     """Rounds and equal-answer rounds of one block, as 3x3 counts by question pair.
 
     An entangled round's answers agree iff u < c0 or u >= c2 (uu or dd; see
-    ``quantum_answers``), so no answers are formed.  A list's rounds agree
+    the module docstring), so no answers are formed.  A list's rounds agree
     where the list answers the pair alike.
     """
     # pair = 3 q_a + q_b, built in the buffer of q_a

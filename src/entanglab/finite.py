@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import HERMITIAN_TOL, schmidt_entropy
-from .states import Ket, PureState
+from .states import PureState
 
 WITNESS_CHUNK = 256  # product samples evolved together; bounds the (chunk, d, T) stack
 
@@ -92,9 +92,10 @@ def haar_kets(rng: np.random.Generator, n: int, *dims: int) -> tuple[np.ndarray,
     """``n`` uniformly random unit vectors per subsystem dimension, from one draw.
 
     Row k of the draw holds the real and then the imaginary parts of each
-    subsystem in turn, the stream that alternating ``haar_ket`` calls consume,
-    and each row is normalised as ``np.linalg.norm`` normalises one vector, so
-    both give the same bits.  Returns one (n, dim) array per dimension.
+    subsystem in turn, the stream that drawing one vector at a time, side by
+    side and sample by sample, consumes, and each row is normalised as
+    ``np.linalg.norm`` normalises one vector, so both give the same bits.
+    Returns one (n, dim) array per dimension.
     """
     draw = rng.normal(size=(n, 2 * sum(dims)))
     kets, start = [], 0
@@ -104,12 +105,6 @@ def haar_kets(rng: np.random.Generator, n: int, *dims: int) -> tuple[np.ndarray,
         kets.append(z / norms[:, None])
         start += 2 * dim
     return tuple(kets)
-
-
-def haar_ket(rng: np.random.Generator, dim: int) -> Ket:
-    """Uniformly random pure state of one subsystem."""
-    (z,) = haar_kets(rng, 1, dim)
-    return Ket(z[0])
 
 
 def _sample_times(t_final: float, n_samples: int) -> np.ndarray:

@@ -37,9 +37,12 @@ on each side keeps them, so they are taken from the momentum grid
 Psi-hat / n, which the kept channel rows hold after one FFT along the
 relative index (row K, column p is Psi-hat[p, (K - p) mod n]), cropped to
 the block that holds the weight: on each momentum marginal the lightest
-momenta, whose weights sum to at most CHANNEL_DUST / 2 of the total, are
-dropped.  The dropped squared 2-norm is at most CHANNEL_DUST of the total,
-so by Weyl's inequality no Schmidt coefficient moves by more than 1e-10.
+momenta, whose weights sum to at most BLOCK_DUST (1e-16) of the total, are
+dropped.  BLOCK_DUST is 1% of SPECTRUM_FLOOR (1e-14), below which the
+entropy already counts a Schmidt weight as zero.  The dropped squared 2-norm
+is at most 2 BLOCK_DUST of the total, so by Weyl's inequality no Schmidt
+coefficient moves by more than sqrt(2e-16) < 1.5e-8.  The channel rule
+still drops only CHANNEL_DUST, because it bounds the stepped amplitudes.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ NORM_TOL = 1e-8
 MAX_PHASE_PER_STEP = 0.1
 MAX_KINETIC_PHASE = 1e6
 CHANNEL_DUST = 1e-20  # dropped channel weight, as a share of the total
+BLOCK_DUST = 1e-16  # dropped weight per momentum marginal of the Schmidt block
 
 POTENTIAL_KINDS = ("gaussian_well", "gaussian_barrier", "soft_coulomb")
 
@@ -192,9 +196,6 @@ class Wavefunction2P:
     @staticmethod
     def norm_of(grid: np.ndarray, spec: GridSpec) -> float:
         return float(np.sum(np.abs(grid) ** 2 * (spec.dx * spec.dx)))
-
-    def norm(self) -> float:
-        return self.norm_of(self.grid, self.spec)
 
 
 @dataclass(frozen=True)
@@ -368,8 +369,10 @@ class ChannelLayout:
         Their FFT along r holds Psi-hat[p, (K - p) mod n]: <p> and the kinetic
         energy are read off its two marginals, and the Schmidt entropy is
         taken from its block of rows and columns that hold all but
-        CHANNEL_DUST of the weight (the whole momentum grid when nothing can
-        be dropped).  The inverse FFT over K gives the sheared grid S: the
+        BLOCK_DUST of the weight on each marginal (the whole momentum grid
+        when nothing can be dropped), which moves no Schmidt coefficient by
+        more than 1.5e-8.  The kept channels themselves were chosen with
+        CHANNEL_DUST.  The inverse FFT over K gives the sheared grid S: the
         norm, <x_B> and <V> (zero when free) are sums of |S|^2, and <x_A>
         reads them through the unshear map.
         """
@@ -380,8 +383,7 @@ class ChannelLayout:
         weights = np.square(np.abs(momentum, out=self.weights[:kept]), out=self.weights[:kept])
         along_a = weights.sum(axis=0)
         along_b = np.bincount(self.q.ravel(), weights.ravel(), len(self.buffer))
-        share = CHANNEL_DUST / 2
-        p, q = _heavy(along_a, share)[:, None], _heavy(along_b, share)
+        p, q = _heavy(along_a, BLOCK_DUST)[:, None], _heavy(along_b, BLOCK_DUST)
         block = self.buffer.ravel()[self.offset[p + q] + p]  # Psi-hat[p, q]
         block *= self.momentum_cell
         entropy_bits = schmidt_entropy(block, 2)

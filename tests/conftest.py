@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entanglab.finite import BipartiteHamiltonian
+from entanglab.bellgame import _THRESHOLDS
+from entanglab.finite import BipartiteHamiltonian, haar_kets
+from entanglab.states import Ket
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "entanglab" / "fixtures"
 
@@ -22,6 +24,28 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Gaussian Hermitian matrix with entries of typical size 1."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (z + z.conj().T)
+
+
+def haar_ket(rng: np.random.Generator, dim: int) -> Ket:
+    """Uniformly random pure state of one subsystem."""
+    (z,) = haar_kets(rng, 1, dim)
+    return Ket(z[0])
+
+
+def quantum_answers(
+    q_a: np.ndarray, q_b: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Answers of the entangled Bell-game strategy, one round per entry; True means yes.
+
+    Each round inverts the cumulative outcome distribution of its question
+    pair at its uniform draw in ``u``, so identical questions always give
+    identical answers (their cross terms are exactly zero).  With outcomes
+    uu, ud, du, dd and thresholds c0 <= c1 <= c2, A is up below c1 and B is
+    up below c0 or between c1 and c2.  The answers agree iff the outcome is
+    uu or dd, i.e. u < c0 or u >= c2: the rule ``bellgame._play_block`` counts by.
+    """
+    c0, c1, c2 = _THRESHOLDS[:, 3 * q_a + q_b]
+    return u < c1, (u < c0) | ((c1 <= u) & (u < c2))
 
 
 def non_interacting(h_a: np.ndarray, h_b: np.ndarray) -> BipartiteHamiltonian:

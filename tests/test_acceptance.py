@@ -19,7 +19,7 @@ from entanglab import finite, islands, measures, states
 from entanglab.cli import collision_fixture_from_config, main
 from entanglab.grid import evolve_split_step, init_product
 
-from conftest import load_fixture, non_interacting, random_hermitian
+from conftest import load_fixture, non_interacting, quantum_answers, random_hermitian
 
 CRITERIA_LOG = []
 
@@ -72,7 +72,7 @@ def test_criterion_3_perfect_correlations():
         assert abs(p.du) <= 1e-12
     sampler = np.random.default_rng(33)
     q = sampler.integers(0, 3, size=100_000)
-    a, b = bg.quantum_answers(q, q, sampler.random(100_000))
+    a, b = quantum_answers(q, q, sampler.random(100_000))
     mismatches = int(np.count_nonzero(a != b))
     assert mismatches == 0
     report(3, "perfect same-axis correlations", "[mismatches=0 over 1e5 rounds]")

@@ -18,10 +18,11 @@ from entanglab.bellgame import (
     analytic_equal_probability,
     bell_sum,
     deterministic_strategies,
-    quantum_answers,
     run_game,
 )
 from entanglab.bellgame import _THRESHOLDS, BLOCK_SIZE, _play_block
+
+from conftest import quantum_answers
 
 
 class TestQuestions:

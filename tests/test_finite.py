@@ -11,7 +11,6 @@ from entanglab.finite import (
     WITNESS_CHUNK,
     BipartiteHamiltonian,
     evolve_finite,
-    haar_ket,
     haar_kets,
     split_hamiltonian,
     theorem_witness,
@@ -19,7 +18,7 @@ from entanglab.finite import (
 from entanglab.measures import entanglement
 from entanglab.states import Ket, PureState, tensor_product
 
-from conftest import non_interacting, random_hermitian
+from conftest import haar_ket, non_interacting, random_hermitian
 
 ISING_ZZ = BipartiteHamiltonian(np.kron(SIGMA_Z, SIGMA_Z), 2, 2)
 

@@ -8,6 +8,7 @@ import pytest
 from entanglab import grid as grid_module
 from entanglab.cli import collision_fixture_from_config
 from entanglab.grid import (
+    BLOCK_DUST,
     ChannelLayout,
     ChannelSample,
     GaussianPacket,
@@ -147,7 +148,7 @@ class TestInitProduct:
         psi = init_product(
             GaussianPacket(-4.0, 1.0, 1.0), GaussianPacket(4.0, 1.0, -1.0), small_spec()
         )
-        assert psi.norm() == pytest.approx(1.0, abs=1e-10)
+        assert Wavefunction2P.norm_of(psi.grid, psi.spec) == pytest.approx(1.0, abs=1e-10)
         assert entanglement_entropy_bits(psi) < 1e-10
 
     def test_reduced_state_purity(self):
@@ -519,9 +520,13 @@ class TestLayoutProbe:
         yield "material_point_0.5", psi, pot, cfg["dt"], 600, 300
         cfg, spec, pa, pb, pot = fixture_objects("test_particle.json")
         yield "test_particle", init_product(pa, pb, spec), pot, cfg["dt"], 1250, 625
+        # the geometry of the dense-probe benchmark, 128^2, sampled every 75 steps
+        cfg, spec, pa, pb, pot = fixture_objects("convergence_small.json")
+        yield "convergence_small", init_product(pa, pb, spec), pot, cfg["dt"], 750, 75
 
     @pytest.mark.parametrize(
-        "case", ["collision_well", "free", "material_point_0.5", "test_particle"]
+        "case",
+        ["collision_well", "free", "material_point_0.5", "test_particle", "convergence_small"],
     )
     def test_every_column_against_dense_references(self, monkeypatch, case):
         _, psi, potential, dt, n_steps, sample_every = next(
@@ -539,8 +544,8 @@ class TestLayoutProbe:
             scale = np.maximum(np.abs(direct), 1.0)
             assert np.all(np.abs(np.array(sample[:6]) - direct) <= 1e-14 * scale)
         kept = len(samples[0][1].rows)
-        if case == "collision_well":
-            assert kept < spec.n and max(max(shape) for shape in shapes) <= 100
+        if case in ("collision_well", "convergence_small"):
+            assert kept < spec.n and max(max(shape) for shape in shapes) <= 85
         elif case != "free":
             assert kept == spec.n  # no dropped row exists to read as zero
 
@@ -589,7 +594,7 @@ class TestLayoutProbe:
         for _, state, sample in samples:
             grid = np.asarray(state)
             assert abs(sample.entropy_bits - schmidt_entropy(grid * spec.dx, 2)) <= 1e-13
-        assert max(max(shape) for shape in shapes) <= 100
+        assert max(max(shape) for shape in shapes) <= 85
 
     def test_full_band_state_keeps_every_row_and_column(self, monkeypatch):
         # material_point at width ratio 0.5: the seam tails fill the momentum band
@@ -599,6 +604,29 @@ class TestLayoutProbe:
         shapes = self.record_blocks(monkeypatch)
         probe_state(psi)
         assert shapes == [(spec.n, spec.n)]
+
+    def test_each_marginal_drops_at_most_block_dust(self, monkeypatch):
+        # 5.5e-16 may go: the three lightest sum to 1.5e-16, and 0.5 is next
+        weights = np.array([3.0, 1e-17, 0.5, 4e-17, 1e-16, 2.0])
+        assert np.array_equal(grid_module._heavy(weights, BLOCK_DUST), [0, 2, 5])
+        heavy, calls = grid_module._heavy, []
+
+        def recording(weights, share):
+            kept = heavy(weights, share)
+            calls.append((weights.copy(), share, kept))
+            return kept
+
+        monkeypatch.setattr(grid_module, "_heavy", recording)
+        cfg, spec, pa, pb, pot = fixture_objects("collision_well.json")
+        samples = probed_run(init_product(pa, pb, spec), pot, cfg["dt"], cfg["n_steps"], 500)
+        marginals = [call for call in calls if call[1] == BLOCK_DUST]
+        assert len(marginals) == 2 * len(samples) == len(calls) - 1  # and the channel rule
+        for weights, _, kept in marginals:
+            assert 0 < len(kept) < len(weights)
+            # summed lightest first, as the rule sums them
+            dropped_weight = np.cumsum(np.sort(np.delete(weights, kept)))[-1]
+            assert dropped_weight <= BLOCK_DUST * weights.sum()
+            assert dropped_weight + weights[kept].min() > BLOCK_DUST * weights.sum()
 
     @pytest.mark.parametrize("case", ["collision_well", "material_point_0.5"])
     def test_one_state_helpers_are_the_probe(self, case):
