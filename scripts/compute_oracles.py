@@ -67,15 +67,16 @@ def oracle_test_particle():
     base = collision_fixture_from_config(config, "test_particle")
     ratios = config["mass_ratios"]
     t0 = time.time()
-    res = test_particle_scan(ratios, refine(base), threads=3)
+    res = test_particle_scan(ratios, refine(base), threads=3).table()
     print(f"[test_particle] refined ladder  ({time.time() - t0:.0f} s)")
-    for k in range(res.parameters.size):
+    max_s = res["max_entropy_bits"]
+    for k in range(res["parameter"].size):
         print(
-            f"  ratio {res.parameters[k]:8.3f}  maxS {res.max_entropy_bits[k]!r}"
-            f"  final_fid {res.final_fidelity[k]:.6f}"
+            f"  ratio {res['parameter'][k]:8.3f}  maxS {max_s[k]!r}"
+            f"  final_fid {res['final_fidelity'][k]:.6f}"
         )
-    print(f"  floor (smallest ratio)   : {res.max_entropy_bits[-1]!r}")
-    print(f"  reduction first/last     : {res.max_entropy_bits[0] / res.max_entropy_bits[-1]:.2f}")
+    print(f"  floor (smallest ratio)   : {max_s[-1]!r}")
+    print(f"  reduction first/last     : {max_s[0] / max_s[-1]:.2f}")
 
 
 def oracle_material_point():
@@ -83,12 +84,12 @@ def oracle_material_point():
     base = collision_fixture_from_config(config, "material_point")
     ratios = config["width_ratios"]
     t0 = time.time()
-    res = material_point_scan(ratios, refine(base), threads=3)
+    res = material_point_scan(ratios, refine(base), threads=3).table()
     print(f"[material_point] refined ladder  ({time.time() - t0:.0f} s)")
-    for k in range(res.parameters.size):
+    for k in range(res["parameter"].size):
         print(
-            f"  ratio {res.parameters[k]:.2f}  maxS {res.max_entropy_bits[k]!r}"
-            f"  min_fid {res.min_fidelity[k]!r}  dev {res.trajectory_deviation[k]!r}"
+            f"  ratio {res['parameter'][k]:.2f}  maxS {res['max_entropy_bits'][k]!r}"
+            f"  min_fid {res['min_fidelity'][k]!r}  dev {res['trajectory_deviation'][k]!r}"
         )
 
 

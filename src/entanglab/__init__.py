@@ -13,24 +13,3 @@ Subpackages by theme:
 """
 
 __version__ = "0.1.0"
-
-from .states import (  # noqa: F401
-    Ket,
-    MeasurementDirection,
-    PureState,
-    bell_state,
-    joint_spin_probabilities,
-    spin_eigenstate,
-    tensor_product,
-)
-from .measures import (  # noqa: F401
-    DensityMatrix,
-    SchmidtDecomposition,
-    coherence,
-    entanglement,
-    is_factorizable,
-    reduced_density_matrix,
-    schmidt_decompose,
-    schmidt_number,
-    von_neumann_entropy,
-)

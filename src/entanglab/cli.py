@@ -25,7 +25,6 @@ parallelism.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -80,6 +79,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file cannot be read as UTF-8: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise ConfigError("config nests too deeply to parse") from err
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     return config
@@ -353,9 +354,11 @@ def _hamiltonian_from_config(section, where) -> finite.BipartiteHamiltonian:
 # ---------------------------------------------------------------------------
 
 
+# bell_sum needs all three cyclic question pairs, so a game needs at least three rounds
+ROUNDS = Kind(lambda v: _is_integer(v) and v >= 3, int, "an integer of at least 3")
 BELLGAME = {
     "strategy": (ANY, REQUIRED),
-    "n_rounds": (POSITIVE_INTEGER, REQUIRED),
+    "n_rounds": (ROUNDS, REQUIRED),
     "seed": (SEED, REQUIRED),
 }
 
@@ -589,17 +592,15 @@ def parse_islands(config: dict, args) -> tuple:
 
     def run(out: Path) -> None:
         result = scan(ratios, base, threads=args.threads)
-        write_csv(out / "islands.csv", result.table())
+        table = result.table()
+        write_csv(out / "islands.csv", table)
         if fields["write_trajectories"]:
             for k, point_run in enumerate(result.runs):
                 write_csv(out / f"islands_point_{k}.csv", point_run.point_table())
-        summary = {
-            field.name: getattr(result, field.name).tolist()
-            for field in dataclasses.fields(result)
-            if field.name != "runs"
-        }
-        write_json(out / "islands.json", {"kind": kind, "seed": seed, **summary})
-        for parameter, entropy, final, _, deviation in zip(*result.table().values()):
+        summary = {"kind": kind, "seed": seed, **table}
+        summary["parameters"] = summary.pop("parameter")
+        write_json(out / "islands.json", summary)
+        for parameter, entropy, final, _, deviation in zip(*table.values()):
             print(
                 f"parameter {parameter:g}: max entropy {entropy:.6f} bits, "
                 f"final fidelity {final:.6f}, deviation {deviation:.6f}"

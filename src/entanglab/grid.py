@@ -469,15 +469,9 @@ class GridSample(NamedTuple):
     entropy_bits: float
 
 
-def _one_state(psi: Wavefunction2P, potential: PotentialSpec | None) -> GridSample:
-    """The whole probe of ``psi`` alone, from its channel form."""
-    layout, rows = ChannelLayout.of(psi, potential)
-    return layout.probe(rows)
-
-
 def entanglement_entropy_bits(psi: Wavefunction2P) -> float:
     """Base-2 entropy of the Schmidt spectrum; weights at or below 1e-14 are dust."""
-    return _one_state(psi, None).entropy_bits
+    return ehrenfest_observables(psi).entropy_bits
 
 
 def ehrenfest_observables(
@@ -489,7 +483,8 @@ def ehrenfest_observables(
     momentum-space distribution; energy adds the interaction quadrature
     (zero when ``potential`` is None).
     """
-    return _one_state(psi, potential)
+    layout, rows = ChannelLayout.of(psi, potential)
+    return layout.probe(rows)
 
 
 def evolve_split_step(

@@ -239,23 +239,20 @@ def run_collision(fixture: CollisionFixture) -> CollisionRun:
 
 @dataclass(frozen=True)
 class RegimeScanResult:
-    """One record per scan point, ordered by decreasing parameter value."""
+    """One run per scan point, ordered by decreasing parameter value."""
 
     parameters: np.ndarray
-    max_entropy_bits: np.ndarray
-    final_fidelity: np.ndarray
-    min_fidelity: np.ndarray
-    trajectory_deviation: np.ndarray
     runs: tuple
 
     def table(self) -> dict:
-        """The columns of ``islands.csv``, keyed by header name in file order."""
+        """The columns of ``islands.csv``, keyed by header name in file order.
+
+        Each column after ``parameter`` is one ``CollisionRun`` property, read from every run.
+        """
+        columns = ("max_entropy_bits", "final_fidelity", "min_fidelity", "trajectory_deviation")
         return {
             "parameter": self.parameters,
-            "max_entropy_bits": self.max_entropy_bits,
-            "final_fidelity": self.final_fidelity,
-            "min_fidelity": self.min_fidelity,
-            "trajectory_deviation": self.trajectory_deviation,
+            **{name: np.array([getattr(run, name) for run in self.runs]) for name in columns},
         }
 
 
@@ -263,15 +260,8 @@ def _scan(point_fixture, ratios, base: CollisionFixture, threads: int) -> Regime
     """Run ``point_fixture(base, ratio)`` for every ratio, largest first: the one scan body."""
     ratios = sorted((float(r) for r in ratios), reverse=True)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        runs = list(pool.map(run_collision, [point_fixture(base, r) for r in ratios]))
-    return RegimeScanResult(
-        parameters=np.array(ratios),
-        max_entropy_bits=np.array([r.max_entropy_bits for r in runs]),
-        final_fidelity=np.array([r.final_fidelity for r in runs]),
-        min_fidelity=np.array([r.min_fidelity for r in runs]),
-        trajectory_deviation=np.array([r.trajectory_deviation for r in runs]),
-        runs=tuple(runs),
-    )
+        runs = tuple(pool.map(run_collision, [point_fixture(base, r) for r in ratios]))
+    return RegimeScanResult(parameters=np.array(ratios), runs=runs)
 
 
 def test_particle_fixture(base: CollisionFixture, mass_ratio: float) -> CollisionFixture:

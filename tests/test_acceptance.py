@@ -209,28 +209,29 @@ def test_criterion_7_grid_conservation():
 def test_criterion_8_regime_scans():
     tp_config = load_fixture("test_particle.json")
     tp_base = collision_fixture_from_config(tp_config, "test_particle")
-    tp = islands.test_particle_scan(tp_config["mass_ratios"], tp_base, threads=3)
-    assert np.all(np.diff(tp.max_entropy_bits) < 0.0)  # strictly decreasing
-    reduction = float(tp.max_entropy_bits[0] / tp.max_entropy_bits[-1])
+    tp = islands.test_particle_scan(tp_config["mass_ratios"], tp_base, threads=3).table()
+    assert np.all(np.diff(tp["max_entropy_bits"]) < 0.0)  # strictly decreasing
+    reduction = float(tp["max_entropy_bits"][0] / tp["max_entropy_bits"][-1])
     assert reduction >= tp_config["thresholds"]["min_reduction_factor"]
     assert (
-        tp.max_entropy_bits[-1]
+        tp["max_entropy_bits"][-1]
         <= tp_config["thresholds"]["max_entropy_at_smallest_bits"]
     )
 
     mp_config = load_fixture("material_point.json")
     mp_base = collision_fixture_from_config(mp_config, "material_point")
-    mp = islands.material_point_scan(mp_config["width_ratios"], mp_base, threads=3)
-    assert np.all(np.diff(mp.max_entropy_bits) < 0.0)  # entropy grows with the ratio
+    mp_scan = islands.material_point_scan(mp_config["width_ratios"], mp_base, threads=3)
+    mp = mp_scan.table()
+    assert np.all(np.diff(mp["max_entropy_bits"]) < 0.0)  # entropy grows with the ratio
     thresholds = mp_config["thresholds"]
-    assert mp.min_fidelity[-1] > thresholds["min_fidelity"]
-    assert mp.trajectory_deviation[-1] < thresholds["max_trajectory_deviation"]
-    assert mp.max_entropy_bits[-1] < thresholds["max_entropy_at_narrowest_bits"]
-    for run in mp.runs:
+    assert mp["min_fidelity"][-1] > thresholds["min_fidelity"]
+    assert mp["trajectory_deviation"][-1] < thresholds["max_trajectory_deviation"]
+    assert mp["max_entropy_bits"][-1] < thresholds["max_entropy_at_narrowest_bits"]
+    for run in mp_scan.runs:
         assert run.classical_energy_drift < 1e-8
     # mean-field fidelity decays only where entanglement appears
     for scan in (tp, mp):
-        assert np.all(scan.min_fidelity >= 1.0 - 2.0 * scan.max_entropy_bits)
+        assert np.all(scan["min_fidelity"] >= 1.0 - 2.0 * scan["max_entropy_bits"])
     # committed refined ladders (2x resolution, dt/2)
     for scan, config, tolerances in (
         (tp, tp_config, {"max_entropy_bits": 1e-6}),
@@ -242,13 +243,13 @@ def test_criterion_8_regime_scans():
     ):
         for name, tol in tolerances.items():
             reference = np.array(config["oracle"][name])
-            assert np.max(np.abs(getattr(scan, name) - reference)) < tol, name
+            assert np.max(np.abs(scan[name] - reference)) < tol, name
     report(
         8,
         "regime scans",
         f"[test-particle reduction={reduction:.1f}x, "
-        f"material fidelity={mp.min_fidelity[-1]:.4f}, "
-        f"deviation={mp.trajectory_deviation[-1]:.4f}]",
+        f"material fidelity={mp['min_fidelity'][-1]:.4f}, "
+        f"deviation={mp['trajectory_deviation'][-1]:.4f}]",
     )
 
 

@@ -428,11 +428,26 @@ class TestIslandsCommand:
         path = write_config(tmp_path, "i.json", config)
         out = tmp_path / "out"
         assert main(["islands", "--config", str(path), "--out", str(out)]) == 0
-        for k in (0, 1):
+        header, *rows = (out / "islands.csv").read_text().splitlines()
+        summary = json.loads((out / "islands.json").read_text())
+        assert len(rows) == 2
+        for k, row in enumerate(rows):
+            cells = dict(zip(header.split(","), row.split(","), strict=True))
+            # the same cells in islands.csv and islands.json
+            assert cells.pop("parameter") == format(summary["parameters"][k], ".17g")
+            for name, cell in cells.items():
+                assert cell == format(summary[name][k], ".17g")
             point = (out / f"islands_point_{k}.csv").read_text().splitlines()
             assert point[0] == (
                 "time,norm,energy,entropy_bits,fidelity,x_a,x_b,classical_x_a,classical_x_b"
             )
+            columns = dict(zip(point[0].split(","), zip(*(p.split(",") for p in point[1:]))))
+            entropy = [float(v) for v in columns["entropy_bits"]]
+            fidelity = [float(v) for v in columns["fidelity"]]
+            # each summary cell is its point file's column, reduced
+            assert cells["max_entropy_bits"] == format(max(entropy), ".17g")
+            assert cells["min_fidelity"] == format(min(fidelity), ".17g")
+            assert cells["final_fidelity"] == columns["fidelity"][-1]
         manifest = json.loads((out / "manifest.json").read_text())
         assert "islands_point_1.csv" in manifest["outputs"]
 
@@ -654,6 +669,10 @@ INVALID_CONFIGS = {
     ),
     "bellgame_negative_seed": (
         "bellgame", {"strategy": "quantum", "n_rounds": 1000, "seed": 1}, _set(None, "seed", -5)
+    ),
+    "bellgame_two_rounds": (  # too few to ask all three cyclic pairs
+        "bellgame", {"strategy": "quantum", "n_rounds": 1000, "seed": 1},
+        _set(None, "n_rounds", 2), "'n_rounds'",
     ),
     "theorem_negative_seed": ("theorem", _theorem_config(), _set(None, "seed", -3)),
 }

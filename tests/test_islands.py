@@ -323,7 +323,7 @@ class TestScans:
             n_steps=500,
         )
         result = islands.test_particle_scan([1.0, 0.1, 0.01], base, threads=3)
-        assert np.all(np.diff(result.max_entropy_bits) < 0)
+        assert np.all(np.diff(result.table()["max_entropy_bits"]) < 0)
         assert result.parameters[0] == 1.0
 
     def test_small_material_scan_is_monotone(self):
@@ -338,14 +338,14 @@ class TestScans:
             sample_every=100,
         )
         result = material_point_scan([0.5, 0.3, 0.15], base, threads=3)
-        assert np.all(np.diff(result.max_entropy_bits) < 0)
+        assert np.all(np.diff(result.table()["max_entropy_bits"]) < 0)
 
     def test_scan_thread_count_does_not_change_results(self):
         base = small_fixture(n_steps=200)
-        serial = islands.test_particle_scan([1.0, 0.1], base, threads=1)
-        threaded = islands.test_particle_scan([1.0, 0.1], base, threads=2)
-        assert np.array_equal(serial.max_entropy_bits, threaded.max_entropy_bits)
-        assert np.array_equal(serial.final_fidelity, threaded.final_fidelity)
+        serial = islands.test_particle_scan([1.0, 0.1], base, threads=1).table()
+        threaded = islands.test_particle_scan([1.0, 0.1], base, threads=2).table()
+        assert np.array_equal(serial["max_entropy_bits"], threaded["max_entropy_bits"])
+        assert np.array_equal(serial["final_fidelity"], threaded["final_fidelity"])
 
 
 class TestHartreeConsistencyBound:

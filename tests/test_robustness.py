@@ -70,6 +70,15 @@ class TestConfigCornerPaths:
         assert "cannot be read as UTF-8" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    def test_too_deeply_nested_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        depth = 100_000
+        path.write_text('{"state": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["measure", "--config", str(path), "--out", str(out)]) == 2
+        assert "nests too deeply" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_matrix_hamiltonian_kind(self, tmp_path):
         config = {
             "hamiltonian": {
