@@ -119,11 +119,9 @@ class MixedLhvStrategy:
         object.__setattr__(self, "weights", tuple(w / total))
 
 
+@dataclass(frozen=True)
 class QuantumStrategy:
     """Marker for the entangled-pair strategy."""
-
-    def __repr__(self):  # pragma: no cover - cosmetic
-        return "QuantumStrategy()"
 
 
 @dataclass(frozen=True)

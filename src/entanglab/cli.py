@@ -370,8 +370,6 @@ def parse_bellgame(config: dict, args) -> tuple:
 
     def run(out: Path) -> None:
         stats = bg.run_game(strategy, n_rounds, seed)
-        empirical = bg.bell_sum(stats)
-        analytic = bg.analytic_bell_sum(strategy)
         names = [q.name.lower() for q in bg.QUESTIONS]
         rounds, equal = stats.rounds.ravel(), stats.equal.ravel()  # row-major: (q_a, q_b)
         pairs = {
@@ -381,6 +379,10 @@ def parse_bellgame(config: dict, args) -> tuple:
             "equal": equal,
             "frequency": np.divide(equal, rounds, out=np.zeros(rounds.size), where=rounds > 0),
         }
+        # written first, so a game that never asked a cyclic pair keeps the counts that show it
+        write_csv(out / "bellgame_pairs.csv", pairs)
+        empirical = bg.bell_sum(stats)
+        analytic = bg.analytic_bell_sum(strategy)
         counts = {f"{a},{b}": {"rounds": n, "equal": e} for a, b, n, e, _ in zip(*pairs.values())}
         write_json(
             out / "bellgame.json",
@@ -392,7 +394,6 @@ def parse_bellgame(config: dict, args) -> tuple:
                 "analytic_reference": analytic,
             },
         )
-        write_csv(out / "bellgame_pairs.csv", pairs)
         print(f"bell_sum = {empirical:.6f}   analytic reference = {analytic}")
         print("inequality bound for shared answer lists: sum >= 1")
 
@@ -458,6 +459,12 @@ def parse_theorem(config: dict, args) -> tuple:
     fields = read_fields(config, "theorem config", THEOREM)
     H = _hamiltonian_from_config(fields["hamiltonian"], "theorem config.hamiltonian")
     seed, n_samples, t_final = fields["seed"], fields["n_product_samples"], fields["t_final"]
+    phase = t_final * float(np.linalg.norm(H.matrix))
+    if phase > finite.MAX_EVOLUTION_PHASE:
+        raise ConfigError(
+            f"config key 't_final' in theorem config must keep t_final * ||H||_F <= "
+            f"{finite.MAX_EVOLUTION_PHASE:g} rad (it is {phase:g} rad)"
+        )
     time_samples, split_tol = fields["time_samples"], fields["split_tol"]
 
     def run(out: Path) -> None:

@@ -32,7 +32,7 @@ from .grid import (
     GridSpec,
     GridTrajectory,
     PotentialSpec,
-    Wavefunction2P,
+    init_product,
     iterate_split_step,
     packet_factors,
     potential_on_grid,
@@ -52,34 +52,26 @@ def _mean_field(spec: GridSpec, potential: PotentialSpec):
     return lambda densities: np.fft.ifft(kernel_fft * np.fft.fft(densities[::-1])).real
 
 
-def iterate_hartree(
-    factors: np.ndarray,
-    spec: GridSpec,
-    potential: PotentialSpec | None,
-    dt: float,
-    n_steps: int,
-    sample_every: int,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def iterate_hartree(fixture: CollisionFixture) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Coupled split-step mean-field evolution, yielding factor copies at samples.
 
-    ``factors`` is the (2, n) stack of ``packet_factors``, stepped in a copy
-    as the rows of one state, one FFT call per substep.  The effective
+    The fixture's packets start as the (2, n) stack of ``packet_factors``,
+    stepped as the rows of one state, one FFT call per substep.  The effective
     potentials are refreshed from the densities at the start of each step and
     held for both half phases of that step, so a frozen partner density
     reproduces the single-particle scheme in a static potential.
     """
-    if dt <= 0 or n_steps < 1 or sample_every < 1:
-        raise ValueError("need positive dt, n_steps and sample_every")
+    spec, potential, dt = fixture.spec, fixture.potential, fixture.dt
     mean_field = None if potential is None else _mean_field(spec, potential)
     kinetic = np.exp(-1j * dt * np.array(spec.kinetic()))
-    factors = np.array(factors, dtype=complex)
+    factors = packet_factors(fixture.packet_a, fixture.packet_b, spec)
     half_v = None
     yield (0, *factors.copy())
-    for step in range(1, n_steps + 1):
+    for step in range(1, fixture.n_steps + 1):
         if mean_field is not None:
             half_v = np.exp(-0.5j * dt * mean_field(np.abs(factors) ** 2 * spec.dx))
         strang_step(factors, half_v, kinetic)
-        if step % sample_every == 0 or step == n_steps:
+        if step % fixture.sample_every == 0 or step == fixture.n_steps:
             if not np.all(np.isfinite(factors)):
                 raise FloatingPointError(f"non-finite mean-field amplitudes at step {step}")
             yield (step, *factors.copy())
@@ -90,18 +82,7 @@ def iterate_hartree(
 # ---------------------------------------------------------------------------
 
 
-def classical_two_body(
-    x_a0: float,
-    v_a0: float,
-    x_b0: float,
-    v_b0: float,
-    m_a: float,
-    m_b: float,
-    potential: PotentialSpec,
-    dt: float,
-    n_steps: int,
-    sample_every: int,
-):
+def classical_two_body(fixture: CollisionFixture):
     """Fixed-step RK4 integration of the two-body Newton equations.
 
     Returns (times, x_a, x_b, relative_energy_drift).  The force derives from
@@ -110,8 +91,11 @@ def classical_two_body(
     packets' mass across the box seam is negligible.  That holds only
     approximately in the packaged ladders: at material_point width ratio 0.5
     about 5e-5 of each packet's initial mass lies within 4 lattice points of
-    the seam (see "Seam and Nyquist health" in ROADMAP.md).
+    the seam (see "Seam and Nyquist health" in ROADMAP.md).  Each particle
+    starts at its packet's centre with velocity momentum / mass.
     """
+    a, b, potential, dt = fixture.packet_a, fixture.packet_b, fixture.potential, fixture.dt
+    m_a, m_b = fixture.spec.m_a, fixture.spec.m_b
 
     def rhs(y):
         x_a, x_b, v_a, v_b = y
@@ -122,17 +106,17 @@ def classical_two_body(
         x_a, x_b, v_a, v_b = y
         return 0.5 * m_a * v_a**2 + 0.5 * m_b * v_b**2 + float(potential.evaluate(x_a - x_b))
 
-    y = np.array([x_a0, x_b0, v_a0, v_b0], dtype=float)
+    y = np.array([a.center, b.center, a.momentum / m_a, b.momentum / m_b], dtype=float)
     e0 = energy(y)
     times, xs_a, xs_b = [0.0], [y[0]], [y[1]]
     max_drift = 0.0
-    for step in range(1, n_steps + 1):
+    for step in range(1, fixture.n_steps + 1):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * dt * k1)
         k3 = rhs(y + 0.5 * dt * k2)
         k4 = rhs(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % sample_every == 0 or step == n_steps:
+        if step % fixture.sample_every == 0 or step == fixture.n_steps:
             times.append(step * dt)
             xs_a.append(y[0])
             xs_b.append(y[1])
@@ -156,6 +140,10 @@ class CollisionFixture:
     dt: float
     n_steps: int
     sample_every: int
+
+    def __post_init__(self):
+        if self.dt <= 0 or self.n_steps < 1 or self.sample_every < 1:
+            raise ValueError("need positive dt, n_steps and sample_every")
 
 
 @dataclass(frozen=True)
@@ -206,27 +194,19 @@ class CollisionRun:
 
 
 def run_collision(fixture: CollisionFixture) -> CollisionRun:
-    """Run the full solver and the mean-field solver in lockstep from one packet stack."""
-    spec = fixture.spec
-    stepping = (fixture.potential, fixture.dt, fixture.n_steps, fixture.sample_every)
-    factors = packet_factors(fixture.packet_a, fixture.packet_b, spec)
-    full = iterate_split_step(Wavefunction2P(np.outer(*factors), spec), *stepping)
-    mean_field = iterate_hartree(factors, spec, *stepping)
+    """Run the full solver and the mean-field solver in lockstep from the fixture's packets."""
+    psi = init_product(fixture.packet_a, fixture.packet_b, fixture.spec)
+    full = iterate_split_step(
+        psi, fixture.potential, fixture.dt, fixture.n_steps, fixture.sample_every
+    )
+    mean_field = iterate_hartree(fixture)
     steps, samples, fid = [], [], []
     for (step, state), (step_h, a, b) in zip(full, mean_field):
         assert step == step_h
         steps.append(step)
         samples.append(state.layout.probe(state.rows))
         fid.append(abs(state.product_overlap(a, b)) ** 2)
-    cl_times, cl_a, cl_b, drift = classical_two_body(
-        fixture.packet_a.center,
-        fixture.packet_a.momentum / spec.m_a,
-        fixture.packet_b.center,
-        fixture.packet_b.momentum / spec.m_b,
-        spec.m_a,
-        spec.m_b,
-        *stepping,
-    )
+    cl_times, cl_a, cl_b, drift = classical_two_body(fixture)
     assert cl_times.size == len(steps)
     return CollisionRun(
         full=GridTrajectory.of(steps, samples, fixture.dt),
@@ -286,9 +266,11 @@ def material_point_fixture(base: CollisionFixture, width_ratio: float) -> Collis
 def test_particle_scan(mass_ratios, base: CollisionFixture, threads: int = 1) -> RegimeScanResult:
     """Scan the mass ratio m_A / m_B downward from comparable masses.
 
-    B starts at rest and localized; the lighter the probe relative to its
-    target, the less which-path information the target acquires, and the
-    maximum entanglement along the run falls.  The scan is deterministic.
+    B starts at rest and localized.  The run's maximum entanglement falls
+    with the ratio, then levels off: the packaged refined oracle reads 0.3715
+    bits at 1, 0.0368 at 0.1, then 0.0263, 0.0248, 0.0243 at 0.03, 0.01 and
+    0.001.  That floor is the transient maximum, set by B's position spread
+    (ROADMAP item 11); what the collision leaves behind keeps falling (item 14).
     """
     return _scan(test_particle_fixture, mass_ratios, base, threads)
 

@@ -18,12 +18,11 @@ import numpy as np
 
 
 def format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    """One CSV cell from a Python bool, int, float or str (``write_csv`` passes only these)."""
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, float):
+        return format(value, ".17g")
     return str(value)
 
 

@@ -76,6 +76,20 @@ class TestBellgameCommand:
         assert payload["bell_sum"] == 3.0
         assert payload["analytic_reference"] == 3.0
 
+    def test_short_game_missing_a_pair_keeps_its_counts(self, tmp_path, capsys):
+        # three random rounds at seed 0 never ask (alpha, beta), so bell_sum cannot be taken
+        config = write_config(
+            tmp_path, "bg.json", {"strategy": "quantum", "n_rounds": 3, "seed": 0}
+        )
+        out = tmp_path / "out"
+        assert main(["bellgame", "--config", str(config), "--out", str(out)]) == 1
+        assert "(alpha, beta)" in capsys.readouterr().err
+        rows = (out / "bellgame_pairs.csv").read_text().splitlines()
+        assert "alpha,beta,0,0,0" in rows
+        assert sum(int(row.split(",")[2]) for row in rows[1:]) == 3
+        assert (out / "manifest.json").exists()
+        assert not (out / "bellgame.json").exists()
+
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -589,6 +603,19 @@ INVALID_CONFIGS = {
     "theorem_zero_samples": ("theorem", _theorem_config(), _set(None, "n_product_samples", 0)),
     "theorem_zero_t_final": ("theorem", _theorem_config(), _set(None, "t_final", 0)),
     "theorem_zero_time_samples": ("theorem", _theorem_config(), _set(None, "time_samples", 0)),
+    # ||ZZ||_F is 2: t_final * ||H||_F is 2e310 rad, past the double range
+    "theorem_t_final_phase_overflows": (
+        "theorem", _theorem_config(),
+        _changes(
+            _set("hamiltonian", "terms", [{"a": "z", "b": "z", "coeff": 1e10}]),
+            _set(None, "t_final", 1e300),
+        ),
+        "'t_final'",
+    ),
+    # 2e17 rad: the sampled phases would be rounding noise
+    "theorem_t_final_phases_only_rounding": (
+        "theorem", _theorem_config(), _set(None, "t_final", 1e17), "'t_final'"
+    ),
     "matrix_negative_dims": (
         "theorem", _theorem_config(hamiltonian=_matrix(_diagonal(1.0))),
         _changes(_set("hamiltonian", "d_a", -2), _set("hamiltonian", "d_b", -2)),

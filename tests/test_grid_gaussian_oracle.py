@@ -239,10 +239,10 @@ class TestHarmonicClosedForm:
         assert worst <= 1e-20
 
     def test_classical_comparator_follows_the_means(self):
-        times, x_a, x_b, drift = classical_two_body(
-            PACKET_A.center, PACKET_A.momentum / M_A, PACKET_B.center, PACKET_B.momentum / M_B,
-            M_A, M_B, Harmonic(KAPPA), 0.01, 300, 25,
+        fixture = CollisionFixture(
+            GridSpec(64, LENGTH, M_A, M_B), PACKET_A, PACKET_B, Harmonic(KAPPA), 0.01, 300, 25
         )
+        times, x_a, x_b, drift = classical_two_body(fixture)
         means = np.array([closed_form(t)[0] for t in times])
         assert np.max(np.abs(x_a - means[:, 0])) < 1e-9
         assert np.max(np.abs(x_b - means[:, 1])) < 1e-9

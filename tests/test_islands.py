@@ -90,8 +90,11 @@ class TestHartreeEvolve:
     def test_free_limit_matches_single_particle_oracle(self):
         spec = small_spec()
         packet = GaussianPacket(-3.0, 1.0, 1.5)
-        factors = packet_factors(packet, GaussianPacket(3.0, 0.8, -0.5), spec)
-        *_, (_, psi_a, _) = iterate_hartree(factors, spec, None, 0.01, 300, 300)
+        fixture = small_fixture(
+            packet_a=packet, packet_b=GaussianPacket(3.0, 0.8, -0.5), potential=None,
+            n_steps=300, sample_every=300,
+        )
+        *_, (_, psi_a, _) = iterate_hartree(fixture)
         # oracle: exact free propagator, diagonal in momentum space
         t = 3.0
         phase = np.exp(-1j * t * spec.k**2 / 2.0)
@@ -104,10 +107,14 @@ class TestHartreeEvolve:
         spec = small_spec(m_b=math.inf)
         pot = PotentialSpec("gaussian_well", 1.0, 1.5)
         packet_a = GaussianPacket(-4.0, 1.0, 1.5)
-        factors = packet_factors(packet_a, GaussianPacket(3.0, 0.5, 0.0), spec)
+        fixture = small_fixture(
+            spec=spec, packet_a=packet_a, packet_b=GaussianPacket(3.0, 0.5, 0.0), potential=pot,
+            dt=0.005, n_steps=500, sample_every=500,
+        )
+        factors = packet_factors(fixture.packet_a, fixture.packet_b, spec)
         v_static, _ = _mean_field(spec, pot)(np.abs(factors) ** 2 * spec.dx)
-        dt, n_steps = 0.005, 500
-        *_, (_, psi_a, psi_b) = iterate_hartree(factors, spec, pot, dt, n_steps, n_steps)
+        dt, n_steps = fixture.dt, fixture.n_steps
+        *_, (_, psi_a, psi_b) = iterate_hartree(fixture)
         # single-particle split-step oracle in the frozen convolved potential
         psi = gaussian_wave(spec.x, packet_a, spec.dx)
         half = np.exp(-0.5j * dt * v_static)
@@ -119,23 +126,15 @@ class TestHartreeEvolve:
         assert np.max(np.abs(np.abs(psi_b) - np.abs(factors[1]))) < 1e-12
 
     def test_factors_stay_normalized(self):
-        spec = small_spec()
-        factors = packet_factors(
-            GaussianPacket(-5.0, 1.2, 1.5), GaussianPacket(5.0, 1.2, -1.5), spec
-        )
-        potential = PotentialSpec("gaussian_well", 1.0, 2.0)
-        for _, psi_a, psi_b in iterate_hartree(factors, spec, potential, 0.01, 400, 100):
-            norms = np.sum(np.abs([psi_a, psi_b]) ** 2, axis=1) * spec.dx
+        fixture = small_fixture(sample_every=100)
+        for _, psi_a, psi_b in iterate_hartree(fixture):
+            norms = np.sum(np.abs([psi_a, psi_b]) ** 2, axis=1) * fixture.spec.dx
             assert np.all(np.abs(norms - 1.0) < 1e-8)
 
-    def test_packet_stack_is_not_stepped_in_place(self):
-        spec = small_spec()
-        factors = packet_factors(
-            GaussianPacket(-5.0, 1.2, 1.5), GaussianPacket(5.0, 1.2, -1.5), spec
-        )
-        before = factors.copy()
-        list(iterate_hartree(factors, spec, PotentialSpec("gaussian_well", 1.0, 2.0), 0.01, 50, 10))
-        assert np.array_equal(factors, before)
+    @pytest.mark.parametrize("stepping", [{"dt": 0.0}, {"n_steps": 0}, {"sample_every": 0}])
+    def test_fixture_refuses_stepping_no_solver_can_run(self, stepping):
+        with pytest.raises(ValueError, match="need positive dt, n_steps and sample_every"):
+            small_fixture(**stepping)
 
 
 def per_factor_hartree(factors, spec, potential, dt, n_steps, sample_every):
@@ -171,10 +170,9 @@ class TestStackedHartreeMatchesPerFactorLoop:
     )
     def test_bit_for_bit(self, potential, m_b):
         spec = small_spec(m_b=m_b)
-        factors = packet_factors(
-            GaussianPacket(-5.0, 1.2, 1.5), GaussianPacket(5.0, 1.2, -1.5), spec
-        )
-        stacked = list(iterate_hartree(factors, spec, potential, 0.01, 400, 50))
+        fixture = small_fixture(spec=spec, potential=potential)
+        factors = packet_factors(fixture.packet_a, fixture.packet_b, spec)
+        stacked = list(iterate_hartree(fixture))
         reference = list(per_factor_hartree(factors, spec, potential, 0.01, 400, 50))
         assert [step for step, *_ in stacked] == [step for step, *_ in reference]
         for (_, a, b), (_, ref_a, ref_b) in zip(stacked, reference):
@@ -198,25 +196,40 @@ class TestHartreeFidelity:
 
 class TestClassicalComparator:
     def test_energy_conserved(self):
-        _, _, _, drift = classical_two_body(
-            -6.25, 1.2, 6.25, -1.2, 10.0, 10.0,
-            PotentialSpec("gaussian_well", 1.5, 5.0), 0.01, 1100, 27,
+        fixture = small_fixture(
+            spec=small_spec(m_a=10.0, m_b=10.0),
+            packet_a=GaussianPacket(-6.25, 1.2, 12.0),  # velocity 1.2 at mass 10
+            packet_b=GaussianPacket(6.25, 1.2, -12.0),
+            potential=PotentialSpec("gaussian_well", 1.5, 5.0),
+            n_steps=1100,
+            sample_every=27,
         )
+        _, _, _, drift = classical_two_body(fixture)
         assert drift < 1e-8
 
     def test_momentum_conserved_equal_masses(self):
-        times, x_a, x_b, _ = classical_two_body(
-            -5.0, 1.0, 5.0, -1.0, 2.0, 2.0,
-            PotentialSpec("gaussian_barrier", 1.5, 2.0), 0.005, 2000, 100,
+        fixture = small_fixture(
+            spec=small_spec(m_a=2.0, m_b=2.0),
+            packet_a=GaussianPacket(-5.0, 1.2, 2.0),
+            packet_b=GaussianPacket(5.0, 1.2, -2.0),
+            potential=PotentialSpec("gaussian_barrier", 1.5, 2.0),
+            dt=0.005,
+            n_steps=2000,
+            sample_every=100,
         )
+        times, x_a, x_b, _ = classical_two_body(fixture)
         # symmetric head-on collision: center of mass stays put
         assert np.max(np.abs(x_a + x_b)) < 1e-10
 
     def test_free_motion(self):
-        times, x_a, _, drift = classical_two_body(
-            -5.0, 2.0, 5.0, 0.0, 1.0, 1.0,
-            PotentialSpec("gaussian_well", 0.0, 1.0), 0.01, 100, 10,
+        fixture = small_fixture(
+            packet_a=GaussianPacket(-5.0, 1.2, 2.0),
+            packet_b=GaussianPacket(5.0, 1.2, 0.0),
+            potential=PotentialSpec("gaussian_well", 0.0, 1.0),
+            n_steps=100,
+            sample_every=10,
         )
+        times, x_a, _, drift = classical_two_body(fixture)
         assert np.allclose(x_a, -5.0 + 2.0 * times, atol=1e-12)
         assert drift < 1e-12
 

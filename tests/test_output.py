@@ -22,3 +22,15 @@ def test_csv_refuses_columns_of_unequal_length(tmp_path):
     with pytest.raises(ValueError):
         write_csv(path, {"a": [1.0, 2.0], "b": [3.0]})
     assert not path.exists()
+
+
+def test_csv_cells_of_numpy_columns(tmp_path):
+    # every column becomes Python values first: a float32 cell prints its exact double
+    path = tmp_path / "t.csv"
+    columns = {
+        "flag": np.array([True, False]),
+        "n": np.array([7, -3], dtype=np.int64),
+        "x": np.array([0.1, 2.0], dtype=np.float32),
+    }
+    write_csv(path, columns)
+    assert path.read_bytes() == b"flag,n,x\ntrue,7,0.10000000149011612\nfalse,-3,2\n"
