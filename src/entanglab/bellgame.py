@@ -7,10 +7,10 @@ satisfies, by the pigeonhole principle,
 
     P(alpha_A = beta_B) + P(beta_A = gamma_B) + P(gamma_A = alpha_B) >= 1,
 
-and so does every probabilistic mixture of lists.  The entangled strategy
-gives each cyclic pair a match probability cos^2(pi/3) = 1/4, hence a sum of
-3/4, violating the bound while still answering identical questions
-identically every single round.
+and so does every probabilistic mixture of lists; a single list is the
+mixture with all its weight on it.  The entangled strategy gives each cyclic
+pair a match probability cos^2(pi/3) = 1/4, hence a sum of 3/4, violating the
+bound while still answering identical questions identically every round.
 
 Each entangled round inverts its pair's cumulative outcome distribution
 (uu, ud, du, dd) at one uniform draw u, with thresholds c0 <= c1 <= c2: A is
@@ -73,35 +73,12 @@ class MissingPairError(ValueError):
     """A cyclic question pair has no recorded rounds."""
 
 
-@dataclass(frozen=True)
-class LhvStrategy:
-    """Shared deterministic answer list: one pre-agreed yes/no per question."""
-
-    alpha: bool
-    beta: bool
-    gamma: bool
-
-    def answer(self, question: Question) -> bool:
-        return (self.alpha, self.beta, self.gamma)[question.value]
-
-    def _pair_match(self) -> np.ndarray:
-        """Whether the list answers q_a and q_b alike, at index 3 q_a + q_b."""
-        answers = np.array([self.alpha, self.beta, self.gamma])
-        return (answers[:, None] == answers).ravel()
-
-
-def deterministic_strategies() -> tuple[LhvStrategy, ...]:
-    """All 2^3 = 8 answer lists, ordered by (alpha, beta, gamma) bits."""
-    return tuple(
-        LhvStrategy(bool(a), bool(b), bool(c))
-        for a in (0, 1)
-        for b in (0, 1)
-        for c in (0, 1)
-    )
-
-
-# row l: the pair matches of answer list l, in deterministic_strategies() order
-_LIST_MATCH = np.array([s._pair_match() for s in deterministic_strategies()])
+# the 8 shared answer lists, row 4 alpha + 2 beta + gamma holding (alpha, beta, gamma)
+ANSWER_LISTS = (np.arange(8)[:, None] >> np.array([2, 1, 0]) & 1).astype(bool)
+# row l: whether list l answers q_a and q_b alike, at index 3 q_a + q_b
+_LIST_MATCH = (ANSWER_LISTS[:, :, None] == ANSWER_LISTS[:, None, :]).reshape(8, 9)
+# row l: the cyclic pairs list l answers alike, 3 (all-yes, all-no) or 1
+_LIST_VALUES = _LIST_MATCH[:, [3 * a.value + b.value for a, b in CYCLIC_PAIRS]].sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -117,6 +94,13 @@ class MixedLhvStrategy:
         if w.size != 8 or np.any(w < 0) or not 0 < total < math.inf:
             raise ValueError("need 8 non-negative weights with a positive, finite sum")
         object.__setattr__(self, "weights", tuple(w / total))
+
+
+def answer_list(alpha: bool, beta: bool, gamma: bool) -> MixedLhvStrategy:
+    """The shared answer list (alpha, beta, gamma), as the mixture weighting it alone."""
+    weights = [0.0] * 8
+    weights[4 * alpha + 2 * beta + gamma] = 1.0
+    return MixedLhvStrategy(tuple(weights))
 
 
 @dataclass(frozen=True)
@@ -155,8 +139,9 @@ def _play_block(strategy, rng: np.random.Generator, size: int):
     """Rounds and equal-answer rounds of one block, as 3x3 counts by question pair.
 
     An entangled round's answers agree iff u < c0 or u >= c2 (uu or dd; see
-    the module docstring), so no answers are formed.  A list's rounds agree
-    where the list answers the pair alike.
+    the module docstring), so no answers are formed.  A mixture round agrees
+    where the answer list it draws answers the pair alike; a single list is
+    the mixture with one non-zero weight, so it draws that list every round.
     """
     # pair = 3 q_a + q_b, built in the buffer of q_a
     pair = rng.integers(0, 3, size=size)
@@ -165,8 +150,6 @@ def _play_block(strategy, rng: np.random.Generator, size: int):
     if isinstance(strategy, QuantumStrategy):
         u = rng.random(size)
         equal = (u < _THRESHOLDS[0][pair]) | (u >= _THRESHOLDS[2][pair])
-    elif isinstance(strategy, LhvStrategy):
-        equal = strategy._pair_match()[pair]
     elif isinstance(strategy, MixedLhvStrategy):
         pick = rng.choice(8, size=size, p=np.array(strategy.weights))
         equal = _LIST_MATCH[pick, pair]
@@ -225,11 +208,6 @@ def analytic_bell_sum(strategy) -> float:
     """
     if isinstance(strategy, QuantumStrategy):
         return sum(analytic_equal_probability(q_a, q_b) for q_a, q_b in CYCLIC_PAIRS)
-    if isinstance(strategy, LhvStrategy):
-        return float(
-            sum(strategy.answer(q_a) == strategy.answer(q_b) for q_a, q_b in CYCLIC_PAIRS)
-        )
     if isinstance(strategy, MixedLhvStrategy):
-        values = [analytic_bell_sum(s) for s in deterministic_strategies()]
-        return float(np.dot(strategy.weights, values))
+        return float(np.dot(strategy.weights, _LIST_VALUES))
     raise TypeError(f"unknown strategy type: {type(strategy).__name__}")

@@ -184,10 +184,10 @@ def _read_kind(section, where: str, what: str, tables: dict) -> dict:
 
 
 def _build(where: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, with a ValueError it raises reported at ``where``."""
+    """``make(*args, **kwargs)``; its ValueError or MemoryError is a ConfigError at ``where``."""
     try:
         return make(*args, **kwargs)
-    except ValueError as err:
+    except (ValueError, MemoryError) as err:
         raise ConfigError(f"{where}: {err}") from err
 
 
@@ -315,7 +315,7 @@ def _strategy_from_config(value, where):
     if isinstance(value, dict):
         fields = read_fields(value, where, STRATEGY)
         if fields["lhv"] is not None and fields["mixed"] is None:
-            return bg.LhvStrategy(**fields["lhv"])
+            return bg.answer_list(**fields["lhv"])
         if fields["mixed"] is not None and fields["lhv"] is None:
             return _build(f"{where}.mixed", bg.MixedLhvStrategy, tuple(fields["mixed"]))
     raise ConfigError(

@@ -47,7 +47,7 @@ def test_criterion_1_bell_game_quantum_value():
 
 
 def test_criterion_2_lhv_bound():
-    values = [bg.analytic_bell_sum(s) for s in bg.deterministic_strategies()]
+    values = [bg.analytic_bell_sum(bg.answer_list(*bits)) for bits in bg.ANSWER_LISTS]
     assert sorted(set(values)) == [1.0, 3.0]
     assert min(values) == 1.0 >= 1.0
     rng = np.random.default_rng(2024)
@@ -213,6 +213,7 @@ def test_criterion_8_regime_scans():
     assert np.all(np.diff(tp["max_entropy_bits"]) < 0.0)  # strictly decreasing
     reduction = float(tp["max_entropy_bits"][0] / tp["max_entropy_bits"][-1])
     assert reduction >= tp_config["thresholds"]["min_reduction_factor"]
+    assert abs(reduction - tp_config["oracle"]["reduction_factor"]) < 0.005  # stored to 0.01
     assert (
         tp["max_entropy_bits"][-1]
         <= tp_config["thresholds"]["max_entropy_at_smallest_bits"]

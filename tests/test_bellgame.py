@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 
 from entanglab.bellgame import (
+    ANSWER_LISTS,
     CYCLIC_PAIRS,
     QUESTIONS,
     GameStats,
-    LhvStrategy,
     MissingPairError,
     MixedLhvStrategy,
     Question,
     QuantumStrategy,
     analytic_bell_sum,
     analytic_equal_probability,
+    answer_list,
     bell_sum,
-    deterministic_strategies,
     run_game,
 )
 from entanglab.bellgame import _THRESHOLDS, BLOCK_SIZE, _play_block
@@ -110,14 +110,14 @@ class TestAnalyticValues:
         assert analytic_equal_probability(Question.ALPHA, Question.GAMMA) == 0.25
 
     def test_all_deterministic_lists(self):
-        values = [analytic_bell_sum(s) for s in deterministic_strategies()]
+        values = [analytic_bell_sum(answer_list(*bits)) for bits in ANSWER_LISTS]
         assert sorted(set(values)) == [1.0, 3.0]
         assert min(values) == 1.0
         assert values.count(3.0) == 2  # all-yes and all-no
 
     def test_explicit_list_cases(self):
-        assert analytic_bell_sum(LhvStrategy(True, True, True)) == 3.0
-        assert analytic_bell_sum(LhvStrategy(True, True, False)) == 1.0
+        assert analytic_bell_sum(answer_list(True, True, True)) == 3.0
+        assert analytic_bell_sum(answer_list(True, True, False)) == 1.0
 
     def test_uniform_mixture(self):
         mixture = MixedLhvStrategy(tuple([1.0] * 8))
@@ -144,10 +144,7 @@ class TestAnalyticValues:
     def test_pigeonhole_on_every_list(self):
         # Exhaustive: three binary answers can never make all cyclic pairs differ.
         for bits in itertools.product((False, True), repeat=3):
-            strategy = LhvStrategy(*bits)
-            disagreements = sum(
-                strategy.answer(a) != strategy.answer(b) for a, b in CYCLIC_PAIRS
-            )
+            disagreements = sum(bits[a.value] != bits[b.value] for a, b in CYCLIC_PAIRS)
             assert disagreements < 3
 
 
@@ -157,7 +154,7 @@ class TestRunGame:
         assert abs(bell_sum(stats) - 0.75) < 0.02
 
     def test_all_yes_list_scores_three_exactly(self):
-        stats = run_game(LhvStrategy(True, True, True), 5_000, seed=3)
+        stats = run_game(answer_list(True, True, True), 5_000, seed=3)
         assert bell_sum(stats) == 3.0
 
     def test_deterministic_given_seed(self):
@@ -195,7 +192,7 @@ class TestRunGame:
     }
     PINNED_STRATEGIES = {
         "quantum": QuantumStrategy(),
-        "list": LhvStrategy(True, False, True),
+        "list": answer_list(True, False, True),
         "mixed": MixedLhvStrategy((0.1, 0.2, 0.05, 0.15, 0.1, 0.1, 0.2, 0.1)),
     }
 

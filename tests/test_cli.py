@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entanglab import blas, cli
+from entanglab import blas, cli, grid
 from entanglab.cli import build_parser, collision_fixture_from_config, load_config, main
 from entanglab.output import config_digest
 
@@ -75,6 +75,22 @@ class TestBellgameCommand:
         payload = json.loads((out / "bellgame.json").read_text())
         assert payload["bell_sum"] == 3.0
         assert payload["analytic_reference"] == 3.0
+
+    def test_list_is_the_one_weight_mixture(self, tmp_path):
+        # (alpha, beta, gamma) = (yes, no, yes) is answer list 4 + 1 = 5
+        strategies = {
+            "lhv": {"lhv": {"alpha": True, "beta": False, "gamma": True}},
+            "mixed": {"mixed": [0, 0, 0, 0, 0, 1, 0, 0]},
+        }
+        outputs = {}
+        for name, strategy in strategies.items():
+            payload = {"strategy": strategy, "n_rounds": 40_000, "seed": 5}  # three blocks
+            config = write_config(tmp_path, f"{name}.json", payload)
+            out = tmp_path / name
+            assert main(["bellgame", "--config", str(config), "--out", str(out)]) == 0
+            outputs[name] = read_outputs(out)
+        for name in ("bellgame_pairs.csv", "bellgame.json"):
+            assert outputs["lhv"][name] == outputs["mixed"][name], name
 
     def test_short_game_missing_a_pair_keeps_its_counts(self, tmp_path, capsys):
         # three random rounds at seed 0 never ask (alpha, beta), so bell_sum cannot be taken
@@ -731,6 +747,20 @@ class TestInvalidGridRunsExitBeforeManifest:
         assert "config error" in err
         for text in named:
             assert text in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+    def test_grid_that_cannot_be_allocated(self, tmp_path, capsys, monkeypatch, command):
+        # stands in for an n x n lattice past memory: a real one could be overcommitted
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 16.0 TiB for an array")
+
+        monkeypatch.setattr(grid, "init_product", refuse)
+        path = write_config(tmp_path, "c.json", GRID_COMMANDS[command])
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Unable to allocate" in err
         assert not (out / "manifest.json").exists()
 
     def test_unstable_packaged_step_is_refused(self, tmp_path, capsys):

@@ -184,9 +184,9 @@ class TestConfigCornerPaths:
 
 class TestMixedAnswerListEmpirically:
     def test_partial_list_scores_exactly_one(self):
-        from entanglab.bellgame import LhvStrategy, bell_sum, run_game
+        from entanglab.bellgame import answer_list, bell_sum, run_game
 
-        stats = run_game(LhvStrategy(True, True, False), 9000, seed=12)
+        stats = run_game(answer_list(True, True, False), 9000, seed=12)
         # alpha/beta always match, the other two cyclic pairs never do
         assert bell_sum(stats) == 1.0
 
