@@ -466,6 +466,10 @@ def parse_theorem(config: dict, args) -> tuple:
             f"{finite.MAX_EVOLUTION_PHASE:g} rad (it is {phase:g} rad)"
         )
     time_samples, split_tol = fields["time_samples"], fields["split_tol"]
+    # the witness's product states and one chunk's evolved stack, unfilled: past memory fails here
+    d, chunk = H.d_a * H.d_b, min(n_samples, finite.WITNESS_CHUNK)
+    _build("theorem config", np.empty, (n_samples, d), complex)
+    _build("theorem config", np.empty, (chunk, time_samples, d), complex)
 
     def run(out: Path) -> None:
         report = finite.theorem_witness(
@@ -520,10 +524,10 @@ def parse_evolve(config: dict, args) -> tuple:
         summary = {
             "final_entropy_bits": float(trajectory.entropy_bits[-1]),
             "max_entropy_bits": trajectory.max_entropy_bits,
-            "max_norm_drift": float(np.max(np.abs(trajectory.norms - 1.0))),
+            "max_norm_drift": float(np.max(np.abs(trajectory.norm - 1.0))),
             "max_relative_energy_drift": float(
-                np.max(np.abs(trajectory.energies - trajectory.energies[0]))
-                / max(abs(float(trajectory.energies[0])), 1e-300)
+                np.max(np.abs(trajectory.energy - trajectory.energy[0]))
+                / max(abs(float(trajectory.energy[0])), 1e-300)
             ),
         }
         if oracle is not None:
@@ -607,7 +611,8 @@ def parse_islands(config: dict, args) -> tuple:
         summary = {"kind": kind, "seed": seed, **table}
         summary["parameters"] = summary.pop("parameter")
         write_json(out / "islands.json", summary)
-        for parameter, entropy, final, _, deviation in zip(*table.values()):
+        columns = ("parameter", "max_entropy_bits", "final_fidelity", "trajectory_deviation")
+        for parameter, entropy, final, deviation in zip(*(table[name] for name in columns)):
             print(
                 f"parameter {parameter:g}: max entropy {entropy:.6f} bits, "
                 f"final fidelity {final:.6f}, deviation {deviation:.6f}"

@@ -48,7 +48,7 @@ still drops only CHANNEL_DUST, because it bounds the stepped amplitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -202,9 +202,9 @@ class Wavefunction2P:
 class GridTrajectory:
     """Sampled observables of one split-step run: one entry per sample in every column."""
 
-    times: np.ndarray
-    norms: np.ndarray
-    energies: np.ndarray
+    time: np.ndarray
+    norm: np.ndarray
+    energy: np.ndarray
     entropy_bits: np.ndarray
     x_a: np.ndarray
     x_b: np.ndarray
@@ -214,25 +214,16 @@ class GridTrajectory:
     @classmethod
     def of(cls, steps, samples: list[GridSample], dt: float):
         """The columns of a run sampled at ``steps``: the one place samples are stacked."""
-        norms, x_a, x_b, p_a, p_b, energies, bits = np.array(samples).T
-        return cls(np.array(steps) * dt, norms, energies, bits, x_a, x_b, p_a, p_b)
+        norm, x_a, x_b, p_a, p_b, energy, bits = np.array(samples).T
+        return cls(np.array(steps) * dt, norm, energy, bits, x_a, x_b, p_a, p_b)
 
     @property
     def max_entropy_bits(self) -> float:
         return float(np.max(self.entropy_bits))
 
     def table(self) -> dict:
-        """The columns of ``trajectory.csv``, keyed by header name in file order."""
-        return {
-            "time": self.times,
-            "norm": self.norms,
-            "energy": self.energies,
-            "entropy_bits": self.entropy_bits,
-            "x_a": self.x_a,
-            "x_b": self.x_b,
-            "p_a": self.p_a,
-            "p_b": self.p_b,
-        }
+        """The fields in declaration order: the columns of ``trajectory.csv``, by header name."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def gaussian_wave(x: np.ndarray, packet: GaussianPacket, dx: float) -> np.ndarray:

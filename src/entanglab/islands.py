@@ -156,34 +156,12 @@ class CollisionRun:
     classical_x_b: np.ndarray
     classical_energy_drift: float
 
-    @property
-    def max_entropy_bits(self) -> float:
-        return self.full.max_entropy_bits
-
-    @property
-    def final_fidelity(self) -> float:
-        return float(self.fidelity[-1])
-
-    @property
-    def min_fidelity(self) -> float:
-        return float(np.min(self.fidelity))
-
-    @property
-    def trajectory_deviation(self) -> float:
-        """max_t |<x>(t) - x_classical(t)| over both particles."""
-        return float(
-            max(
-                np.max(np.abs(self.full.x_a - self.classical_x_a)),
-                np.max(np.abs(self.full.x_b - self.classical_x_b)),
-            )
-        )
-
     def point_table(self) -> dict:
         """The columns of ``islands_point_<k>.csv``, keyed by header name in file order."""
         return {
-            "time": self.full.times,
-            "norm": self.full.norms,
-            "energy": self.full.energies,
+            "time": self.full.time,
+            "norm": self.full.norm,
+            "energy": self.full.energy,
             "entropy_bits": self.full.entropy_bits,
             "fidelity": self.fidelity,
             "x_a": self.full.x_a,
@@ -227,12 +205,20 @@ class RegimeScanResult:
     def table(self) -> dict:
         """The columns of ``islands.csv``, keyed by header name in file order.
 
-        Each column after ``parameter`` is one ``CollisionRun`` property, read from every run.
+        Each column after ``parameter`` reduces the arrays every run recorded.
+        ``trajectory_deviation`` is max_t |<x>(t) - x_classical(t)| over both particles.
         """
-        columns = ("max_entropy_bits", "final_fidelity", "min_fidelity", "trajectory_deviation")
+        runs = self.runs
         return {
             "parameter": self.parameters,
-            **{name: np.array([getattr(run, name) for run in self.runs]) for name in columns},
+            "max_entropy_bits": np.array([run.full.max_entropy_bits for run in runs]),
+            "final_fidelity": np.array([float(run.fidelity[-1]) for run in runs]),
+            "min_fidelity": np.array([float(np.min(run.fidelity)) for run in runs]),
+            "trajectory_deviation": np.array([
+                max(np.max(np.abs(run.full.x_a - run.classical_x_a)),
+                    np.max(np.abs(run.full.x_b - run.classical_x_b)))
+                for run in runs
+            ]),
         }
 
 

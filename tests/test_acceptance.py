@@ -182,11 +182,11 @@ def test_criterion_7_grid_conservation():
     )
     interacting_elapsed = time.perf_counter() - start
     assert interacting_elapsed < 120.0
-    norm_drift = float(np.max(np.abs(trajectory.norms - 1.0)))
+    norm_drift = float(np.max(np.abs(trajectory.norm - 1.0)))
     assert norm_drift < 1e-10 * (fixture.n_steps / 1000.0)
     energy_drift = float(
-        np.max(np.abs(trajectory.energies - trajectory.energies[0]))
-        / abs(trajectory.energies[0])
+        np.max(np.abs(trajectory.energy - trajectory.energy[0]))
+        / abs(trajectory.energy[0])
     )
     assert energy_drift < 1e-4
     stored = config["oracle"]
@@ -197,7 +197,7 @@ def test_criterion_7_grid_conservation():
     free_elapsed = time.perf_counter() - start
     assert free_elapsed < 120.0
     assert float(np.max(free.entropy_bits)) < 1e-10
-    assert float(np.max(np.abs(free.norms - 1.0))) < 1e-10
+    assert float(np.max(np.abs(free.norm - 1.0))) < 1e-10
     report(
         7,
         "grid conservation",

@@ -447,6 +447,14 @@ class TestIslandsCommand:
             "min_fidelity", "trajectory_deviation",
         }
         assert payload["max_entropy_bits"][0] > payload["max_entropy_bits"][1]
+        # stdout line k reads row k of the ladder table
+        rows = zip(*(payload[name] for name in (
+            "parameters", "max_entropy_bits", "final_fidelity", "trajectory_deviation"
+        )))
+        assert capsys.readouterr().out.splitlines() == [
+            f"parameter {p:g}: max entropy {e:.6f} bits, final fidelity {f:.6f}, deviation {d:.6f}"
+            for p, e, f, d in rows
+        ]
 
     def test_per_point_trajectories_written(self, tmp_path):
         config = tiny_grid_config(
@@ -619,6 +627,14 @@ INVALID_CONFIGS = {
     "theorem_zero_samples": ("theorem", _theorem_config(), _set(None, "n_product_samples", 0)),
     "theorem_zero_t_final": ("theorem", _theorem_config(), _set(None, "t_final", 0)),
     "theorem_zero_time_samples": ("theorem", _theorem_config(), _set(None, "time_samples", 0)),
+    # 1e14 product states of 4 complex amplitudes take 5.68 PiB, past any address space
+    "theorem_product_states_cannot_be_allocated": (
+        "theorem", _theorem_config(), _set(None, "n_product_samples", 10**14), "Unable to allocate"
+    ),
+    # one chunk of 4 samples at 1e14 times takes 22.7 PiB
+    "theorem_evolved_stack_cannot_be_allocated": (
+        "theorem", _theorem_config(), _set(None, "time_samples", 10**14), "Unable to allocate"
+    ),
     # ||ZZ||_F is 2: t_final * ||H||_F is 2e310 rad, past the double range
     "theorem_t_final_phase_overflows": (
         "theorem", _theorem_config(),
@@ -927,41 +943,37 @@ class TestSeedFlagOverridesConfigSeed:
         assert not (out / "manifest.json").exists()
 
 
-FIXTURE_COMMANDS = {
-    "bellgame_lhv": "bellgame",
-    "bellgame_quantum": "bellgame",
-    "measure_bell": "measure",
-    "theorem_zz": "theorem",
-    "collision_well": "evolve",
-    "convergence_small": "evolve",
-    "test_particle": "islands",
-    "material_point": "islands",
-}
+def _script(name: str):
+    """The module of ``scripts/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# (command, fixture) of every packaged fixture, as the byte-identical rerun runs them
+FIXTURE_RUNS = _script("rerun_fixtures").RUNS
 
 
 @pytest.fixture(scope="module")
 def oracle_script():
-    spec = importlib.util.spec_from_file_location(
-        "compute_oracles", ROOT / "scripts" / "compute_oracles.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _script("compute_oracles")
 
 
 class TestPackagedFixturesParse:
     """Every packaged config passes its parse step; nothing is run or written."""
 
     def test_every_fixture_is_listed(self):
-        assert sorted(p.stem for p in FIXTURES.glob("*.json")) == sorted(FIXTURE_COMMANDS)
+        listed = sorted(name for _, name in FIXTURE_RUNS)
+        assert sorted(p.stem for p in FIXTURES.glob("*.json")) == listed
 
-    @pytest.mark.parametrize("name", sorted(FIXTURE_COMMANDS))
-    def test_fixture_parses(self, tmp_path, name):
+    @pytest.mark.parametrize(
+        ("command", "name"), FIXTURE_RUNS, ids=[name for _, name in FIXTURE_RUNS]
+    )
+    def test_fixture_parses(self, tmp_path, command, name):
         path = FIXTURES / f"{name}.json"
         out = tmp_path / "out"
-        args = build_parser().parse_args(
-            [FIXTURE_COMMANDS[name], "--config", str(path), "--out", str(out)]
-        )
+        args = build_parser().parse_args([command, "--config", str(path), "--out", str(out)])
         seed, outputs, run = args.parse(load_config(path), args)
         assert outputs and callable(run)
         assert not out.exists()

@@ -244,7 +244,7 @@ class TestSplitStepEvolution:
         )
         traj = evolve_split_step(psi, None, 0.01, 400, 50)
         assert np.max(traj.entropy_bits) < 1e-10
-        assert np.max(np.abs(traj.norms - 1.0)) < 1e-10
+        assert np.max(np.abs(traj.norm - 1.0)) < 1e-10
 
     def test_norm_conserved_with_interaction(self):
         psi = init_product(
@@ -253,7 +253,7 @@ class TestSplitStepEvolution:
         traj = evolve_split_step(
             psi, PotentialSpec("gaussian_well", 2.0, 1.5), 0.004, 1000, 200
         )
-        assert np.max(np.abs(traj.norms - 1.0)) < 1e-10
+        assert np.max(np.abs(traj.norm - 1.0)) < 1e-10
 
     def test_energy_drift_small(self):
         psi = init_product(
@@ -262,7 +262,7 @@ class TestSplitStepEvolution:
         traj = evolve_split_step(
             psi, PotentialSpec("gaussian_well", 2.0, 1.5), 0.004, 1000, 100
         )
-        drift = np.max(np.abs(traj.energies - traj.energies[0])) / abs(traj.energies[0])
+        drift = np.max(np.abs(traj.energy - traj.energy[0])) / abs(traj.energy[0])
         assert drift < 1e-4
 
     def test_free_packet_moves_ballistically(self):
@@ -272,7 +272,7 @@ class TestSplitStepEvolution:
             GaussianPacket(-6.0, 1.0, k), GaussianPacket(6.0, 1.0, 0.0), spec
         )
         traj = evolve_split_step(psi, None, 0.01, 300, 100)
-        assert np.allclose(traj.x_a, -6.0 + k * traj.times, atol=1e-6)
+        assert np.allclose(traj.x_a, -6.0 + k * traj.time, atol=1e-6)
         assert np.allclose(traj.x_b, 6.0, atol=1e-6)
 
     def test_exchange_symmetry_of_entropy(self):
@@ -444,7 +444,7 @@ class TestChannelLayout:
         monkeypatch.setattr(GridSpec, "kinetic", counting_kinetic)
         trajectory = evolve_split_step(psi, PotentialSpec("gaussian_well", 1.0, 1.5), 0.01, 60, 20)
         assert sorted(calls) == ["kinetic", "potential_on_grid"]
-        assert trajectory.times.size == 4
+        assert trajectory.time.size == 4
 
 
 class TestLayoutProbe:
@@ -654,8 +654,8 @@ class TestFixtureOracles:
         stored = cfg["oracle"]["entropy_bits_final"]
         tolerance = cfg["oracle"]["tolerance"]
         assert abs(traj.entropy_bits[-1] - stored) < tolerance
-        assert np.max(np.abs(traj.norms - 1.0)) < 1e-10
-        drift = np.max(np.abs(traj.energies - traj.energies[0])) / abs(traj.energies[0])
+        assert np.max(np.abs(traj.norm - 1.0)) < 1e-10
+        drift = np.max(np.abs(traj.energy - traj.energy[0])) / abs(traj.energy[0])
         assert drift < 1e-4
 
     def test_refinement_convergence(self):
@@ -685,7 +685,7 @@ class TestTrajectoryRows:
         assert list(table) == [
             "time", "norm", "energy", "entropy_bits", "x_a", "x_b", "p_a", "p_b",
         ]
-        assert all(len(column) == len(traj.times) for column in table.values())
+        assert all(len(column) == len(traj.time) for column in table.values())
         assert table["time"][0] == 0.0
 
 

@@ -29,7 +29,12 @@ import numpy as np
 import pytest
 
 from entanglab.grid import GaussianPacket, GridSpec, evolve_split_step, init_product
-from entanglab.islands import CollisionFixture, classical_two_body, run_collision
+from entanglab.islands import (
+    CollisionFixture,
+    RegimeScanResult,
+    classical_two_body,
+    run_collision,
+)
 
 KAPPA, M_A, M_B, LENGTH, T_FINAL = 0.3, 1.0, 2.0, 32.0, 3.0
 PACKET_A, PACKET_B = GaussianPacket(-2.0, 1.0, 1.0), GaussianPacket(2.0, 0.8, -0.5)
@@ -135,15 +140,15 @@ def errors():
         n_steps = round(T_FINAL / dt)
         psi = init_product(PACKET_A, PACKET_B, spec)
         trajectory = evolve_split_step(psi, Harmonic(KAPPA), dt, n_steps, n_steps // SAMPLES)
-        assert trajectory.times.size == SAMPLES + 1
-        exact = [closed_form(t) for t in trajectory.times]
+        assert trajectory.time.size == SAMPLES + 1
+        exact = [closed_form(t) for t in trajectory.time]
         means = np.array([m for m, _ in exact])
         entropies = np.array([entropy_bits(cov) for _, cov in exact])
         out[n, dt] = {
             "entropy": np.max(np.abs(trajectory.entropy_bits - entropies)),
             "x": np.max(np.abs(np.c_[trajectory.x_a, trajectory.x_b] - means[:, :2])),
             "p": np.max(np.abs(np.c_[trajectory.p_a, trajectory.p_b] - means[:, 2:])),
-            "energy": np.max(np.abs(trajectory.energies - ENERGY)),
+            "energy": np.max(np.abs(trajectory.energy - ENERGY)),
             "peak_entropy": float(np.max(trajectory.entropy_bits)),
         }
     return out
@@ -169,11 +174,12 @@ def mean_field_errors():
             dt, n_steps, n_steps // SAMPLES,
         )
         run = run_collision(fixture)
-        exact = np.array([mean_field_fidelity(t) for t in run.full.times])
+        exact = np.array([mean_field_fidelity(t) for t in run.full.time])
+        row = RegimeScanResult(np.zeros(1), (run,)).table()  # the ladder's own definitions
         out[n, dt] = {
             "fidelity": np.max(np.abs(run.fidelity - exact)),
-            "min_fidelity": run.min_fidelity,
-            "trajectory_deviation": run.trajectory_deviation,
+            "min_fidelity": row["min_fidelity"][0],
+            "trajectory_deviation": row["trajectory_deviation"][0],
         }
     return out
 

@@ -239,7 +239,7 @@ class TestCollisionRun:
         run = run_collision(small_fixture())
         # mean field is exact while nothing is entangled
         assert run.fidelity[0] == pytest.approx(1.0, abs=1e-10)
-        assert run.min_fidelity >= 1.0 - 2.0 * run.max_entropy_bits - 0.05
+        assert np.min(run.fidelity) >= 1.0 - 2.0 * run.full.max_entropy_bits - 0.05
 
     def test_label_swap_symmetry(self):
         fixture = small_fixture()
@@ -254,7 +254,7 @@ class TestCollisionRun:
         )
         a = run_collision(fixture)
         b = run_collision(swapped)
-        assert abs(a.max_entropy_bits - b.max_entropy_bits) < 1e-9
+        assert abs(a.full.max_entropy_bits - b.full.max_entropy_bits) < 1e-9
 
     def test_run_keeps_only_per_sample_columns(self):
         # 400 steps sampled every 50 give nine samples; no n x n state is kept
@@ -288,7 +288,7 @@ class TestDriversAgree:
             fixture.n_steps,
             fixture.sample_every,
         )
-        assert run.full.times.size == 5
+        assert run.full.time.size == 5
         for field in dataclasses.fields(GridTrajectory):
             ours, theirs = getattr(run.full, field.name), getattr(trajectory, field.name)
             assert np.array_equal(ours, theirs), field.name
@@ -309,7 +309,7 @@ class TestDriversAgree:
         run = run_collision(small_fixture())
         assert len(calls) == 1
         assert yielded == list(range(0, 401, 50))
-        assert np.array_equal(run.full.times, np.array(yielded) * 0.01)
+        assert np.array_equal(run.full.time, np.array(yielded) * 0.01)
 
 
 class TestScans:
@@ -366,7 +366,7 @@ class TestHartreeConsistencyBound:
         # fidelity decays only when entanglement appears
         fixture = small_fixture()
         run = run_collision(fixture)
-        assert run.min_fidelity >= 1.0 - 2.0 * run.max_entropy_bits - 0.05
+        assert np.min(run.fidelity) >= 1.0 - 2.0 * run.full.max_entropy_bits - 0.05
 
 
 class TestFixtureConfigsAreWellFormed:
