@@ -10,10 +10,10 @@ through ``main`` in three steps:
    invalid config fails here with a ``ConfigError`` before any file is written;
 2. manifest: ``manifest.json`` (config hash, seed, versions, expected
    outputs) goes into the output directory;
-3. run: the compute, then the result files.
+3. run: the compute, then the result files; ``run(out)`` returns its checks.
 
-Exit codes: 0 success, 1 runtime failure (also an ``evolve`` run whose final
-entropy misses its config oracle, after its outputs are written), 2
+Exit codes: 0 success, 1 runtime failure or a failed check (``_check``; ``_run``
+prints one ``error: check`` line per miss, after every output is written), 2
 configuration or command-line error (``--threads`` below 1 or an ``--out``
 that cannot be a directory included).  Identical config and seed reproduce
 results byte for byte.  BLAS runs on one thread for the whole call
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -348,10 +349,21 @@ def _hamiltonian_from_config(section, where) -> finite.BipartiteHamiltonian:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each parse step returns (seed, outputs, run); ``run(out)``
-# does the compute and writes the outputs.  Layer functions are looked up
-# through their modules when a config is parsed, never at import.
+# Subcommands: each parse step returns (seed, outputs, run); ``run(out)`` does the
+# compute, writes the outputs and returns the run's checks.  Layer functions are
+# looked up through their modules when a config is parsed, never at import.
 # ---------------------------------------------------------------------------
+
+
+def _check(name: str, value, limit, passed) -> dict:
+    """One graded reading; ``name`` is the config key that set ``limit``."""
+    return {"name": name, "value": float(value), "limit": float(limit), "passed": bool(passed)}
+
+
+def _oracle_check(oracle: dict, key: str, reading, tolerance: float) -> dict:
+    """Check ``oracle.<key>``: the largest |reading - oracle[key]|, passed below ``tolerance``."""
+    value = float(np.max(np.abs(np.subtract(reading, oracle[key]))))
+    return _check(f"oracle.{key}", value, tolerance, value < tolerance)
 
 
 # bell_sum needs all three cyclic question pairs, so a game needs at least three rounds
@@ -368,7 +380,7 @@ def parse_bellgame(config: dict, args) -> tuple:
     strategy = _strategy_from_config(fields["strategy"], "bellgame config.strategy")
     seed, n_rounds = fields["seed"], fields["n_rounds"]
 
-    def run(out: Path) -> None:
+    def run(out: Path) -> list:
         stats = bg.run_game(strategy, n_rounds, seed)
         names = [q.name.lower() for q in bg.QUESTIONS]
         rounds, equal = stats.rounds.ravel(), stats.equal.ravel()  # row-major: (q_a, q_b)
@@ -396,6 +408,7 @@ def parse_bellgame(config: dict, args) -> tuple:
         )
         print(f"bell_sum = {empirical:.6f}   analytic reference = {analytic}")
         print("inequality bound for shared answer lists: sum >= 1")
+        return []
 
     return seed, ["bellgame.json", "bellgame_pairs.csv"], run
 
@@ -415,7 +428,7 @@ def parse_measure(config: dict, args) -> tuple:
             f" 1/sqrt(min(d_A, d_B)) = {floor:g}"
         )
 
-    def run(out: Path) -> None:
+    def run(out: Path) -> list:
         decomposition = measures.schmidt_decompose(state)
         rho_a = measures.reduced_density_matrix(state, "A")
         entropy = measures.von_neumann_entropy(rho_a, base)  # so that E = 1 - C(A)
@@ -441,6 +454,7 @@ def parse_measure(config: dict, args) -> tuple:
         print(f"coherence            : {coh:.6f}")
         print(f"entanglement         : {ent:.6f}")
         print(f"factorizable         : {'yes' if factorizable else 'no'} (tol {tol:g})")
+        return []
 
     return fields["seed"], ["measure.json"], run
 
@@ -471,7 +485,7 @@ def parse_theorem(config: dict, args) -> tuple:
     _build("theorem config", np.empty, (n_samples, d), complex)
     _build("theorem config", np.empty, (chunk, time_samples, d), complex)
 
-    def run(out: Path) -> None:
+    def run(out: Path) -> list:
         report = finite.theorem_witness(
             H, n_samples, t_final, seed, n_time_samples=time_samples, split_tol=split_tol
         )
@@ -501,6 +515,7 @@ def parse_theorem(config: dict, args) -> tuple:
             f"{verdict}, residual {report.split.residual_norm:.6g}, "
             f"max witness entropy {report.max_entanglement:.6g}"
         )
+        return []
 
     return seed, ["theorem.json", "witness_samples.csv", "worst_trajectory.csv"], run
 
@@ -516,7 +531,7 @@ def parse_evolve(config: dict, args) -> tuple:
     psi = _build(where, grid.init_product, base.packet_a, base.packet_b, base.spec)
     oracle = fields["oracle"]
 
-    def run(out: Path) -> None:
+    def run(out: Path) -> list:
         trajectory = grid.evolve_split_step(
             psi, base.potential, base.dt, base.n_steps, base.sample_every
         )
@@ -530,41 +545,36 @@ def parse_evolve(config: dict, args) -> tuple:
                 / max(abs(float(trajectory.energy[0])), 1e-300)
             ),
         }
-        if oracle is not None:
-            summary["oracle_entropy_bits_final"] = oracle["entropy_bits_final"]
-            summary["oracle_deviation"] = abs(
-                summary["final_entropy_bits"] - summary["oracle_entropy_bits_final"]
-            )
-        write_json(out / "evolve.json", summary)
+        checks = [_oracle_check(oracle, "entropy_bits_final", summary["final_entropy_bits"],
+                                oracle["tolerance"])] if oracle else []
+        write_json(out / "evolve.json", {**summary, "checks": checks})
         print(
             f"final entropy {summary['final_entropy_bits']:.9f} bits, "
             f"norm drift {summary['max_norm_drift']:.3e}, "
             f"energy drift {summary['max_relative_energy_drift']:.3e}"
         )
-        if oracle is not None:
-            deviation, tolerance = summary["oracle_deviation"], oracle["tolerance"]
-            print(f"oracle deviation {deviation:.3e}")
-            if deviation >= tolerance:
-                raise RuntimeError(
-                    f"oracle deviation {deviation:.3e} bits is at or above the tolerance "
-                    f"{tolerance:g} bits"
-                )
+        return checks
 
     return fields["seed"], ["trajectory.csv", "evolve.json"], run
 
 
-THRESHOLDS = dict.fromkeys(
-    ("max_entropy_at_smallest_bits", "min_reduction_factor", "max_entropy_at_narrowest_bits",
-     "max_trajectory_deviation", "min_fidelity"),
-    (NUMBER, None),
-)
-ISLANDS_ORACLE = {
+# threshold key: the reading it limits at the last ladder point, and the test a NaN fails
+THRESHOLD_TESTS = {
+    "max_entropy_at_smallest_bits": ("max_entropy_bits", operator.le),
+    "min_reduction_factor": ("reduction_factor", operator.ge),
+    "max_entropy_at_narrowest_bits": ("max_entropy_bits", operator.lt),
+    "max_trajectory_deviation": ("trajectory_deviation", operator.lt),
+    "min_fidelity": ("min_fidelity", operator.gt),
+}
+THRESHOLDS = dict.fromkeys(THRESHOLD_TESTS, (NUMBER, None))
+ISLANDS_REFERENCES = {
     "max_entropy_bits": (NUMBERS, REQUIRED),
-    "note": (ANY, None),
     "reduction_factor": (NUMBER, None),
     "min_fidelity": (NUMBERS, None),
     "trajectory_deviation": (NUMBERS, None),
 }
+TOLERANCES = dict.fromkeys(ISLANDS_REFERENCES, (POSITIVE, None))
+ISLANDS_ORACLE = {**ISLANDS_REFERENCES, "note": (ANY, None), "tolerance": (TOLERANCES, REQUIRED)}
 SCAN = {
     **COLLISION,
     "kind": KIND_FIELD,
@@ -579,11 +589,26 @@ SCANS = {
 }
 
 
+def ladder_checks(table: dict, thresholds, oracle) -> list:
+    """The checks of a ladder ``table()``: thresholds on its last point, oracle over all."""
+    bits = table["max_entropy_bits"]
+    readings = {**table, "reduction_factor": bits[:1] / bits[-1:]}  # a one-point column
+    checks = []
+    for key, (reading, passes) in THRESHOLD_TESTS.items():
+        limit, value = (thresholds or {}).get(key), readings[reading][-1]
+        if limit is not None:
+            checks.append(_check(f"thresholds.{key}", value, limit, passes(value, limit)))
+    for key, tolerance in (oracle["tolerance"] if oracle else {}).items():
+        if tolerance is not None:
+            checks.append(_oracle_check(oracle, key, readings[key], tolerance))
+    return checks
+
+
 def parse_islands(config: dict, args) -> tuple:
     where = "islands config"
     fields = _read_kind(config, where, "scan", SCANS)
     base = _grid_run(fields, where)
-    kind, seed = fields["kind"], fields["seed"]
+    kind, seed, oracle = fields["kind"], fields["seed"], fields["oracle"]
     if kind == "test_particle":
         ratio_key, scan = "mass_ratios", islands.test_particle_scan
         point_fixture = islands.test_particle_fixture
@@ -597,18 +622,24 @@ def parse_islands(config: dict, args) -> tuple:
         point = _build(point_where, point_fixture, base, ratio)
         _check_kinetic_phase(point.spec, point.dt, where)
         _build(packets_where, grid.init_product, point.packet_a, point.packet_b, point.spec)
+    for key in ISLANDS_REFERENCES if oracle else ():  # every reference gradable, and graded
+        if (oracle[key] is None) != (oracle["tolerance"][key] is None):
+            raise ConfigError(f"oracle.{key} in {where} must give both reference and tolerance")
+        if isinstance(oracle[key], list) and len(oracle[key]) != len(ratios):
+            raise ConfigError(f"oracle.{key} in {where} must hold one value per ratio")
     outputs = ["islands.csv", "islands.json"]
     if fields["write_trajectories"]:
         outputs += [f"islands_point_{k}.csv" for k in range(len(ratios))]
 
-    def run(out: Path) -> None:
+    def run(out: Path) -> list:
         result = scan(ratios, base, threads=args.threads)
         table = result.table()
         write_csv(out / "islands.csv", table)
         if fields["write_trajectories"]:
             for k, point_run in enumerate(result.runs):
                 write_csv(out / f"islands_point_{k}.csv", point_run.point_table())
-        summary = {"kind": kind, "seed": seed, **table}
+        checks = ladder_checks(table, fields["thresholds"], oracle)
+        summary = {"kind": kind, "seed": seed, **table, "checks": checks}
         summary["parameters"] = summary.pop("parameter")
         write_json(out / "islands.json", summary)
         columns = ("parameter", "max_entropy_bits", "final_fidelity", "trajectory_deviation")
@@ -617,6 +648,7 @@ def parse_islands(config: dict, args) -> tuple:
                 f"parameter {parameter:g}: max entropy {entropy:.6f} bits, "
                 f"final fidelity {final:.6f}, deviation {deviation:.6f}"
             )
+        return checks
 
     return seed, outputs, run
 
@@ -683,8 +715,11 @@ def _run(argv) -> int:
         except OSError as err:
             parser.error(f"argument --out: cannot be used as a directory: {err}")
         write_json(out / "manifest.json", run_manifest(args.command, config, seed, outputs))
-        run(out)
-        return 0
+        failed = [check for check in run(out) if not check["passed"]]
+        for check in failed:
+            print("error: check {name} failed: {value!r} against limit {limit!r}".format(**check),
+                  file=sys.stderr)
+        return 1 if failed else 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -8,7 +9,8 @@ from entanglab.bellgame import _THRESHOLDS
 from entanglab.finite import BipartiteHamiltonian, haar_kets
 from entanglab.states import Ket
 
-FIXTURES = Path(__file__).resolve().parents[1] / "src" / "entanglab" / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "src" / "entanglab" / "fixtures"
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +20,14 @@ def fixtures_dir() -> Path:
 
 def load_fixture(name: str) -> dict:
     return json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+
+
+def load_script(name: str):
+    """The module of ``scripts/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

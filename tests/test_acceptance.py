@@ -16,7 +16,7 @@ import numpy as np
 
 from entanglab import bellgame as bg
 from entanglab import finite, islands, measures, states
-from entanglab.cli import collision_fixture_from_config, main
+from entanglab.cli import collision_fixture_from_config, ladder_checks, main
 from entanglab.grid import evolve_split_step, init_product
 
 from conftest import load_fixture, non_interacting, quantum_answers, random_hermitian
@@ -213,7 +213,9 @@ def test_criterion_8_regime_scans():
     assert np.all(np.diff(tp["max_entropy_bits"]) < 0.0)  # strictly decreasing
     reduction = float(tp["max_entropy_bits"][0] / tp["max_entropy_bits"][-1])
     assert reduction >= tp_config["thresholds"]["min_reduction_factor"]
-    assert abs(reduction - tp_config["oracle"]["reduction_factor"]) < 0.005  # stored to 0.01
+    tp_oracle = tp_config["oracle"]
+    tolerance = tp_oracle["tolerance"]["reduction_factor"]  # the factor is stored to 0.01
+    assert abs(reduction - tp_oracle["reduction_factor"]) < tolerance
     assert (
         tp["max_entropy_bits"][-1]
         <= tp_config["thresholds"]["max_entropy_at_smallest_bits"]
@@ -233,18 +235,20 @@ def test_criterion_8_regime_scans():
     # mean-field fidelity decays only where entanglement appears
     for scan in (tp, mp):
         assert np.all(scan["min_fidelity"] >= 1.0 - 2.0 * scan["max_entropy_bits"])
-    # committed refined ladders (2x resolution, dt/2)
-    for scan, config, tolerances in (
-        (tp, tp_config, {"max_entropy_bits": 1e-6}),
-        (
-            mp,
-            mp_config,
-            {"max_entropy_bits": 1e-4, "min_fidelity": 1e-4, "trajectory_deviation": 1e-3},
-        ),
-    ):
-        for name, tol in tolerances.items():
-            reference = np.array(config["oracle"][name])
-            assert np.max(np.abs(scan[name] - reference)) < tol, name
+    # the islands the fixtures claim: a tenfold reduction, and fidelity 0.99 at the narrowest width
+    assert tp_config["thresholds"]["min_reduction_factor"] >= 10.0
+    assert thresholds["min_fidelity"] >= 0.99
+    # committed refined ladders (2x resolution, dt/2), to the fixtures' own tolerances
+    for scan, config in ((tp, tp_config), (mp, mp_config)):
+        oracle = config["oracle"]
+        for name, tol in oracle["tolerance"].items():
+            if name in scan:  # a column; the reduction factor is asserted above
+                reference = np.array(oracle[name])
+                assert np.max(np.abs(scan[name] - reference)) < tol, name
+        # the CLI's verdict on the same table: one passed check per threshold and tolerance
+        checks = ladder_checks(scan, config["thresholds"], oracle)
+        assert len(checks) == len(config["thresholds"]) + len(oracle["tolerance"])
+        assert all(check["passed"] for check in checks), checks
     report(
         8,
         "regime scans",

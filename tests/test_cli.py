@@ -14,6 +14,8 @@ from entanglab import blas, cli, grid
 from entanglab.cli import build_parser, collision_fixture_from_config, load_config, main
 from entanglab.output import config_digest
 
+from conftest import load_script
+
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "src" / "entanglab" / "fixtures"
 
@@ -42,6 +44,10 @@ def tiny_grid_config(**extra):
     }
     config.update(extra)
     return config
+
+
+# the two-point ladder that the check tests grade
+LADDER = tiny_grid_config(kind="material_point", width_ratios=[0.5, 0.25], seed=0)
 
 
 class TestBellgameCommand:
@@ -416,10 +422,18 @@ class TestEvolveCommand:
         capsys.readouterr()
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == code
         assert {"manifest.json", "trajectory.csv", "evolve.json"} <= set(read_outputs(out))
+        deviation = abs(final - oracle["entropy_bits_final"])
+        (check,) = json.loads((out / "evolve.json").read_text())["checks"]
+        assert check == {
+            "name": "oracle.entropy_bits_final", "value": deviation, "limit": 0.1,
+            "passed": not code,
+        }
         err = capsys.readouterr().err
         if code:
-            assert err.startswith("error: ") and "deviation 5.000e-01" in err
-            assert "tolerance 0.1" in err
+            assert deviation == pytest.approx(0.5)
+            assert err == (
+                f"error: check oracle.entropy_bits_final failed: {deviation!r} against limit 0.1\n"
+            )
         else:
             assert err == ""
 
@@ -444,8 +458,9 @@ class TestIslandsCommand:
         payload = json.loads((out / "islands.json").read_text())
         assert set(payload) == {
             "kind", "seed", "parameters", "max_entropy_bits", "final_fidelity",
-            "min_fidelity", "trajectory_deviation",
+            "min_fidelity", "trajectory_deviation", "checks",
         }
+        assert payload["checks"] == []  # no thresholds and no oracle
         assert payload["max_entropy_bits"][0] > payload["max_entropy_bits"][1]
         # stdout line k reads row k of the ladder table
         rows = zip(*(payload[name] for name in (
@@ -493,6 +508,92 @@ class TestIslandsCommand:
         config = tiny_grid_config(kind="test_particle", seed=0)
         path = write_config(tmp_path, "i.json", config)
         assert main(["islands", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("oracle, key", [
+        # one reference per ratio, or the ladder could not be compared point by point
+        ({"max_entropy_bits": [0.1], "tolerance": {"max_entropy_bits": 0.1}}, "max_entropy_bits"),
+        # a reference with no tolerance would go ungraded
+        (
+            {"max_entropy_bits": [0.1, 0.1], "min_fidelity": [0.9, 0.9],
+             "tolerance": {"max_entropy_bits": 0.1}},
+            "min_fidelity",
+        ),
+        # a tolerance with no reference has nothing to grade
+        (
+            {"max_entropy_bits": [0.1, 0.1],
+             "tolerance": {"max_entropy_bits": 0.1, "trajectory_deviation": 0.1}},
+            "trajectory_deviation",
+        ),
+    ], ids=["length", "no_tolerance", "no_reference"])
+    def test_ungradable_oracle_is_config_error(self, tmp_path, capsys, oracle, key):
+        path = write_config(tmp_path, "i.json", {**LADDER, "oracle": oracle})
+        out = tmp_path / "out"
+        assert main(["islands", "--config", str(path), "--out", str(out)]) == 2
+        assert f"oracle.{key} " in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
+@pytest.fixture(scope="module")
+def ladder_table(tmp_path_factory) -> dict:
+    """``islands.json`` of LADDER run with no thresholds and no oracle."""
+    work = tmp_path_factory.mktemp("ladder")
+    path = write_config(work, "ladder.json", LADDER)
+    assert main(["islands", "--config", str(path), "--out", str(work / "out")]) == 0
+    return json.loads((work / "out" / "islands.json").read_text())
+
+
+class TestLadderChecks:
+    """Each threshold grades the last ladder point with the comparison criterion 8 uses."""
+
+    @pytest.mark.parametrize("key, code", [
+        ("max_entropy_at_smallest_bits", 0),
+        ("min_reduction_factor", 0),
+        ("max_entropy_at_narrowest_bits", 1),
+        ("max_trajectory_deviation", 1),
+        ("min_fidelity", 1),
+    ])
+    def test_threshold_equal_to_its_reading(self, tmp_path, capsys, ladder_table, key, code):
+        bits = ladder_table["max_entropy_bits"]
+        reading = {
+            "max_entropy_at_smallest_bits": bits[-1],
+            "min_reduction_factor": bits[0] / bits[-1],
+            "max_entropy_at_narrowest_bits": bits[-1],
+            "max_trajectory_deviation": ladder_table["trajectory_deviation"][-1],
+            "min_fidelity": ladder_table["min_fidelity"][-1],
+        }[key]
+        path = write_config(tmp_path, "t.json", {**LADDER, "thresholds": {key: reading}})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["islands", "--config", str(path), "--out", str(out)]) == code
+        assert {"manifest.json", "islands.csv", "islands.json"} <= set(read_outputs(out))
+        name = f"thresholds.{key}"
+        (check,) = json.loads((out / "islands.json").read_text())["checks"]
+        assert check == {"name": name, "value": reading, "limit": reading, "passed": not code}
+        failed = [f"error: check {name} failed: {reading!r} against limit {reading!r}"]
+        assert capsys.readouterr().err.splitlines() == (failed if code else [])
+
+    def test_missed_oracle_tolerance_exits_1(self, tmp_path, capsys, ladder_table):
+        # one reference off by about 0.5 bits, with a tolerance of exactly that: a miss
+        reference = [bits + 0.5 for bits in ladder_table["max_entropy_bits"]]
+        deviation = max(abs(a - b) for a, b in zip(ladder_table["max_entropy_bits"], reference))
+        oracle = {
+            "max_entropy_bits": reference,
+            "min_fidelity": ladder_table["min_fidelity"],
+            "tolerance": {"max_entropy_bits": deviation, "min_fidelity": 1e-12},
+        }
+        path = write_config(tmp_path, "o.json", {**LADDER, "oracle": oracle})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["islands", "--config", str(path), "--out", str(out)]) == 1
+        assert {"manifest.json", "islands.csv", "islands.json"} <= set(read_outputs(out))
+        checks = json.loads((out / "islands.json").read_text())["checks"]
+        assert [(c["name"], c["passed"]) for c in checks] == [
+            ("oracle.max_entropy_bits", False), ("oracle.min_fidelity", True)
+        ]
+        assert checks[0]["value"] == deviation == pytest.approx(0.5)
+        assert checks[1]["value"] == 0.0
+        line = f"error: check oracle.max_entropy_bits failed: {deviation!r} against limit"
+        assert capsys.readouterr().err.splitlines() == [f"{line} {deviation!r}"]
 
 
 def _set(section, key, value):
@@ -943,21 +1044,13 @@ class TestSeedFlagOverridesConfigSeed:
         assert not (out / "manifest.json").exists()
 
 
-def _script(name: str):
-    """The module of ``scripts/<name>.py``."""
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # (command, fixture) of every packaged fixture, as the byte-identical rerun runs them
-FIXTURE_RUNS = _script("rerun_fixtures").RUNS
+FIXTURE_RUNS = load_script("rerun_fixtures").RUNS
 
 
 @pytest.fixture(scope="module")
 def oracle_script():
-    return _script("compute_oracles")
+    return load_script("compute_oracles")
 
 
 class TestPackagedFixturesParse:

@@ -30,7 +30,7 @@ from entanglab.islands import (
     run_collision,
 )
 
-from conftest import load_fixture
+from conftest import load_fixture, load_script
 
 
 def small_spec(n=64, length=32.0, m_a=1.0, m_b=1.0):
@@ -369,14 +369,20 @@ class TestHartreeConsistencyBound:
         assert np.min(run.fidelity) >= 1.0 - 2.0 * run.full.max_entropy_bits - 0.05
 
 
-class TestFixtureConfigsAreWellFormed:
-    def test_material_point_thresholds_present(self):
-        cfg = load_fixture("material_point.json")
-        assert cfg["kind"] == "material_point"
-        assert 0 < min(cfg["width_ratios"]) < max(cfg["width_ratios"]) < 1
-        assert cfg["thresholds"]["min_fidelity"] >= 0.99
+# the packaged grid runs, as the byte-identical rerun lists them
+GRID_RUNS = [run for run in load_script("rerun_fixtures").RUNS if run[0] in ("evolve", "islands")]
 
-    def test_test_particle_thresholds_present(self):
-        cfg = load_fixture("test_particle.json")
-        assert cfg["kind"] == "test_particle"
-        assert cfg["thresholds"]["min_reduction_factor"] >= 10.0
+
+class TestFixtureConfigsAreWellFormed:
+    @pytest.mark.parametrize(("command", "name"), GRID_RUNS, ids=[name for _, name in GRID_RUNS])
+    def test_every_reference_has_a_tolerance(self, command, name):
+        oracle = load_fixture(f"{name}.json").get("oracle")
+        if oracle is None:
+            return
+        if command == "evolve":  # one reference and its one tolerance
+            assert set(oracle) == {"entropy_bits_final", "tolerance"}
+            assert oracle["tolerance"] > 0
+        else:
+            references = set(oracle) - {"note", "tolerance"}
+            assert references and set(oracle["tolerance"]) == references
+            assert all(tolerance > 0 for tolerance in oracle["tolerance"].values())
