@@ -8,9 +8,12 @@ that differs as text but parses as a finite number on both sides is a moved
 cell: the script prints one line per file and column (CSV) or key (JSON, list
 indices dropped) with the number of cells that moved and the largest |delta|.
 Anything else that differs is a structural difference and is printed as
-such: a file present on one side only, a CSV header or shape, a JSON key,
-list length or value of another type, a text cell, and every other file
-(``stdout.txt``, ``stderr.txt``, ``exit_code.txt``) compared byte for byte.
+such: a file present on one side only, a CSV column or JSON key present on
+one side only or out of order, a CSV shape, a JSON list length or value of
+another type, a text cell, and every other file (``stdout.txt``,
+``stderr.txt``, ``exit_code.txt``) compared byte for byte.  Shared CSV
+columns (by name, when the row counts match) and shared JSON keys are still
+compared beside a structural difference, so no moved cell hides behind one.
 
 Exit status: 0 when only numeric cells moved (or nothing did), 1 on any
 structural difference, 2 on a usage error.
@@ -53,28 +56,37 @@ class Diff:
         entry[0] += 1
         entry[1] = max(entry[1], abs(new - old))
 
+    def shared(self, where, before, after, at, prefix=""):
+        """The names on both sides, in BEFORE's order; a name on one side only is structural."""
+        for names, others, side in ((before, after, "BEFORE"), (after, before, "AFTER")):
+            for name in names:
+                if name not in others:
+                    self.structural.append(f"{where}: {prefix}{name}: only in {side}")
+        shared = [name for name in before if name in after]
+        if shared != [name for name in after if name in before]:
+            self.structural.append(f"{where}: {at}: order differs")
+        return shared
+
     def compare_csv(self, where, before: bytes, after: bytes):
         old = list(csv.reader(io.StringIO(before.decode("utf-8"))))
         new = list(csv.reader(io.StringIO(after.decode("utf-8"))))
-        if old[:1] != new[:1]:
-            self.structural.append(f"{where}: header differs")
-            return
-        if [len(row) for row in old] != [len(row) for row in new]:
+        old_header, new_header = (rows[0] if rows else [] for rows in (old, new))
+        columns = self.shared(where, old_header, new_header, "header")
+        if len(old) != len(new) or any(
+            len(row) != len(rows[0]) for rows in (old, new) for row in rows
+        ):
             self.structural.append(f"{where}: shape differs")
             return
-        header = old[0] if old else []
-        for old_row, new_row in zip(old[1:], new[1:]):
-            for column, a, b in zip(header, old_row, new_row):
-                self.cell(where, column, a, b)
+        for column in columns:
+            a, b = old_header.index(column), new_header.index(column)
+            for old_row, new_row in zip(old[1:], new[1:]):
+                self.cell(where, column, old_row[a], new_row[b])
 
     def compare_json(self, where, before, after, key=""):
         if isinstance(before, dict) and isinstance(after, dict):
-            if list(before) != list(after):
-                self.structural.append(f"{where}: keys differ at {key or '/'}")
-                return
-            for name in before:
-                path = f"{key}.{name}" if key else name
-                self.compare_json(where, before[name], after[name], path)
+            prefix = f"{key}." if key else ""
+            for name in self.shared(where, before, after, key or "/", prefix):
+                self.compare_json(where, before[name], after[name], prefix + name)
         elif isinstance(before, list) and isinstance(after, list):
             if len(before) != len(after):
                 self.structural.append(f"{where}: {key or '/'}: list length differs")

@@ -36,15 +36,13 @@ RUNS = (
 )
 
 
-def main(argv) -> int:
-    if len(argv) != 1:
-        print("usage: rerun_fixtures.py OUT", file=sys.stderr)
-        return 2
-    out = Path(argv[0]).resolve()
+def rerun(out: Path, runs) -> None:
+    """Run each (command, fixture) of ``runs`` into OUT/<fixture>/, as laid out above."""
+    out = Path(out).resolve()
     configs = out / "configs"
     configs.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for command, name in RUNS:
+    for command, name in runs:
         config = FIXTURES / f"{name}.json"
         if command == "islands":
             ladder = json.loads(config.read_text(encoding="utf-8"))
@@ -62,6 +60,13 @@ def main(argv) -> int:
         (run / "stderr.txt").write_bytes(result.stderr)
         (run / "exit_code.txt").write_text(f"{result.returncode}\n", encoding="utf-8")
         print(f"{name}: exit {result.returncode}")
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print("usage: rerun_fixtures.py OUT", file=sys.stderr)
+        return 2
+    rerun(Path(argv[0]), RUNS)
     return 0
 
 

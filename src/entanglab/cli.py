@@ -237,19 +237,19 @@ def _grid_run(fields: dict, where: str) -> islands.CollisionFixture:
     potential, dt = fields["potential"], fields["dt"]
     if potential is not None:
         potential = _build(f"{where}.potential", grid.PotentialSpec, **potential)
-        with np.errstate(all="ignore"):  # a non-finite column is refused just below
-            column = grid.potential_on_grid(spec, potential, spec.x[0])
-        if not np.all(np.isfinite(column)):
-            raise ConfigError(
-                f"config key 'potential' in {where} must give a finite V at every lattice"
-                " separation"
-            )
-        peak = float(np.max(np.abs(column)))
-        if dt * peak > grid.MAX_PHASE_PER_STEP:
-            raise ConfigError(
-                f"config key 'dt' in {where} must keep dt * max|V| <= "
-                f"{grid.MAX_PHASE_PER_STEP} rad per step (max|V| is {peak:g})"
-            )
+    with np.errstate(all="ignore"):  # a non-finite column is refused just below
+        column = grid.potential_column(spec, potential)
+    if not np.all(np.isfinite(column)):
+        raise ConfigError(
+            f"config key 'potential' in {where} must give a finite V at every lattice"
+            " separation"
+        )
+    peak = float(np.max(np.abs(column)))
+    if dt * peak > grid.MAX_PHASE_PER_STEP:
+        raise ConfigError(
+            f"config key 'dt' in {where} must keep dt * max|V| <= "
+            f"{grid.MAX_PHASE_PER_STEP} rad per step (max|V| is {peak:g})"
+        )
     _check_kinetic_phase(spec, dt, where)
     return islands.CollisionFixture(
         spec, *packets, potential, dt, fields["n_steps"], fields["sample_every"]

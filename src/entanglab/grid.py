@@ -11,8 +11,8 @@ Each step is a Strang splitting: half a potential phase (diagonal in
 position), a full kinetic phase (diagonal in momentum), and the second
 potential half.  Both substeps are exactly unitary, so the method conserves
 the norm to rounding; accuracy is second order in dt.  Stability rule: keep
-dt * max|V| at or below MAX_PHASE_PER_STEP (0.1 rad per step).  A free run
-has no such bound, so the kinetic phase per step, dt * max(k^2/2m_A +
+dt * max|V| at or below MAX_PHASE_PER_STEP (0.1 rad per step); a free run
+is the zero V column.  The kinetic phase per step, dt * max(k^2/2m_A +
 k^2/2m_B), is kept at or below MAX_KINETIC_PHASE (1e6 rad), where its
 rounding error is about 1e-10 rad.
 
@@ -165,14 +165,11 @@ def minimal_image(r, period: float):
     return r - period * np.round(r / period)
 
 
-def potential_on_grid(spec: GridSpec, potential: PotentialSpec, x_b=None) -> np.ndarray:
-    """V evaluated at the minimal-image separation of every lattice pair.
-
-    With ``x_b`` given, V(x_A - x_b) on the axis alone: ``x_b = spec.x[0]``
-    gives column 0, V at each relative index a - b mod n.
-    """
-    r = spec.x[:, None] - spec.x[None, :] if x_b is None else spec.x - x_b
-    return potential.evaluate(minimal_image(r, spec.length))
+def potential_column(spec: GridSpec, potential: PotentialSpec | None) -> np.ndarray:
+    """V at each relative index a - b mod n (minimal image); zeros when ``potential`` is None."""
+    if potential is None:
+        return np.zeros(spec.n)
+    return potential.evaluate(minimal_image(spec.x - spec.x[0], spec.length))
 
 
 @dataclass(frozen=True)
@@ -270,15 +267,13 @@ def init_product(
     return Wavefunction2P(np.outer(*packet_factors(packet_a, packet_b, spec)), spec)
 
 
-def strang_step(state: np.ndarray, half_v: np.ndarray | None, kinetic: np.ndarray) -> None:
-    """One Strang step of every row of ``state`` in place; ``half_v`` is None when free."""
-    if half_v is not None:
-        state *= half_v
+def strang_step(state: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray) -> None:
+    """One Strang step of every row of ``state`` in place."""
+    state *= half_v
     np.fft.fft(state, out=state)
     state *= kinetic
     np.fft.ifft(state, out=state)
-    if half_v is not None:
-        state *= half_v
+    state *= half_v
 
 
 def _heavy(weights: np.ndarray, share: float) -> np.ndarray:
@@ -303,10 +298,10 @@ class ChannelLayout:
     inverse FFT over K of all n rows, the dropped ones zero, is the sheared
     grid S[s, r] = Psi[(r + s) mod n, s].
 
-    V's column (None when free) and both kinetic tables are built here, once
-    per run, and ``phases`` and ``probe`` both read them.  The complex n x n
-    buffer holds psi's channels while the layout is built; it and one real
-    n x n buffer are then the scratch that every ``probe`` call reuses.
+    V's column and both kinetic tables are built here, once per run, and
+    ``phases`` and ``probe`` both read them.  The complex n x n buffer holds
+    psi's channels while the layout is built; it and one real n x n buffer
+    are then the scratch that every ``probe`` call reuses.
     """
 
     def __init__(self, psi: Wavefunction2P, potential: PotentialSpec | None):
@@ -325,7 +320,7 @@ class ChannelLayout:
         row = np.full(n, len(kept))
         row[kept] = np.arange(len(kept))
         self.offset = np.tile(row * n, 2)
-        self.v = None if potential is None else potential_on_grid(spec, potential, spec.x[0])
+        self.v = potential_column(spec, potential)
         self.kinetic_a, self.kinetic_b = spec.kinetic()
         self.x, self.k = spec.x, spec.k
         self.cell = spec.dx * spec.dx
@@ -344,9 +339,9 @@ class ChannelLayout:
         return layout, layout.buffer[layout.kept]
 
     def phases(self, dt: float):
-        """``(half_v, kinetic)`` of ``strang_step`` for the rows; ``half_v`` is None when free."""
-        half_v = None if self.v is None else np.exp(-0.5j * dt * self.v)
-        return half_v, np.exp(-1j * dt * (self.kinetic_a + self.kinetic_b[self.q]))
+        """``(half_v, kinetic)`` of ``strang_step`` for the rows."""
+        kinetic = np.exp(-1j * dt * (self.kinetic_a + self.kinetic_b[self.q]))
+        return np.exp(-0.5j * dt * self.v), kinetic
 
     def sheared(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         """S[s, r] = Psi[(r + s) mod n, s] of ``rows``, written into the n x n ``out``."""
@@ -364,7 +359,7 @@ class ChannelLayout:
         when nothing can be dropped), which moves no Schmidt coefficient by
         more than 1.5e-8.  The kept channels themselves were chosen with
         CHANNEL_DUST.  The inverse FFT over K gives the sheared grid S: the
-        norm, <x_B> and <V> (zero when free) are sums of |S|^2, and <x_A>
+        norm, <x_B> and <V> are sums of |S|^2, and <x_A>
         reads them through the unshear map.
         """
         kept = len(rows)
@@ -381,7 +376,7 @@ class ChannelLayout:
         sheared = self.sheared(rows, self.buffer)  # spends the buffer on S
         weights = np.square(np.abs(sheared, out=self.weights), out=self.weights)
         weights *= self.cell  # |S|^2 dx_A dx_B
-        potential_energy = 0.0 if self.v is None else float(self.v @ weights.sum(axis=0))
+        potential_energy = float(self.v @ weights.sum(axis=0))
         total = float(along_a.sum())
         return GridSample(
             float(np.sum(weights)),

@@ -35,20 +35,20 @@ from .grid import (
     init_product,
     iterate_split_step,
     packet_factors,
-    potential_on_grid,
+    potential_column,
     strang_step,
 )
 
-def _mean_field(spec: GridSpec, potential: PotentialSpec):
+def _mean_field(spec: GridSpec, potential: PotentialSpec | None):
     """The map from stacked densities (rho_A dx, rho_B dx) to stacked potentials.
 
-    The convolution kernel is circulant (V's column 0 from
-    ``potential_on_grid``), so both effective potentials come from one FFT
-    pair over the two rows; row A feels B's density and row B feels A's.  The
+    The convolution kernel is circulant (V's column from ``potential_column``,
+    zero for a free run), so both effective potentials come from one FFT pair
+    over the two rows; row A feels B's density and row B feels A's.  The
     interaction is even in the separation, so the same kernel serves both
     sides.  The kernel is built once, here.
     """
-    kernel_fft = np.fft.fft(potential_on_grid(spec, potential, spec.x[0]))
+    kernel_fft = np.fft.fft(potential_column(spec, potential))
     return lambda densities: np.fft.ifft(kernel_fft * np.fft.fft(densities[::-1])).real
 
 
@@ -62,14 +62,12 @@ def iterate_hartree(fixture: CollisionFixture) -> Iterator[tuple[int, np.ndarray
     reproduces the single-particle scheme in a static potential.
     """
     spec, potential, dt = fixture.spec, fixture.potential, fixture.dt
-    mean_field = None if potential is None else _mean_field(spec, potential)
+    mean_field = _mean_field(spec, potential)
     kinetic = np.exp(-1j * dt * np.array(spec.kinetic()))
     factors = packet_factors(fixture.packet_a, fixture.packet_b, spec)
-    half_v = None
     yield (0, *factors.copy())
     for step in range(1, fixture.n_steps + 1):
-        if mean_field is not None:
-            half_v = np.exp(-0.5j * dt * mean_field(np.abs(factors) ** 2 * spec.dx))
+        half_v = np.exp(-0.5j * dt * mean_field(np.abs(factors) ** 2 * spec.dx))
         strang_step(factors, half_v, kinetic)
         if step % fixture.sample_every == 0 or step == fixture.n_steps:
             if not np.all(np.isfinite(factors)):
@@ -131,7 +129,7 @@ def classical_two_body(fixture: CollisionFixture):
 
 @dataclass(frozen=True)
 class CollisionFixture:
-    """Complete description of one two-packet run; only a free ``evolve`` run has no potential."""
+    """Complete description of one two-packet run; a free ``evolve`` run's potential is None."""
 
     spec: GridSpec
     packet_a: GaussianPacket

@@ -7,6 +7,7 @@ import pytest
 
 from entanglab.bellgame import _THRESHOLDS
 from entanglab.finite import BipartiteHamiltonian, haar_kets
+from entanglab.grid import minimal_image
 from entanglab.states import Ket
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,6 +29,11 @@ def load_script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def dense_potential(spec, potential) -> np.ndarray:
+    """V at the minimal-image separation of every lattice pair: the n x n reference."""
+    return potential.evaluate(minimal_image(spec.x[:, None] - spec.x[None, :], spec.length))
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -397,6 +397,21 @@ class TestEvolveCommand:
         summary = json.loads((out / "evolve.json").read_text())
         assert summary["max_entropy_bits"] < 1e-10
 
+    def test_free_run_is_the_zero_strength_run(self, tmp_path):
+        # an omitted potential is the zero V column: both runs write the same bytes
+        free = tiny_grid_config()
+        del free["potential"]
+        zero = tiny_grid_config(
+            potential={"kind": "gaussian_well", "strength": 0.0, "width": 1.5}
+        )
+        written = []
+        for name, config in (("free", free), ("zero", zero)):
+            path = write_config(tmp_path, f"{name}.json", config)
+            assert main(["evolve", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+            outputs = read_outputs(tmp_path / name)
+            written.append({key: outputs[key] for key in ("trajectory.csv", "evolve.json")})
+        assert written[0] == written[1]
+
     def test_too_wide_packet_is_config_error(self, tmp_path, capsys):
         config = tiny_grid_config()
         config["packet_a"]["sigma"] = 10.0

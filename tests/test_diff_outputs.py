@@ -82,7 +82,43 @@ class TestDiffOutputs:
         assert diff_outputs.main([str(before), str(after)]) == 1
         assert capsys.readouterr().out.splitlines() == [
             "differs: run/out/evolve.json: ladder: list length differs",
-            "differs: run/out/trajectory.csv: header differs",
+            "differs: run/out/trajectory.csv: label: only in BEFORE",
+            "differs: run/out/trajectory.csv: tag: only in AFTER",
+        ]
+
+    def test_added_json_key_does_not_hide_a_moved_number(self, diff_outputs, tmp_path, capsys):
+        before = write_tree(tmp_path / "a")
+        after = write_tree(tmp_path / "b", final=0.5)
+        json_path = after / "run" / "out" / "evolve.json"
+        record = json.loads(json_path.read_text())
+        record["checks"] = []
+        json_path.write_text(json.dumps(record), encoding="utf-8")
+        assert diff_outputs.main([str(before), str(after)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "moved: run/out/evolve.json: final: 1 cells, max |delta| 0.25",
+            "differs: run/out/evolve.json: checks: only in AFTER",
+        ]
+
+    def test_added_csv_column_does_not_hide_a_moved_cell(self, diff_outputs, tmp_path, capsys):
+        before = write_tree(tmp_path / "a")
+        after = write_tree(tmp_path / "b", entropy="3e-16")
+        csv_path = after / "run" / "out" / "trajectory.csv"
+        rows = csv_path.read_text().splitlines()
+        rows = [f"{rows[0]},norm"] + [f"{row},1" for row in rows[1:]]
+        csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert diff_outputs.main([str(before), str(after)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "moved: run/out/trajectory.csv: entropy_bits: 1 cells, max |delta| 2e-16",
+            "differs: run/out/trajectory.csv: norm: only in AFTER",
+        ]
+
+    def test_reordered_columns_are_structural(self, diff_outputs, tmp_path, capsys):
+        before, after = write_tree(tmp_path / "a"), write_tree(tmp_path / "b")
+        csv_path = after / "run" / "out" / "trajectory.csv"
+        csv_path.write_text("entropy_bits,time,label\n1e-16,0,a\n0.5,1,b\n", encoding="utf-8")
+        assert diff_outputs.main([str(before), str(after)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "differs: run/out/trajectory.csv: header: order differs",
         ]
 
     def test_usage_error_exits_2(self, diff_outputs, tmp_path):

@@ -24,11 +24,11 @@ from entanglab.grid import (
     iterate_split_step,
     minimal_image,
     packet_factors,
-    potential_on_grid,
+    potential_column,
 )
 from entanglab.measures import schmidt_entropy
 
-from conftest import load_fixture
+from conftest import dense_potential, load_fixture
 
 
 def small_spec(n=64, length=32.0, m_a=1.0, m_b=1.0):
@@ -47,7 +47,7 @@ def grid_strang(psi, potential, dt, n_steps, sample_every):
     Returns the (step, grid) pairs of the states that ``iterate_split_step`` yields.
     """
     spec = psi.spec
-    half_v = None if potential is None else np.exp(-0.5j * dt * potential_on_grid(spec, potential))
+    half_v = None if potential is None else np.exp(-0.5j * dt * dense_potential(spec, potential))
     kinetic = np.exp(-1j * dt * kinetic_grid(spec))
     state = np.array(psi.grid, dtype=complex)
     samples = [(0, state.copy())]
@@ -137,7 +137,7 @@ class TestPotential:
 
     def test_grid_evaluation_depends_only_on_separation(self):
         spec = small_spec()
-        v = potential_on_grid(spec, PotentialSpec("gaussian_well", 1.0, 2.0))
+        v = dense_potential(spec, PotentialSpec("gaussian_well", 1.0, 2.0))
         # circulant structure: v[i, j] is a function of (i - j) mod n
         assert v[5, 3] == pytest.approx(v[12, 10], abs=1e-14)
         assert v[0, 60] == pytest.approx(v[4, 0], abs=1e-14)
@@ -397,8 +397,8 @@ class TestChannelLayout:
         psi = init_product(
             GaussianPacket(-2.0, 1.0, 1.0), GaussianPacket(2.0, 1.0, -1.0), spec
         )
-        column = potential_on_grid(spec, potential)[:, 0]
-        assert np.array_equal(potential_on_grid(spec, potential, spec.x[0]), column)
+        column = dense_potential(spec, potential)[:, 0]
+        assert np.array_equal(potential_column(spec, potential), column)
         half_v, _ = ChannelLayout.of(psi, potential)[0].phases(0.01)
         assert np.array_equal(half_v, np.exp(-0.5j * 0.01 * column))
 
@@ -430,20 +430,20 @@ class TestChannelLayout:
             GaussianPacket(-4.0, 1.0, 1.5), GaussianPacket(4.0, 1.0, -1.5), spec
         )
         calls = []
-        column, kinetic = grid_module.potential_on_grid, GridSpec.kinetic
+        column, kinetic = grid_module.potential_column, GridSpec.kinetic
 
         def counting_column(*args):
-            calls.append("potential_on_grid")
+            calls.append("potential_column")
             return column(*args)
 
         def counting_kinetic(self):
             calls.append("kinetic")
             return kinetic(self)
 
-        monkeypatch.setattr(grid_module, "potential_on_grid", counting_column)
+        monkeypatch.setattr(grid_module, "potential_column", counting_column)
         monkeypatch.setattr(GridSpec, "kinetic", counting_kinetic)
         trajectory = evolve_split_step(psi, PotentialSpec("gaussian_well", 1.0, 1.5), 0.01, 60, 20)
-        assert sorted(calls) == ["kinetic", "potential_on_grid"]
+        assert sorted(calls) == ["kinetic", "potential_column"]
         assert trajectory.time.size == 4
 
 
@@ -467,7 +467,7 @@ class TestLayoutProbe:
             float(spec.k @ along_a) / total,
             float(spec.k @ along_b) / total,
             float(kinetic_a @ along_a + kinetic_b @ along_b) / total
-            + float(potential_on_grid(spec, potential, spec.x[0]) @ weight.sum(axis=0)),
+            + float(dense_potential(spec, potential)[:, 0] @ weight.sum(axis=0)),
         )
 
     @staticmethod
@@ -476,7 +476,7 @@ class TestLayoutProbe:
         weight = np.abs(grid) ** 2 * (spec.dx * spec.dx)
         momentum_weight = np.abs(np.fft.fft2(grid)) ** 2
         momentum_weight /= momentum_weight.sum()
-        v_matrix = 0.0 if potential is None else potential_on_grid(spec, potential)
+        v_matrix = 0.0 if potential is None else dense_potential(spec, potential)
         return np.array([
             np.sum(weight),
             np.sum(spec.x[:, None] * weight),

@@ -20,8 +20,9 @@ from entanglab.grid import (
     ehrenfest_observables,
     init_product,
     iterate_split_step,
-    potential_on_grid,
 )
+
+from conftest import dense_potential
 
 N = 16
 SPEC = GridSpec(N, 8.0, 1.0, 2.0)
@@ -38,7 +39,7 @@ def dense_hamiltonian(spec, potential):
     t_a = axis_kinetic_matrix(spec.k, spec.m_a)
     t_b = axis_kinetic_matrix(spec.k, spec.m_b)
     h = np.kron(t_a, np.eye(spec.n)) + np.kron(np.eye(spec.n), t_b)
-    h += np.diag(potential_on_grid(spec, potential).reshape(-1))
+    h += np.diag(dense_potential(spec, potential).reshape(-1))
     assert np.linalg.norm(h - h.conj().T) < 1e-12
     return h
 

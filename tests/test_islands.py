@@ -17,7 +17,6 @@ from entanglab.grid import (
     init_product,
     minimal_image,
     packet_factors,
-    potential_on_grid,
 )
 from entanglab import islands
 from entanglab.islands import (
@@ -30,7 +29,7 @@ from entanglab.islands import (
     run_collision,
 )
 
-from conftest import load_fixture, load_script
+from conftest import dense_potential, load_fixture, load_script
 
 
 def small_spec(n=64, length=32.0, m_a=1.0, m_b=1.0):
@@ -139,7 +138,7 @@ class TestHartreeEvolve:
 
 def per_factor_hartree(factors, spec, potential, dt, n_steps, sample_every):
     """The mean-field step one factor at a time: an fft/ifft pair per density and per factor."""
-    kernel_fft = np.fft.fft(potential_on_grid(spec, potential, spec.x[0]))
+    kernel_fft = np.fft.fft(dense_potential(spec, potential)[:, 0])
     kin_a, kin_b = (np.exp(-1j * dt * kinetic) for kinetic in spec.kinetic())
     a = np.array(factors[0], dtype=complex)
     b = np.array(factors[1], dtype=complex)
@@ -310,6 +309,26 @@ class TestDriversAgree:
         assert len(calls) == 1
         assert yielded == list(range(0, 401, 50))
         assert np.array_equal(run.full.time, np.array(yielded) * 0.01)
+
+
+class TestFreeRunIsTheZeroColumn:
+    @pytest.mark.parametrize("kind", ["gaussian_well", "gaussian_barrier", "soft_coulomb"])
+    def test_zero_strength_run_equals_the_free_run(self, kind):
+        # no potential steps as V's zero column, so a zero-strength V changes no bit
+        zero = small_fixture(potential=PotentialSpec(kind, 0.0, 1.5))
+        free = dataclasses.replace(zero, potential=None)
+        psi = init_product(zero.packet_a, zero.packet_b, zero.spec)
+        tables = [
+            evolve_split_step(psi, f.potential, f.dt, f.n_steps, f.sample_every).table()
+            for f in (zero, free)
+        ]
+        for name, column in tables[0].items():
+            assert np.array_equal(column, tables[1][name]), name
+        for (step, *factors), (step_free, *factors_free) in zip(
+            iterate_hartree(zero), iterate_hartree(free), strict=True
+        ):
+            assert step == step_free
+            assert np.array_equal(factors, factors_free)
 
 
 class TestScans:
