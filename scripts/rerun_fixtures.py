@@ -3,8 +3,9 @@
 
 For each fixture, OUT/<run>/ holds the run's output directory (``out/``), its
 ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.  Both ``islands``
-ladders run with ``"write_trajectories": true``; their configs are written
-under OUT/configs/.  Runs use the ``src/`` of the checkout holding this
+ladders run with ``"write_trajectories": true`` on ISLANDS_THREADS scan threads
+(no output depends on the thread count); their configs are written under
+OUT/configs/.  Runs use the ``src/`` of the checkout holding this
 script, so comparing two checkouts is
 
     python scripts/rerun_fixtures.py /tmp/before   # in one checkout
@@ -23,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "src" / "entanglab" / "fixtures"
+ISLANDS_THREADS = 2
 
 RUNS = (
     ("bellgame", "bellgame_quantum"),
@@ -43,8 +45,9 @@ def rerun(out: Path, runs) -> None:
     configs.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for command, name in runs:
-        config = FIXTURES / f"{name}.json"
+        config, threads = FIXTURES / f"{name}.json", []
         if command == "islands":
+            threads = ["--threads", str(ISLANDS_THREADS)]
             ladder = json.loads(config.read_text(encoding="utf-8"))
             ladder["write_trajectories"] = True
             config = configs / f"{name}.json"
@@ -53,7 +56,7 @@ def rerun(out: Path, runs) -> None:
         run.mkdir(exist_ok=True)
         result = subprocess.run(
             [sys.executable, "-m", "entanglab", command,
-             "--config", str(config), "--out", str(run / "out")],
+             "--config", str(config), "--out", str(run / "out"), *threads],
             capture_output=True, env=env, cwd=out,
         )
         (run / "stdout.txt").write_bytes(result.stdout)

@@ -212,23 +212,8 @@ GRID_RUN = {
 COLLISION = {**GRID_RUN, "potential": (POTENTIAL, REQUIRED)}
 
 
-def _check_kinetic_phase(spec: grid.GridSpec, dt: float, where: str) -> None:
-    """Refuse a dt whose kinetic phase per step passes MAX_KINETIC_PHASE (rounding ~1e-10 rad)."""
-    kinetic_a, kinetic_b = spec.kinetic()
-    phase = dt * float(kinetic_a.max() + kinetic_b.max())
-    if phase > grid.MAX_KINETIC_PHASE:
-        raise ConfigError(
-            f"config key 'dt' in {where} must keep dt * max(k^2/2m_A + k^2/2m_B) <= "
-            f"{grid.MAX_KINETIC_PHASE:g} rad per step (it is {phase:g} rad for masses"
-            f" {spec.m_a:g}, {spec.m_b:g})"
-        )
-
-
 def _grid_run(fields: dict, where: str) -> islands.CollisionFixture:
-    """The lattice, packets, optional potential and stepping of a grid run.
-
-    Values the solvers would only refuse mid-run are rejected here.
-    """
+    """A grid run's fixture, held to the CLI's accuracy rule dt * max|V| <= MAX_PHASE_PER_STEP."""
     spec = _build(f"{where}.grid", grid.GridSpec, **fields["grid"])
     packets = [
         _build(f"{where}.{key}", grid.GaussianPacket, **fields[key])
@@ -237,23 +222,16 @@ def _grid_run(fields: dict, where: str) -> islands.CollisionFixture:
     potential, dt = fields["potential"], fields["dt"]
     if potential is not None:
         potential = _build(f"{where}.potential", grid.PotentialSpec, **potential)
-    with np.errstate(all="ignore"):  # a non-finite column is refused just below
-        column = grid.potential_column(spec, potential)
-    if not np.all(np.isfinite(column)):
-        raise ConfigError(
-            f"config key 'potential' in {where} must give a finite V at every lattice"
-            " separation"
-        )
-    peak = float(np.max(np.abs(column)))
+    fixture = _build(where, islands.CollisionFixture, spec, *packets, potential, dt,
+                     fields["n_steps"], fields["sample_every"])
+    with np.errstate(all="ignore"):  # as in the fixture's finite-V check: no overflow warning
+        peak = float(np.max(np.abs(grid.potential_column(spec, potential))))
     if dt * peak > grid.MAX_PHASE_PER_STEP:
         raise ConfigError(
             f"config key 'dt' in {where} must keep dt * max|V| <= "
             f"{grid.MAX_PHASE_PER_STEP} rad per step (max|V| is {peak:g})"
         )
-    _check_kinetic_phase(spec, dt, where)
-    return islands.CollisionFixture(
-        spec, *packets, potential, dt, fields["n_steps"], fields["sample_every"]
-    )
+    return fixture
 
 
 def collision_fixture_from_config(config: dict, where: str) -> islands.CollisionFixture:
@@ -616,12 +594,10 @@ def parse_islands(config: dict, args) -> tuple:
         ratio_key, scan = "width_ratios", islands.material_point_scan
         point_fixture = islands.material_point_fixture
     ratios, point_where = fields[ratio_key], f"{where}.{ratio_key}"
-    # a width ratio sets the packets' sigma; a mass ratio leaves them as configured
-    packets_where = point_where if kind == "material_point" else where
-    for ratio in ratios:  # build each scan point as the scan will, so a bad one fails here
-        point = _build(point_where, point_fixture, base, ratio)
-        _check_kinetic_phase(point.spec, point.dt, where)
-        _build(packets_where, grid.init_product, point.packet_a, point.packet_b, point.spec)
+    for ratio in ratios:  # build each scan point as the scan will: the fixture checks it
+        _build(point_where, point_fixture, base, ratio)
+    # every point steps one n x n lattice: past memory fails here, once per run
+    _build(where, grid.init_product, base.packet_a, base.packet_b, base.spec)
     for key in ISLANDS_REFERENCES if oracle else ():  # every reference gradable, and graded
         if (oracle[key] is None) != (oracle["tolerance"][key] is None):
             raise ConfigError(f"oracle.{key} in {where} must give both reference and tolerance")

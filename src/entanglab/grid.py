@@ -10,11 +10,12 @@ with the interaction a function of the minimal-image relative coordinate.
 Each step is a Strang splitting: half a potential phase (diagonal in
 position), a full kinetic phase (diagonal in momentum), and the second
 potential half.  Both substeps are exactly unitary, so the method conserves
-the norm to rounding; accuracy is second order in dt.  Stability rule: keep
-dt * max|V| at or below MAX_PHASE_PER_STEP (0.1 rad per step); a free run
-is the zero V column.  The kinetic phase per step, dt * max(k^2/2m_A +
-k^2/2m_B), is kept at or below MAX_KINETIC_PHASE (1e6 rad), where its
-rounding error is about 1e-10 rad.
+the norm to rounding; accuracy is second order in dt.  The CLI keeps a
+config's dt * max|V| at or below MAX_PHASE_PER_STEP (0.1 rad per step); a
+free run is the zero V column.  ``islands.CollisionFixture`` refuses a V
+column that is not finite and a kinetic phase per step, dt * max(k^2/2m_A +
+k^2/2m_B), past MAX_KINETIC_PHASE (1e6 rad), where its rounding error is
+about 1e-10 rad.
 
 On an n x n lattice V depends on a - b mod n only, so the total momentum
 K = k_A + k_B is conserved exactly.  The state is sheared and transformed

@@ -28,6 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .grid import (
+    MAX_KINETIC_PHASE,
     GaussianPacket,
     GridSpec,
     GridTrajectory,
@@ -129,7 +130,13 @@ def classical_two_body(fixture: CollisionFixture):
 
 @dataclass(frozen=True)
 class CollisionFixture:
-    """Complete description of one two-packet run; a free ``evolve`` run's potential is None."""
+    """Complete description of one two-packet run; a free ``evolve`` run's potential is None.
+
+    Built only if the solvers can step it, scan points included: positive
+    stepping, V finite at every lattice separation, the kinetic phase per step
+    at most MAX_KINETIC_PHASE, and packets that fit the lattice.  dt * max|V|
+    is the CLI's accuracy rule for configs, not a limit of stepping.
+    """
 
     spec: GridSpec
     packet_a: GaussianPacket
@@ -142,6 +149,17 @@ class CollisionFixture:
     def __post_init__(self):
         if self.dt <= 0 or self.n_steps < 1 or self.sample_every < 1:
             raise ValueError("need positive dt, n_steps and sample_every")
+        with np.errstate(all="ignore"):  # a non-finite column is refused just below
+            column = potential_column(self.spec, self.potential)
+        if not np.all(np.isfinite(column)):
+            raise ValueError("'potential' must give a finite V at every lattice separation")
+        phase = self.dt * float(sum(kinetic.max() for kinetic in self.spec.kinetic()))
+        if phase > MAX_KINETIC_PHASE:
+            raise ValueError(
+                f"'dt' must keep dt * max(k^2/2m_A + k^2/2m_B) <= {MAX_KINETIC_PHASE:g} rad per"
+                f" step (it is {phase:g} rad for masses {self.spec.m_a:g}, {self.spec.m_b:g})"
+            )
+        packet_factors(self.packet_a, self.packet_b, self.spec)
 
 
 @dataclass(frozen=True)

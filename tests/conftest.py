@@ -8,6 +8,7 @@ import pytest
 from entanglab.bellgame import _THRESHOLDS
 from entanglab.finite import BipartiteHamiltonian, haar_kets
 from entanglab.grid import minimal_image
+from entanglab.output import canonical_json
 from entanglab.states import Ket
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,6 +30,26 @@ def load_script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def strip_versions(tree: Path) -> None:
+    for manifest in tree.glob("*/out/manifest.json"):
+        record = json.loads(manifest.read_text(encoding="utf-8"))
+        del record["versions"]
+        manifest.write_text(canonical_json(record), encoding="utf-8")
+
+
+@pytest.fixture(scope="session")
+def rerun_tree(tmp_path_factory) -> Path:
+    """Every packaged fixture run through the CLI by ``scripts/rerun_fixtures.py``, once.
+
+    The ``versions`` block of each manifest is stripped, as in ``tests/golden/``.
+    """
+    script = load_script("rerun_fixtures")
+    tree = tmp_path_factory.mktemp("rerun")
+    script.rerun(tree, script.RUNS)
+    strip_versions(tree)
+    return tree
 
 
 def dense_potential(spec, potential) -> np.ndarray:

@@ -206,10 +206,17 @@ def test_criterion_7_grid_conservation():
     )
 
 
-def test_criterion_8_regime_scans():
+def read_ladder(tree: Path, name: str) -> tuple[dict, list]:
+    """A rerun ladder's graded columns, read back from its islands.json, and its checks."""
+    assert (tree / name / "exit_code.txt").read_text(encoding="utf-8") == "0\n"
+    summary = json.loads((tree / name / "out" / "islands.json").read_text(encoding="utf-8"))
+    columns = ("max_entropy_bits", "min_fidelity", "trajectory_deviation")
+    return {column: np.array(summary[column]) for column in columns}, summary["checks"]
+
+
+def test_criterion_8_regime_scans(rerun_tree):
     tp_config = load_fixture("test_particle.json")
-    tp_base = collision_fixture_from_config(tp_config, "test_particle")
-    tp = islands.test_particle_scan(tp_config["mass_ratios"], tp_base, threads=3).table()
+    tp, tp_checks = read_ladder(rerun_tree, "test_particle")
     assert np.all(np.diff(tp["max_entropy_bits"]) < 0.0)  # strictly decreasing
     reduction = float(tp["max_entropy_bits"][0] / tp["max_entropy_bits"][-1])
     assert reduction >= tp_config["thresholds"]["min_reduction_factor"]
@@ -223,15 +230,15 @@ def test_criterion_8_regime_scans():
 
     mp_config = load_fixture("material_point.json")
     mp_base = collision_fixture_from_config(mp_config, "material_point")
-    mp_scan = islands.material_point_scan(mp_config["width_ratios"], mp_base, threads=3)
-    mp = mp_scan.table()
+    mp, mp_checks = read_ladder(rerun_tree, "material_point")
     assert np.all(np.diff(mp["max_entropy_bits"]) < 0.0)  # entropy grows with the ratio
     thresholds = mp_config["thresholds"]
     assert mp["min_fidelity"][-1] > thresholds["min_fidelity"]
     assert mp["trajectory_deviation"][-1] < thresholds["max_trajectory_deviation"]
     assert mp["max_entropy_bits"][-1] < thresholds["max_entropy_at_narrowest_bits"]
-    for run in mp_scan.runs:
-        assert run.classical_energy_drift < 1e-8
+    for ratio in mp_config["width_ratios"]:  # the drift is in no output file: the RK4 alone
+        *_, drift = islands.classical_two_body(islands.material_point_fixture(mp_base, ratio))
+        assert drift < 1e-8
     # mean-field fidelity decays only where entanglement appears
     for scan in (tp, mp):
         assert np.all(scan["min_fidelity"] >= 1.0 - 2.0 * scan["max_entropy_bits"])
@@ -239,7 +246,7 @@ def test_criterion_8_regime_scans():
     assert tp_config["thresholds"]["min_reduction_factor"] >= 10.0
     assert thresholds["min_fidelity"] >= 0.99
     # committed refined ladders (2x resolution, dt/2), to the fixtures' own tolerances
-    for scan, config in ((tp, tp_config), (mp, mp_config)):
+    for scan, config, recorded in ((tp, tp_config, tp_checks), (mp, mp_config, mp_checks)):
         oracle = config["oracle"]
         for name, tol in oracle["tolerance"].items():
             if name in scan:  # a column; the reduction factor is asserted above
@@ -249,6 +256,7 @@ def test_criterion_8_regime_scans():
         checks = ladder_checks(scan, config["thresholds"], oracle)
         assert len(checks) == len(config["thresholds"]) + len(oracle["tolerance"])
         assert all(check["passed"] for check in checks), checks
+        assert recorded == checks
     report(
         8,
         "regime scans",

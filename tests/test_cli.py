@@ -738,7 +738,12 @@ INVALID_CONFIGS = {
     # m_B = 1e-8 at the second point: its kinetic phase is 8.8e6 rad per step
     "islands_kinetic_phase_too_large_at_point": (
         "islands", tiny_grid_config(kind="test_particle", mass_ratios=[1.0], seed=0),
-        _set(None, "mass_ratios", [1.0, 1e8]), "'dt'",
+        _set(None, "mass_ratios", [1.0, 1e8]), "'dt'", "islands config.mass_ratios",
+    ),
+    # every point scales sigma to 0.75 < length/8 = 3, but the configured packets must fit too
+    "islands_configured_packet_too_wide": (
+        "islands", tiny_grid_config(kind="material_point", width_ratios=[0.5], seed=0),
+        _set("packet_a", "sigma", 3.0), "islands config: packet A is too wide",
     ),
     "theorem_zero_samples": ("theorem", _theorem_config(), _set(None, "n_product_samples", 0)),
     "theorem_zero_t_final": ("theorem", _theorem_config(), _set(None, "t_final", 0)),

@@ -135,6 +135,27 @@ class TestHartreeEvolve:
         with pytest.raises(ValueError, match="need positive dt, n_steps and sample_every"):
             small_fixture(**stepping)
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            # pi/dx is 6.28 on the 64-point, L = 32 axis: momentum 7 would alias
+            ({"packet_a": GaussianPacket(-5.0, 1.2, 7.0)}, "packet A momentum"),
+            # the kinetic phase per step is dt * 39.5 rad on that axis
+            ({"dt": 1e5}, "'dt'"),
+            # V is 0/0 at contact: width^2 underflows to 0
+            ({"potential": PotentialSpec("soft_coulomb", 1.0, 1e-200)}, "'potential'"),
+        ],
+        ids=["momentum_past_band", "kinetic_phase", "potential_not_finite_at_contact"],
+    )
+    def test_fixture_refuses_a_run_no_solver_can_step(self, overrides, key):
+        with pytest.raises(ValueError, match=key):
+            small_fixture(**overrides)
+
+    def test_scan_point_is_checked_when_replaced(self):
+        # m_B = 1e-8: the kinetic phase per step is 2e7 rad at dt = 0.01
+        with pytest.raises(ValueError, match="'dt'"):
+            islands.test_particle_fixture(small_fixture(), 1e8)
+
 
 def per_factor_hartree(factors, spec, potential, dt, n_steps, sample_every):
     """The mean-field step one factor at a time: an fft/ifft pair per density and per factor."""
@@ -196,7 +217,7 @@ class TestHartreeFidelity:
 class TestClassicalComparator:
     def test_energy_conserved(self):
         fixture = small_fixture(
-            spec=small_spec(m_a=10.0, m_b=10.0),
+            spec=small_spec(n=256, m_a=10.0, m_b=10.0),  # in band: pi/dx is 25.1
             packet_a=GaussianPacket(-6.25, 1.2, 12.0),  # velocity 1.2 at mass 10
             packet_b=GaussianPacket(6.25, 1.2, -12.0),
             potential=PotentialSpec("gaussian_well", 1.5, 5.0),
