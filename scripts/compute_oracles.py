@@ -24,7 +24,7 @@ FIXTURES = Path(__file__).resolve().parents[1] / "src" / "entanglab" / "fixtures
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from entanglab.cli import collision_fixture_from_config, load_config  # noqa: E402
-from entanglab.grid import evolve_split_step, init_product  # noqa: E402
+from entanglab.grid import evolve_split_step  # noqa: E402
 from entanglab.islands import material_point_scan, test_particle_scan  # noqa: E402
 
 
@@ -39,11 +39,7 @@ def refine(fixture, factor_n=2, factor_dt=2):
 
 
 def final_entropy(fixture):
-    psi = init_product(fixture.packet_a, fixture.packet_b, fixture.spec)
-    traj = evolve_split_step(
-        psi, fixture.potential, fixture.dt, fixture.n_steps, fixture.n_steps
-    )
-    return traj.entropy_bits[-1]
+    return float(evolve_split_step(replace(fixture, sample_every=fixture.n_steps)).entropy_bits[-1])
 
 
 def oracle_collision():
@@ -72,10 +68,10 @@ def oracle_test_particle():
     max_s = res["max_entropy_bits"]
     for k in range(res["parameter"].size):
         print(
-            f"  ratio {res['parameter'][k]:8.3f}  maxS {max_s[k]!r}"
+            f"  ratio {res['parameter'][k]:8.3f}  maxS {float(max_s[k])!r}"
             f"  final_fid {res['final_fidelity'][k]:.6f}"
         )
-    print(f"  floor (smallest ratio)   : {max_s[-1]!r}")
+    print(f"  floor (smallest ratio)   : {float(max_s[-1])!r}")
     print(f"  reduction first/last     : {max_s[0] / max_s[-1]:.2f}")
 
 
@@ -88,8 +84,9 @@ def oracle_material_point():
     print(f"[material_point] refined ladder  ({time.time() - t0:.0f} s)")
     for k in range(res["parameter"].size):
         print(
-            f"  ratio {res['parameter'][k]:.2f}  maxS {res['max_entropy_bits'][k]!r}"
-            f"  min_fid {res['min_fidelity'][k]!r}  dev {res['trajectory_deviation'][k]!r}"
+            f"  ratio {res['parameter'][k]:.2f}  maxS {float(res['max_entropy_bits'][k])!r}"
+            f"  min_fid {float(res['min_fidelity'][k])!r}"
+            f"  dev {float(res['trajectory_deviation'][k])!r}"
         )
 
 

@@ -185,10 +185,10 @@ def _read_kind(section, where: str, what: str, tables: dict) -> dict:
 
 
 def _build(where: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``; its ValueError or MemoryError is a ConfigError at ``where``."""
+    """``make(*args, **kwargs)``; a ValueError, OverflowError or MemoryError is a ConfigError."""
     try:
         return make(*args, **kwargs)
-    except (ValueError, MemoryError) as err:
+    except (ValueError, OverflowError, MemoryError) as err:
         raise ConfigError(f"{where}: {err}") from err
 
 
@@ -212,7 +212,7 @@ GRID_RUN = {
 COLLISION = {**GRID_RUN, "potential": (POTENTIAL, REQUIRED)}
 
 
-def _grid_run(fields: dict, where: str) -> islands.CollisionFixture:
+def _grid_run(fields: dict, where: str) -> grid.CollisionFixture:
     """A grid run's fixture, held to the CLI's accuracy rule dt * max|V| <= MAX_PHASE_PER_STEP."""
     spec = _build(f"{where}.grid", grid.GridSpec, **fields["grid"])
     packets = [
@@ -222,7 +222,7 @@ def _grid_run(fields: dict, where: str) -> islands.CollisionFixture:
     potential, dt = fields["potential"], fields["dt"]
     if potential is not None:
         potential = _build(f"{where}.potential", grid.PotentialSpec, **potential)
-    fixture = _build(where, islands.CollisionFixture, spec, *packets, potential, dt,
+    fixture = _build(where, grid.CollisionFixture, spec, *packets, potential, dt,
                      fields["n_steps"], fields["sample_every"])
     with np.errstate(all="ignore"):  # as in the fixture's finite-V check: no overflow warning
         peak = float(np.max(np.abs(grid.potential_column(spec, potential))))
@@ -231,10 +231,11 @@ def _grid_run(fields: dict, where: str) -> islands.CollisionFixture:
             f"config key 'dt' in {where} must keep dt * max|V| <= "
             f"{grid.MAX_PHASE_PER_STEP} rad per step (max|V| is {peak:g})"
         )
+    _build(where, grid.init_product, *packets, spec)  # the run's n x n lattice fits in memory
     return fixture
 
 
-def collision_fixture_from_config(config: dict, where: str) -> islands.CollisionFixture:
+def collision_fixture_from_config(config: dict, where: str) -> grid.CollisionFixture:
     """The collision described by the grid-run keys of ``config``.
 
     Only those keys are read, so a whole fixture file, with its scan and
@@ -506,13 +507,10 @@ def parse_evolve(config: dict, args) -> tuple:
     where = "evolve config"
     fields = read_fields(config, where, EVOLVE)
     base = _grid_run(fields, where)
-    psi = _build(where, grid.init_product, base.packet_a, base.packet_b, base.spec)
     oracle = fields["oracle"]
 
     def run(out: Path) -> list:
-        trajectory = grid.evolve_split_step(
-            psi, base.potential, base.dt, base.n_steps, base.sample_every
-        )
+        trajectory = grid.evolve_split_step(base)
         write_csv(out / "trajectory.csv", trajectory.table())
         summary = {
             "final_entropy_bits": float(trajectory.entropy_bits[-1]),
@@ -596,8 +594,6 @@ def parse_islands(config: dict, args) -> tuple:
     ratios, point_where = fields[ratio_key], f"{where}.{ratio_key}"
     for ratio in ratios:  # build each scan point as the scan will: the fixture checks it
         _build(point_where, point_fixture, base, ratio)
-    # every point steps one n x n lattice: past memory fails here, once per run
-    _build(where, grid.init_product, base.packet_a, base.packet_b, base.spec)
     for key in ISLANDS_REFERENCES if oracle else ():  # every reference gradable, and graded
         if (oracle[key] is None) != (oracle["tolerance"][key] is None):
             raise ConfigError(f"oracle.{key} in {where} must give both reference and tolerance")

@@ -12,7 +12,7 @@ position), a full kinetic phase (diagonal in momentum), and the second
 potential half.  Both substeps are exactly unitary, so the method conserves
 the norm to rounding; accuracy is second order in dt.  The CLI keeps a
 config's dt * max|V| at or below MAX_PHASE_PER_STEP (0.1 rad per step); a
-free run is the zero V column.  ``islands.CollisionFixture`` refuses a V
+free run is the zero V column.  A ``CollisionFixture`` refuses a V
 column that is not finite and a kinetic phase per step, dt * max(k^2/2m_A +
 k^2/2m_B), past MAX_KINETIC_PHASE (1e6 rad), where its rounding error is
 about 1e-10 rad.
@@ -49,7 +49,7 @@ still drops only CHANNEL_DUST, because it bounds the stepped amplitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -196,32 +196,37 @@ class Wavefunction2P:
         return float(np.sum(np.abs(grid) ** 2 * (spec.dx * spec.dx)))
 
 
-@dataclass(frozen=True)
-class GridTrajectory:
-    """Sampled observables of one split-step run: one entry per sample in every column."""
+class GridSample(NamedTuple):
+    """Everything recorded about one sampled state, in ``trajectory.csv`` column order."""
 
-    time: np.ndarray
-    norm: np.ndarray
-    energy: np.ndarray
-    entropy_bits: np.ndarray
-    x_a: np.ndarray
-    x_b: np.ndarray
-    p_a: np.ndarray
-    p_b: np.ndarray
+    norm: float
+    energy: float
+    entropy_bits: float
+    x_a: float
+    x_b: float
+    p_a: float
+    p_b: float
+
+
+class GridTrajectory(
+    NamedTuple("GridTrajectory", [(name, np.ndarray) for name in ("time", *GridSample._fields)])
+):
+    """One split-step run's samples: ``time``, then one column per ``GridSample`` field."""
+
+    __slots__ = ()
 
     @classmethod
     def of(cls, steps, samples: list[GridSample], dt: float):
         """The columns of a run sampled at ``steps``: the one place samples are stacked."""
-        norm, x_a, x_b, p_a, p_b, energy, bits = np.array(samples).T
-        return cls(np.array(steps) * dt, norm, energy, bits, x_a, x_b, p_a, p_b)
+        return cls(np.array(steps) * dt, *np.array(samples).T)
 
     @property
     def max_entropy_bits(self) -> float:
         return float(np.max(self.entropy_bits))
 
     def table(self) -> dict:
-        """The fields in declaration order: the columns of ``trajectory.csv``, by header name."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """The columns of ``trajectory.csv``, by header name in file order."""
+        return self._asdict()
 
 
 def gaussian_wave(x: np.ndarray, packet: GaussianPacket, dx: float) -> np.ndarray:
@@ -266,6 +271,40 @@ def init_product(
 ) -> Wavefunction2P:
     """Factorized initial state psi_A(x_A) psi_B(x_B); entanglement is zero."""
     return Wavefunction2P(np.outer(*packet_factors(packet_a, packet_b, spec)), spec)
+
+
+@dataclass(frozen=True)
+class CollisionFixture:
+    """Complete description of one two-packet run; a free ``evolve`` run's potential is None.
+
+    Built only if the solvers can step it, scan points included: positive
+    stepping, V finite at every lattice separation, the kinetic phase per step
+    at most MAX_KINETIC_PHASE, and packets that fit the lattice.  dt * max|V|
+    is the CLI's accuracy rule for configs, not a limit of stepping.
+    """
+
+    spec: GridSpec
+    packet_a: GaussianPacket
+    packet_b: GaussianPacket
+    potential: PotentialSpec | None
+    dt: float
+    n_steps: int
+    sample_every: int
+
+    def __post_init__(self):
+        if self.dt <= 0 or self.n_steps < 1 or self.sample_every < 1:
+            raise ValueError("need positive dt, n_steps and sample_every")
+        with np.errstate(all="ignore"):  # a non-finite column is refused just below
+            column = potential_column(self.spec, self.potential)
+        if not np.all(np.isfinite(column)):
+            raise ValueError("'potential' must give a finite V at every lattice separation")
+        phase = self.dt * float(sum(kinetic.max() for kinetic in self.spec.kinetic()))
+        if phase > MAX_KINETIC_PHASE:
+            raise ValueError(
+                f"'dt' must keep dt * max(k^2/2m_A + k^2/2m_B) <= {MAX_KINETIC_PHASE:g} rad per"
+                f" step (it is {phase:g} rad for masses {self.spec.m_a:g}, {self.spec.m_b:g})"
+            )
+        packet_factors(self.packet_a, self.packet_b, self.spec)
 
 
 def strang_step(state: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray) -> None:
@@ -380,13 +419,14 @@ class ChannelLayout:
         potential_energy = float(self.v @ weights.sum(axis=0))
         total = float(along_a.sum())
         return GridSample(
-            float(np.sum(weights)),
-            float(self.x @ weights.ravel()[self.unshear].sum(axis=1)),
-            float(self.x @ weights.sum(axis=1)),
-            float(self.k @ along_a) / total,
-            float(self.k @ along_b) / total,
-            float(self.kinetic_a @ along_a + self.kinetic_b @ along_b) / total + potential_energy,
-            entropy_bits,
+            norm=float(np.sum(weights)),
+            energy=float(self.kinetic_a @ along_a + self.kinetic_b @ along_b) / total
+            + potential_energy,
+            entropy_bits=entropy_bits,
+            x_a=float(self.x @ weights.ravel()[self.unshear].sum(axis=1)),
+            x_b=float(self.x @ weights.sum(axis=1)),
+            p_a=float(self.k @ along_a) / total,
+            p_b=float(self.k @ along_b) / total,
         )
 
 
@@ -444,18 +484,6 @@ def iterate_split_step(
             yield step, ChannelSample(state.copy(), layout)
 
 
-class GridSample(NamedTuple):
-    """Everything recorded about one sampled state."""
-
-    norm: float
-    x_a: float
-    x_b: float
-    p_a: float
-    p_b: float
-    energy: float
-    entropy_bits: float
-
-
 def entanglement_entropy_bits(psi: Wavefunction2P) -> float:
     """Base-2 entropy of the Schmidt spectrum; weights at or below 1e-14 are dust."""
     return ehrenfest_observables(psi).entropy_bits
@@ -474,16 +502,13 @@ def ehrenfest_observables(
     return layout.probe(rows)
 
 
-def evolve_split_step(
-    psi: Wavefunction2P,
-    potential: PotentialSpec | None,
-    dt: float,
-    n_steps: int,
-    sample_every: int,
-) -> GridTrajectory:
-    """Evolve and record norm, energy, entanglement, and Ehrenfest means."""
+def evolve_split_step(fixture: CollisionFixture) -> GridTrajectory:
+    """Evolve the fixture's product state and record a ``GridSample`` at each of its samples."""
+    psi = init_product(fixture.packet_a, fixture.packet_b, fixture.spec)
     steps, samples = [], []
-    for step, state in iterate_split_step(psi, potential, dt, n_steps, sample_every):
+    for step, state in iterate_split_step(
+        psi, fixture.potential, fixture.dt, fixture.n_steps, fixture.sample_every
+    ):
         steps.append(step)
         samples.append(state.layout.probe(state.rows))
-    return GridTrajectory.of(steps, samples, dt)
+    return GridTrajectory.of(steps, samples, fixture.dt)

@@ -17,6 +17,8 @@ entanglement.  Two such regimes are scanned here:
 * material point: two equal-mass packets whose widths shrink relative to the
   interaction range, where Ehrenfest means approach the classical two-body
   trajectory (scan over sigma / potential width).
+
+Each run is one ``grid.CollisionFixture``, stepped by all three solvers here.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .grid import (
-    MAX_KINETIC_PHASE,
-    GaussianPacket,
+    CollisionFixture,
     GridSpec,
     GridTrajectory,
     PotentialSpec,
@@ -39,6 +40,7 @@ from .grid import (
     potential_column,
     strang_step,
 )
+
 
 def _mean_field(spec: GridSpec, potential: PotentialSpec | None):
     """The map from stacked densities (rho_A dx, rho_B dx) to stacked potentials.
@@ -124,42 +126,8 @@ def classical_two_body(fixture: CollisionFixture):
 
 
 # ---------------------------------------------------------------------------
-# Collision fixtures and regime scans
+# Collision runs and regime scans
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CollisionFixture:
-    """Complete description of one two-packet run; a free ``evolve`` run's potential is None.
-
-    Built only if the solvers can step it, scan points included: positive
-    stepping, V finite at every lattice separation, the kinetic phase per step
-    at most MAX_KINETIC_PHASE, and packets that fit the lattice.  dt * max|V|
-    is the CLI's accuracy rule for configs, not a limit of stepping.
-    """
-
-    spec: GridSpec
-    packet_a: GaussianPacket
-    packet_b: GaussianPacket
-    potential: PotentialSpec | None
-    dt: float
-    n_steps: int
-    sample_every: int
-
-    def __post_init__(self):
-        if self.dt <= 0 or self.n_steps < 1 or self.sample_every < 1:
-            raise ValueError("need positive dt, n_steps and sample_every")
-        with np.errstate(all="ignore"):  # a non-finite column is refused just below
-            column = potential_column(self.spec, self.potential)
-        if not np.all(np.isfinite(column)):
-            raise ValueError("'potential' must give a finite V at every lattice separation")
-        phase = self.dt * float(sum(kinetic.max() for kinetic in self.spec.kinetic()))
-        if phase > MAX_KINETIC_PHASE:
-            raise ValueError(
-                f"'dt' must keep dt * max(k^2/2m_A + k^2/2m_B) <= {MAX_KINETIC_PHASE:g} rad per"
-                f" step (it is {phase:g} rad for masses {self.spec.m_a:g}, {self.spec.m_b:g})"
-            )
-        packet_factors(self.packet_a, self.packet_b, self.spec)
 
 
 @dataclass(frozen=True)
@@ -170,7 +138,6 @@ class CollisionRun:
     fidelity: np.ndarray
     classical_x_a: np.ndarray
     classical_x_b: np.ndarray
-    classical_energy_drift: float
 
     def point_table(self) -> dict:
         """The columns of ``islands_point_<k>.csv``, keyed by header name in file order."""
@@ -200,14 +167,13 @@ def run_collision(fixture: CollisionFixture) -> CollisionRun:
         steps.append(step)
         samples.append(state.layout.probe(state.rows))
         fid.append(abs(state.product_overlap(a, b)) ** 2)
-    cl_times, cl_a, cl_b, drift = classical_two_body(fixture)
+    cl_times, cl_a, cl_b, _ = classical_two_body(fixture)
     assert cl_times.size == len(steps)
     return CollisionRun(
         full=GridTrajectory.of(steps, samples, fixture.dt),
         fidelity=np.array(fid),
         classical_x_a=cl_a,
         classical_x_b=cl_b,
-        classical_energy_drift=drift,
     )
 
 

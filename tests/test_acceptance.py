@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from entanglab import bellgame as bg
 from entanglab import finite, islands, measures, states
 from entanglab.cli import collision_fixture_from_config, ladder_checks, main
-from entanglab.grid import evolve_split_step, init_product
+from entanglab.grid import evolve_split_step
 
 from conftest import load_fixture, non_interacting, quantum_answers, random_hermitian
 
@@ -176,10 +177,7 @@ def test_criterion_7_grid_conservation():
     config = load_fixture("collision_well.json")
     fixture = collision_fixture_from_config(config, "collision_well")
     start = time.perf_counter()
-    psi = init_product(fixture.packet_a, fixture.packet_b, fixture.spec)
-    trajectory = evolve_split_step(
-        psi, fixture.potential, fixture.dt, fixture.n_steps, fixture.sample_every
-    )
+    trajectory = evolve_split_step(fixture)
     interacting_elapsed = time.perf_counter() - start
     assert interacting_elapsed < 120.0
     norm_drift = float(np.max(np.abs(trajectory.norm - 1.0)))
@@ -193,7 +191,7 @@ def test_criterion_7_grid_conservation():
     assert abs(trajectory.entropy_bits[-1] - stored["entropy_bits_final"]) < stored["tolerance"]
 
     start = time.perf_counter()
-    free = evolve_split_step(psi, None, fixture.dt, 1000, 100)
+    free = evolve_split_step(replace(fixture, potential=None, n_steps=1000, sample_every=100))
     free_elapsed = time.perf_counter() - start
     assert free_elapsed < 120.0
     assert float(np.max(free.entropy_bits)) < 1e-10

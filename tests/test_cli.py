@@ -731,6 +731,26 @@ INVALID_CONFIGS = {
         _set(None, "potential", {"kind": "soft_coulomb", "strength": 0.0, "width": 1e-200}),
         "'potential'",
     ),
+    # width**2 and sigma**2 overflow as Python floats (OverflowError, not a NaN or inf)
+    "evolve_potential_width_overflows": (
+        "evolve", tiny_grid_config(), _set("potential", "width", 1e200), "out of range"
+    ),
+    "islands_potential_width_overflows": (
+        "islands", tiny_grid_config(kind="test_particle", mass_ratios=[1.0], seed=0),
+        _set(None, "potential", {"kind": "soft_coulomb", "strength": 1.0, "width": 1e200}),
+        "out of range",
+    ),
+    # pi/dx is 1e-298 in a box of 1e300, so both packets rest to stay inside the band
+    "evolve_packet_sigma_overflows": (
+        "evolve", tiny_grid_config(),
+        _changes(
+            _set("grid", "length", 1e300),
+            _set("packet_a", "sigma", 1e200),
+            _set("packet_a", "momentum", 0.0),
+            _set("packet_b", "momentum", 0.0),
+        ),
+        "out of range",
+    ),
     # the kinetic phase per step is dt * 17.5 rad on 32 points in a box of 24
     "evolve_free_kinetic_phase_too_large": (
         "evolve", FREE_RUN, _set(None, "dt", 1e17), "'dt'"

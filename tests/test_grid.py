@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from entanglab.grid import (
     BLOCK_DUST,
     ChannelLayout,
     ChannelSample,
+    CollisionFixture,
     GaussianPacket,
+    GridSample,
     GridSpec,
     GridTrajectory,
     PotentialSpec,
@@ -239,39 +242,34 @@ class TestEhrenfestObservables:
 
 class TestSplitStepEvolution:
     def test_free_product_evolution_stays_product(self):
-        psi = init_product(
-            GaussianPacket(-4.0, 1.0, 1.5), GaussianPacket(4.0, 1.0, -1.5), small_spec()
-        )
-        traj = evolve_split_step(psi, None, 0.01, 400, 50)
+        traj = evolve_split_step(CollisionFixture(
+            small_spec(), GaussianPacket(-4.0, 1.0, 1.5), GaussianPacket(4.0, 1.0, -1.5),
+            None, 0.01, 400, 50,
+        ))
         assert np.max(traj.entropy_bits) < 1e-10
         assert np.max(np.abs(traj.norm - 1.0)) < 1e-10
 
     def test_norm_conserved_with_interaction(self):
-        psi = init_product(
-            GaussianPacket(-4.0, 1.0, 1.5), GaussianPacket(4.0, 1.0, -1.5), small_spec()
-        )
-        traj = evolve_split_step(
-            psi, PotentialSpec("gaussian_well", 2.0, 1.5), 0.004, 1000, 200
-        )
+        traj = evolve_split_step(CollisionFixture(
+            small_spec(), GaussianPacket(-4.0, 1.0, 1.5), GaussianPacket(4.0, 1.0, -1.5),
+            PotentialSpec("gaussian_well", 2.0, 1.5), 0.004, 1000, 200,
+        ))
         assert np.max(np.abs(traj.norm - 1.0)) < 1e-10
 
     def test_energy_drift_small(self):
-        psi = init_product(
-            GaussianPacket(-4.0, 1.0, 1.5), GaussianPacket(4.0, 1.0, -1.5), small_spec()
-        )
-        traj = evolve_split_step(
-            psi, PotentialSpec("gaussian_well", 2.0, 1.5), 0.004, 1000, 100
-        )
+        traj = evolve_split_step(CollisionFixture(
+            small_spec(), GaussianPacket(-4.0, 1.0, 1.5), GaussianPacket(4.0, 1.0, -1.5),
+            PotentialSpec("gaussian_well", 2.0, 1.5), 0.004, 1000, 100,
+        ))
         drift = np.max(np.abs(traj.energy - traj.energy[0])) / abs(traj.energy[0])
         assert drift < 1e-4
 
     def test_free_packet_moves_ballistically(self):
         spec = small_spec()
         k = 2.0 * math.pi / spec.length * 10
-        psi = init_product(
-            GaussianPacket(-6.0, 1.0, k), GaussianPacket(6.0, 1.0, 0.0), spec
-        )
-        traj = evolve_split_step(psi, None, 0.01, 300, 100)
+        traj = evolve_split_step(CollisionFixture(
+            spec, GaussianPacket(-6.0, 1.0, k), GaussianPacket(6.0, 1.0, 0.0), None, 0.01, 300, 100
+        ))
         assert np.allclose(traj.x_a, -6.0 + k * traj.time, atol=1e-6)
         assert np.allclose(traj.x_b, 6.0, atol=1e-6)
 
@@ -296,36 +294,31 @@ class TestSplitStepEvolution:
     def test_mirrored_run_swaps_sides(self):
         spec = small_spec()
         pot = PotentialSpec("gaussian_well", 1.5, 1.5)
-        forward = evolve_split_step(
-            init_product(
-                GaussianPacket(-5.0, 1.0, 1.5), GaussianPacket(5.0, 0.8, -1.5), spec
-            ),
+        forward = evolve_split_step(CollisionFixture(
+            spec, GaussianPacket(-5.0, 1.0, 1.5), GaussianPacket(5.0, 0.8, -1.5),
             pot, 0.005, 400, 400,
-        )
-        swapped = evolve_split_step(
-            init_product(
-                GaussianPacket(5.0, 0.8, -1.5), GaussianPacket(-5.0, 1.0, 1.5), spec
-            ),
+        ))
+        swapped = evolve_split_step(CollisionFixture(
+            spec, GaussianPacket(5.0, 0.8, -1.5), GaussianPacket(-5.0, 1.0, 1.5),
             pot, 0.005, 400, 400,
-        )
+        ))
         assert abs(forward.entropy_bits[-1] - swapped.entropy_bits[-1]) < 1e-9
 
     def test_nan_detection(self):
+        # a fixture refuses dt 1e6, so this drives the stepping, where the finite guard lives
         psi = init_product(
             GaussianPacket(-4.0, 1.0, 1.0), GaussianPacket(4.0, 1.0, -1.0), small_spec()
         )
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(FloatingPointError, match="non-finite"):
-                evolve_split_step(
-                    psi, PotentialSpec("gaussian_well", 1e308, 1.5), 1e6, 2, 1
-                )
+                list(iterate_split_step(psi, PotentialSpec("gaussian_well", 1e308, 1.5), 1e6, 2, 1))
 
     def test_rejects_bad_stepping(self):
         psi = init_product(
             GaussianPacket(-4.0, 1.0, 1.0), GaussianPacket(4.0, 1.0, -1.0), small_spec()
         )
         with pytest.raises(ValueError):
-            evolve_split_step(psi, None, -0.1, 10, 1)
+            next(iterate_split_step(psi, None, -0.1, 10, 1))
 
 
 class TestChannelLayout:
@@ -425,9 +418,10 @@ class TestChannelLayout:
 
     def test_one_run_builds_each_lattice_table_once(self, monkeypatch):
         # the layout's phases and its probe read one V column and one pair of kinetic tables
-        spec = GridSpec(32, 24.0, 1.0, 2.0)
-        psi = init_product(
-            GaussianPacket(-4.0, 1.0, 1.5), GaussianPacket(4.0, 1.0, -1.5), spec
+        # the fixture checks its V column and kinetic phase when built, before the count starts
+        fixture = CollisionFixture(
+            GridSpec(32, 24.0, 1.0, 2.0), GaussianPacket(-4.0, 1.0, 1.5),
+            GaussianPacket(4.0, 1.0, -1.5), PotentialSpec("gaussian_well", 1.0, 1.5), 0.01, 60, 20,
         )
         calls = []
         column, kinetic = grid_module.potential_column, GridSpec.kinetic
@@ -442,12 +436,18 @@ class TestChannelLayout:
 
         monkeypatch.setattr(grid_module, "potential_column", counting_column)
         monkeypatch.setattr(GridSpec, "kinetic", counting_kinetic)
-        trajectory = evolve_split_step(psi, PotentialSpec("gaussian_well", 1.0, 1.5), 0.01, 60, 20)
+        trajectory = evolve_split_step(fixture)
         assert sorted(calls) == ["kinetic", "potential_column"]
         assert trajectory.time.size == 4
 
 
 class TestLayoutProbe:
+    @staticmethod
+    def readings(sample):
+        """The ``GridSample`` fields that ``reference`` and ``direct_sums`` give, in their order."""
+        names = ("norm", "x_a", "x_b", "p_a", "p_b", "energy")
+        return tuple(getattr(sample, name) for name in names)
+
     @staticmethod
     def reference(state, spec, potential):
         # the probe's formulas from the channel rows, with fresh temporaries for every sample
@@ -497,10 +497,11 @@ class TestLayoutProbe:
         for _, state in samples:
             assert state.layout is layout
             sample = layout.probe(state.rows)
-            assert tuple(sample[:6]) == self.reference(state, spec, potential)
+            assert self.readings(sample) == self.reference(state, spec, potential)
             grid = np.asarray(state)
             direct = self.direct_sums(grid, spec, potential)
-            assert np.all(np.abs(np.array(sample[:6]) - direct) <= 1e-14 * np.abs(direct))
+            readings = np.array(self.readings(sample))
+            assert np.all(np.abs(readings - direct) <= 1e-14 * np.abs(direct))
             # the cropped momentum block against the SVD of the whole position grid
             assert abs(sample.entropy_bits - schmidt_entropy(grid * spec.dx, 2)) <= 1e-13
         # a layout that has probed later samples reads sample 0 as a fresh layout of psi does
@@ -542,7 +543,7 @@ class TestLayoutProbe:
             direct = self.direct_sums(grid, spec, potential)
             # p_b starts at exactly 0 on test_particle: no rounding is relative to that
             scale = np.maximum(np.abs(direct), 1.0)
-            assert np.all(np.abs(np.array(sample[:6]) - direct) <= 1e-14 * scale)
+            assert np.all(np.abs(np.array(self.readings(sample)) - direct) <= 1e-14 * scale)
         kept = len(samples[0][1].rows)
         if case in ("collision_well", "convergence_small"):
             assert kept < spec.n and max(max(shape) for shape in shapes) <= 85
@@ -648,9 +649,8 @@ class TestLayoutProbe:
 
 class TestFixtureOracles:
     def test_collision_fixture_matches_stored_value(self):
-        cfg, spec, pa, pb, pot = fixture_objects("collision_well.json")
-        psi = init_product(pa, pb, spec)
-        traj = evolve_split_step(psi, pot, cfg["dt"], cfg["n_steps"], cfg["sample_every"])
+        cfg = load_fixture("collision_well.json")
+        traj = evolve_split_step(collision_fixture_from_config(cfg, "collision_well.json"))
         stored = cfg["oracle"]["entropy_bits_final"]
         tolerance = cfg["oracle"]["tolerance"]
         assert abs(traj.entropy_bits[-1] - stored) < tolerance
@@ -660,33 +660,38 @@ class TestFixtureOracles:
 
     def test_refinement_convergence(self):
         # halve dt and double both grid sides: final entropy moves < 1e-4
-        cfg, spec, pa, pb, pot = fixture_objects("convergence_small.json")
-        coarse = evolve_split_step(
-            init_product(pa, pb, spec), pot, cfg["dt"], cfg["n_steps"], cfg["n_steps"]
+        fixture = collision_fixture_from_config(
+            load_fixture("convergence_small.json"), "convergence_small.json"
         )
-        fine_spec = GridSpec(spec.n * 2, spec.length, spec.m_a, spec.m_b)
-        fine = evolve_split_step(
-            init_product(pa, pb, fine_spec),
-            pot,
-            cfg["dt"] / 2.0,
-            cfg["n_steps"] * 2,
-            cfg["n_steps"] * 2,
-        )
+        coarse = evolve_split_step(replace(fixture, sample_every=fixture.n_steps))
+        fine = evolve_split_step(replace(
+            fixture,
+            spec=replace(fixture.spec, n=fixture.spec.n * 2),
+            dt=fixture.dt / 2.0,
+            n_steps=fixture.n_steps * 2,
+            sample_every=fixture.n_steps * 2,
+        ))
         assert abs(coarse.entropy_bits[-1] - fine.entropy_bits[-1]) < 1e-4
 
 
 class TestTrajectoryRows:
     def test_table_columns_in_header_order(self):
-        psi = init_product(
-            GaussianPacket(-4.0, 1.0, 1.0), GaussianPacket(4.0, 1.0, -1.0), small_spec()
-        )
-        traj = evolve_split_step(psi, None, 0.01, 20, 10)
+        traj = evolve_split_step(CollisionFixture(
+            small_spec(), GaussianPacket(-4.0, 1.0, 1.0), GaussianPacket(4.0, 1.0, -1.0),
+            None, 0.01, 20, 10,
+        ))
         table = traj.table()
         assert list(table) == [
             "time", "norm", "energy", "entropy_bits", "x_a", "x_b", "p_a", "p_b",
         ]
         assert all(len(column) == len(traj.time) for column in table.values())
         assert table["time"][0] == 0.0
+
+    def test_sample_fields_are_the_trajectory_csv_header(self):
+        # the per-sample readings are declared once, in GridSample, in file order
+        golden = Path(__file__).parent / "golden" / "collision_well" / "out" / "trajectory.csv"
+        header = tuple(golden.read_text(encoding="utf-8").splitlines()[0].split(","))
+        assert GridTrajectory._fields == ("time", *GridSample._fields) == header
 
 
 class TestGaussianWave:

@@ -28,13 +28,8 @@ import math
 import numpy as np
 import pytest
 
-from entanglab.grid import GaussianPacket, GridSpec, evolve_split_step, init_product
-from entanglab.islands import (
-    CollisionFixture,
-    RegimeScanResult,
-    classical_two_body,
-    run_collision,
-)
+from entanglab.grid import CollisionFixture, GaussianPacket, GridSpec, evolve_split_step
+from entanglab.islands import RegimeScanResult, classical_two_body, run_collision
 
 KAPPA, M_A, M_B, LENGTH, T_FINAL = 0.3, 1.0, 2.0, 32.0, 3.0
 PACKET_A, PACKET_B = GaussianPacket(-2.0, 1.0, 1.0), GaussianPacket(2.0, 0.8, -0.5)
@@ -138,8 +133,10 @@ def errors():
     for n, dt in RUNS:
         spec = GridSpec(n, LENGTH, M_A, M_B)
         n_steps = round(T_FINAL / dt)
-        psi = init_product(PACKET_A, PACKET_B, spec)
-        trajectory = evolve_split_step(psi, Harmonic(KAPPA), dt, n_steps, n_steps // SAMPLES)
+        fixture = CollisionFixture(
+            spec, PACKET_A, PACKET_B, Harmonic(KAPPA), dt, n_steps, n_steps // SAMPLES
+        )
+        trajectory = evolve_split_step(fixture)
         assert trajectory.time.size == SAMPLES + 1
         exact = [closed_form(t) for t in trajectory.time]
         means = np.array([m for m, _ in exact])

@@ -8,6 +8,7 @@ import pytest
 from entanglab.grid import (
     ChannelLayout,
     ChannelSample,
+    CollisionFixture,
     GaussianPacket,
     GridSpec,
     GridTrajectory,
@@ -20,7 +21,6 @@ from entanglab.grid import (
 )
 from entanglab import islands
 from entanglab.islands import (
-    CollisionFixture,
     _mean_field,
     classical_two_body,
     iterate_hartree,
@@ -280,7 +280,7 @@ class TestCollisionRun:
         # 400 steps sampled every 50 give nine samples; no n x n state is kept
         run = run_collision(small_fixture())
         assert isinstance(run.full, GridTrajectory)
-        held = {**vars(run), **{f"full.{k}": v for k, v in vars(run.full).items()}}
+        held = {**vars(run), **{f"full.{k}": v for k, v in run.full._asdict().items()}}
         del held["full"]
         for name, value in held.items():
             if isinstance(value, np.ndarray):
@@ -301,17 +301,11 @@ class TestDriversAgree:
             sample_every=30,
         )
         run = run_collision(fixture)
-        trajectory = evolve_split_step(
-            init_product(fixture.packet_a, fixture.packet_b, fixture.spec),
-            fixture.potential,
-            fixture.dt,
-            fixture.n_steps,
-            fixture.sample_every,
-        )
+        trajectory = evolve_split_step(fixture)
         assert run.full.time.size == 5
-        for field in dataclasses.fields(GridTrajectory):
-            ours, theirs = getattr(run.full, field.name), getattr(trajectory, field.name)
-            assert np.array_equal(ours, theirs), field.name
+        for name in GridTrajectory._fields:
+            ours, theirs = getattr(run.full, name), getattr(trajectory, name)
+            assert np.array_equal(ours, theirs), name
         assert run.fidelity.size == 5 and np.all(run.fidelity > 0.5)
 
     def test_collision_steps_through_the_islands_name(self, monkeypatch):
@@ -338,11 +332,7 @@ class TestFreeRunIsTheZeroColumn:
         # no potential steps as V's zero column, so a zero-strength V changes no bit
         zero = small_fixture(potential=PotentialSpec(kind, 0.0, 1.5))
         free = dataclasses.replace(zero, potential=None)
-        psi = init_product(zero.packet_a, zero.packet_b, zero.spec)
-        tables = [
-            evolve_split_step(psi, f.potential, f.dt, f.n_steps, f.sample_every).table()
-            for f in (zero, free)
-        ]
+        tables = [evolve_split_step(f).table() for f in (zero, free)]
         for name, column in tables[0].items():
             assert np.array_equal(column, tables[1][name]), name
         for (step, *factors), (step_free, *factors_free) in zip(
