@@ -459,6 +459,7 @@ def parse_theorem(config: dict, args) -> tuple:
             f"{finite.MAX_EVOLUTION_PHASE:g} rad (it is {phase:g} rad)"
         )
     time_samples, split_tol = fields["time_samples"], fields["split_tol"]
+    _build("theorem config", finite._sample_times, t_final, time_samples)
     # the witness's product states and one chunk's evolved stack, unfilled: past memory fails here
     d, chunk = H.d_a * H.d_b, min(n_samples, finite.WITNESS_CHUNK)
     _build("theorem config", np.empty, (n_samples, d), complex)
@@ -565,10 +566,20 @@ SCANS = {
 }
 
 
+def ladder_readings(table: dict) -> dict:
+    """Every reading a ladder threshold or oracle key grades: the one definition.
+
+    The ``table()`` columns and the one-point ``reduction_factor``, first over
+    last maximum entropy (inf or NaN, unwarned, at a 0-bit last point).
+    """
+    bits = table["max_entropy_bits"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return {**table, "reduction_factor": bits[:1] / bits[-1:]}
+
+
 def ladder_checks(table: dict, thresholds, oracle) -> list:
     """The checks of a ladder ``table()``: thresholds on its last point, oracle over all."""
-    bits = table["max_entropy_bits"]
-    readings = {**table, "reduction_factor": bits[:1] / bits[-1:]}  # a one-point column
+    readings = ladder_readings(table)
     checks = []
     for key, (reading, passes) in THRESHOLD_TESTS.items():
         limit, value = (thresholds or {}).get(key), readings[reading][-1]

@@ -112,10 +112,13 @@ def haar_kets(rng: np.random.Generator, n: int, *dims: int) -> tuple[np.ndarray,
 
 
 def _sample_times(t_final: float, n_samples: int) -> np.ndarray:
-    """``n_samples`` evenly spaced times on [0, t_final]; a single sample sits at t_final."""
+    """``n_samples`` distinct, evenly spaced times on [0, t_final]; one sample sits at t_final."""
     if t_final <= 0 or n_samples < 1:
         raise ValueError("need t_final > 0 and at least one sample")
-    return np.linspace(0.0, t_final, n_samples) if n_samples > 1 else np.array([t_final])
+    times = np.linspace(0.0, t_final, n_samples) if n_samples > 1 else np.array([t_final])
+    if np.any(np.diff(times) <= 0):
+        raise ValueError(f"sample times on [0, {t_final!r}] are not strictly increasing")
+    return times
 
 
 def _propagator(H: BipartiteHamiltonian, times: np.ndarray):

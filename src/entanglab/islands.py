@@ -140,18 +140,9 @@ class CollisionRun:
     classical_x_b: np.ndarray
 
     def point_table(self) -> dict:
-        """The columns of ``islands_point_<k>.csv``, keyed by header name in file order."""
-        return {
-            "time": self.full.time,
-            "norm": self.full.norm,
-            "energy": self.full.energy,
-            "entropy_bits": self.full.entropy_bits,
-            "fidelity": self.fidelity,
-            "x_a": self.full.x_a,
-            "x_b": self.full.x_b,
-            "classical_x_a": self.classical_x_a,
-            "classical_x_b": self.classical_x_b,
-        }
+        """The columns of ``islands_point_<k>.csv``: ``trajectory.csv``'s, then the comparators'."""
+        return {**self.full.table(), "fidelity": self.fidelity,
+                "classical_x_a": self.classical_x_a, "classical_x_b": self.classical_x_b}
 
 
 def run_collision(fixture: CollisionFixture) -> CollisionRun:

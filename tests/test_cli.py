@@ -506,9 +506,9 @@ class TestIslandsCommand:
             for name, cell in cells.items():
                 assert cell == format(summary[name][k], ".17g")
             point = (out / f"islands_point_{k}.csv").read_text().splitlines()
-            assert point[0] == (
-                "time,norm,energy,entropy_bits,fidelity,x_a,x_b,classical_x_a,classical_x_b"
-            )
+            # the trajectory.csv columns, then the mean-field and classical comparators
+            comparators = ("fidelity", "classical_x_a", "classical_x_b")
+            assert point[0] == ",".join((*grid.GridTrajectory._fields, *comparators))
             columns = dict(zip(point[0].split(","), zip(*(p.split(",") for p in point[1:]))))
             entropy = [float(v) for v in columns["entropy_bits"]]
             fidelity = [float(v) for v in columns["fidelity"]]
@@ -546,6 +546,13 @@ class TestIslandsCommand:
         assert main(["islands", "--config", str(path), "--out", str(out)]) == 2
         assert f"oracle.{key} " in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+
+# a free ladder: every point reads 0 bits, so its reduction factor is 0/0
+ZERO_BIT_LADDER = tiny_grid_config(
+    kind="test_particle", mass_ratios=[1.0, 0.5], seed=0,
+    potential={"kind": "gaussian_barrier", "strength": 0.0, "width": 1.5},
+)
 
 
 @pytest.fixture(scope="module")
@@ -586,6 +593,18 @@ class TestLadderChecks:
         assert check == {"name": name, "value": reading, "limit": reading, "passed": not code}
         failed = [f"error: check {name} failed: {reading!r} against limit {reading!r}"]
         assert capsys.readouterr().err.splitlines() == (failed if code else [])
+
+    @pytest.mark.parametrize("thresholds, code", [({}, 0), ({"min_reduction_factor": 10.0}, 1)])
+    def test_zero_bit_last_point_warns_nothing(self, tmp_path, thresholds, code):
+        path = write_config(tmp_path, "z.json", {**ZERO_BIT_LADDER, "thresholds": thresholds})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would end the run at exit 1
+            assert main(["islands", "--config", str(path), "--out", str(out)]) == code
+        checks = json.loads((out / "islands.json").read_text())["checks"]
+        assert [check["name"] for check in checks] == [f"thresholds.{key}" for key in thresholds]
+        for check in checks:  # a NaN reading fails its check
+            assert math.isnan(check["value"]) and not check["passed"]
 
     def test_missed_oracle_tolerance_exits_1(self, tmp_path, capsys, ladder_table):
         # one reference off by about 0.5 bits, with a tolerance of exactly that: a miss
@@ -875,6 +894,42 @@ INVALID_CONFIGS = {
         _set(None, "n_rounds", 2), "'n_rounds'",
     ),
     "theorem_negative_seed": ("theorem", _theorem_config(), _set(None, "seed", -3)),
+    # 33 samples on [0, 1e-322] round to repeated subnormal times
+    "theorem_sample_times_collapse": (
+        "theorem", _theorem_config(), _set(None, "t_final", 1e-322), "not strictly increasing"
+    ),
+    "evolve_grid_not_an_object": (
+        "evolve", tiny_grid_config(), _set(None, "grid", 5),
+        "evolve config.grid must be a JSON object",
+    ),
+    "measure_state_not_an_object": (
+        "measure", {"state": PRODUCT_STATE}, _set(None, "state", 5),
+        "measure config.state must be a JSON object",
+    ),
+    "measure_state_missing_kind": (
+        "measure", {"state": PRODUCT_STATE}, lambda config: config["state"].pop("kind"),
+        "missing config key 'kind' in measure config.state",
+    ),
+    "measure_unknown_state_kind": (
+        "measure", {"state": PRODUCT_STATE}, _set("state", "kind", "ghz"),
+        "unknown state kind 'ghz' in measure config.state",
+    ),
+    "theorem_unknown_hamiltonian_kind": (
+        "theorem", _theorem_config(), _set("hamiltonian", "kind", "ising"),
+        "unknown Hamiltonian kind 'ising' in theorem config.hamiltonian",
+    ),
+    "islands_unknown_scan_kind": (
+        "islands", tiny_grid_config(kind="material_point", width_ratios=[0.5], seed=0),
+        _set(None, "kind", "heavy_target"), "unknown scan kind 'heavy_target' in islands config",
+    ),
+    "measure_all_zero_amplitudes": (
+        "measure", {"state": PRODUCT_STATE}, _set("state", "factor_a", [0.0, 0.0]),
+        "measure config.state.factor_a: amplitudes are all zero",
+    ),
+    "measure_amplitude_count_off_dims": (
+        "measure", {"state": AMPLITUDE_STATE}, _set("state", "values", [1.0, 0.0, 0.0]),
+        "got 3 amplitudes for dims 2x2",
+    ),
 }
 
 

@@ -10,6 +10,7 @@ from entanglab.finite import (
     SIGMA_Z,
     WITNESS_CHUNK,
     BipartiteHamiltonian,
+    _sample_times,
     evolve_finite,
     haar_kets,
     split_hamiltonian,
@@ -212,6 +213,12 @@ class TestTheoremWitness:
     def test_rejects_bad_sample_times(self, t_final, n_time_samples):
         with pytest.raises(ValueError, match="at least one sample"):
             theorem_witness(ISING_ZZ, 5, t_final, 1, n_time_samples)
+
+    def test_rejects_sample_times_that_collapse(self):
+        # 33 evenly spaced subnormal times round onto repeated doubles
+        with pytest.raises(ValueError, match=r"\[0, 1e-322\] are not strictly increasing"):
+            _sample_times(1e-322, 33)
+        assert _sample_times(1e-322, 1).tolist() == [1e-322]
 
     def test_pauli_table_contains_expected_keys(self):
         assert set(PAULI) == {"i", "x", "y", "z"}

@@ -130,6 +130,17 @@ class TestHartreeEvolve:
             norms = np.sum(np.abs([psi_a, psi_b]) ** 2, axis=1) * fixture.spec.dx
             assert np.all(np.abs(norms - 1.0) < 1e-8)
 
+    def test_non_finite_factors_raise_before_their_sample(self):
+        # V of 1e308 overflows the kernel's FFT, so the first step's phases are not finite
+        fixture = small_fixture(
+            potential=PotentialSpec("gaussian_well", 1e308, 2.0), n_steps=2, sample_every=1
+        )
+        run = iterate_hartree(fixture)
+        with np.errstate(all="ignore"):  # the guard, not a warning, must stop the run
+            assert next(run)[0] == 0
+            with pytest.raises(FloatingPointError, match="non-finite .* amplitudes at step 1"):
+                next(run)
+
     @pytest.mark.parametrize("stepping", [{"dt": 0.0}, {"n_steps": 0}, {"sample_every": 0}])
     def test_fixture_refuses_stepping_no_solver_can_run(self, stepping):
         with pytest.raises(ValueError, match="need positive dt, n_steps and sample_every"):
