@@ -28,6 +28,9 @@ is asked for.  Each channel's weight is conserved by both substeps, so the
 lightest channels, whose weights sum to at most CHANNEL_DUST (1e-20) of the
 total, are dropped at the start: the norm moves by at most 1e-20 and the
 amplitudes by at most 1e-10 relative in 2-norm, and the error never grows.
+Each packet is its Gaussian periodized on the box's circle (``gaussian_wave``),
+so no packet is cut at the seam: a product start fills only the channels
+that its two momentum spreads reach, and leaves no weight at the band edge.
 ``packet_factors`` refuses a packet that does not fit the box, leaves no
 amplitude on the lattice, or whose momentum lies outside the lattice band
 [-pi/dx, pi/dx).
@@ -61,6 +64,7 @@ MAX_PHASE_PER_STEP = 0.1
 MAX_KINETIC_PHASE = 1e6
 CHANNEL_DUST = 1e-20  # dropped channel weight, as a share of the total
 BLOCK_DUST = 1e-16  # dropped weight per momentum marginal of the Schmidt block
+PACKET_IMAGES = 2  # periodic images of each packet on either side of the box
 
 POTENTIAL_KINDS = ("gaussian_well", "gaussian_barrier", "soft_coulomb")
 
@@ -229,13 +233,21 @@ class GridTrajectory(
         return self._asdict()
 
 
-def gaussian_wave(x: np.ndarray, packet: GaussianPacket, dx: float) -> np.ndarray:
-    """Packet amplitudes on a coordinate array, normalized by quadrature."""
+def gaussian_wave(spec: GridSpec, packet: GaussianPacket) -> np.ndarray:
+    """The packet's periodization on the lattice's circle, normalized by quadrature.
+
+    psi(x) = sum over |m| <= PACKET_IMAGES of exp(-(x + mL - center)^2 / 4 sigma^2
+    + i momentum (x + mL)), with L the box length: the Gaussian with its tails
+    wrapped round the seam, so no packet is cut there.  With sigma < L/8, as
+    ``packet_factors`` requires, the next images lie below e^-64 of the peak.
+    """
+    images = spec.x + spec.length * np.arange(-PACKET_IMAGES, PACKET_IMAGES + 1)[:, None]
     with np.errstate(all="ignore"):  # no weight on the lattice gives NaN, for packet_factors
         psi = np.exp(
-            -((x - packet.center) ** 2) / (4.0 * packet.sigma**2) + 1j * packet.momentum * x
-        )
-        return psi / math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dx)
+            -((images - packet.center) ** 2) / (4.0 * packet.sigma**2)
+            + 1j * packet.momentum * images
+        ).sum(axis=0)
+        return psi / math.sqrt(float(np.sum(np.abs(psi) ** 2)) * spec.dx)
 
 
 def packet_factors(
@@ -243,10 +255,13 @@ def packet_factors(
 ) -> np.ndarray:
     """Both packets on the axis, as the rows (psi_A, psi_B) of one (2, n) array.
 
-    A packet centred outside [-length/2, length/2) would be a tail cut at the
-    seam, or no amplitude at all, and a momentum outside [-pi/dx, pi/dx) would
-    alias to another lattice momentum, so both are refused.  So is a packet
-    too narrow to leave a normalized row on the lattice.
+    Each row is the periodized packet of ``gaussian_wave``, so no packet is
+    cut at the seam.  A centre outside [-length/2, length/2) is still refused:
+    it names a packet that a centre in the box names, or one too far out for
+    the images ``gaussian_wave`` sums.  So is a sigma of length/8 or more,
+    whose left-out images would pass e^-64 of the peak; a momentum outside
+    [-pi/dx, pi/dx), which would alias to another lattice momentum; and a
+    packet too narrow to leave a normalized row on the lattice.
     """
     nyquist = math.pi / spec.dx
     factors = []
@@ -260,7 +275,7 @@ def packet_factors(
                 f"packet {side} momentum {packet.momentum:g} lies outside the lattice band"
                 f" [-pi/dx, pi/dx) = [{-nyquist:g}, {nyquist:g})"
             )
-        factors.append(gaussian_wave(spec.x, packet, spec.dx))
+        factors.append(gaussian_wave(spec, packet))
         if not abs(np.sum(np.abs(factors[-1]) ** 2) * spec.dx - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"packet {side} has no amplitude on the grid (sigma {packet.sigma:g})")
     return np.array(factors)

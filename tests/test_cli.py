@@ -658,7 +658,7 @@ INVALID_GRID_RUNS = {
     # pi/dx is 4.19 on 32 points in a box of 24: momentum 5 would alias to 5 - 2 pi/dx
     "momentum_past_nyquist": _set("packet_a", "momentum", 5.0),
     "unstable_dt": _set(None, "dt", 0.2),  # dt * max|V| = 0.2 rad per step
-    # the boxes span [-12, 12): a tail cut at the seam, and a grid that underflows to NaN
+    # the boxes span [-12, 12): a centre just past the seam, and one far outside the box
     "packet_centre_past_seam": _set("packet_a", "center", 30.0),
     "packet_centre_far_outside_box": _set("packet_b", "center", -100.0),
 }

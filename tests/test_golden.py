@@ -12,6 +12,7 @@ a cell past the bound regenerates the tree and lists the cells that
 """
 
 import csv
+import math
 import shutil
 from pathlib import Path
 
@@ -33,6 +34,18 @@ def failures(tree: Path) -> list[str]:
 
 def test_every_fixture_matches_the_golden_tree(rerun_tree):
     assert failures(rerun_tree) == []
+
+
+def test_every_grid_run_starts_at_exactly_zero_bits(rerun_tree):
+    # each run starts from a product state, whose one Schmidt weight is certain
+    tables = sorted(rerun_tree.glob("*/out/trajectory.csv"))
+    tables += sorted(rerun_tree.glob("*/out/islands_point_*.csv"))
+    assert len(tables) == 12  # collision_well, convergence_small and ten ladder points
+    for path in tables:
+        rows = list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
+        start = float(rows[0]["entropy_bits"])
+        assert float(rows[0]["time"]) == 0.0 and start == 0.0, path
+        assert math.copysign(1.0, start) == 1.0, path
 
 
 def test_a_nudged_cell_fails_naming_file_and_column(rerun_tree, tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from entanglab import grid as grid_module
+from entanglab import islands
 from entanglab.cli import collision_fixture_from_config
 from entanglab.grid import (
     BLOCK_DUST,
@@ -84,6 +85,31 @@ def fixture_objects(name):
     cfg = load_fixture(name)
     fixture = collision_fixture_from_config(cfg, name)
     return cfg, fixture.spec, fixture.packet_a, fixture.packet_b, fixture.potential
+
+
+def packaged_points(name):
+    """Every ``CollisionFixture`` a packaged grid fixture runs: a ladder's points, largest first."""
+    cfg = load_fixture(f"{name}.json")
+    base = collision_fixture_from_config(cfg, name)
+    for key, point in (
+        ("mass_ratios", islands.test_particle_fixture),
+        ("width_ratios", islands.material_point_fixture),
+    ):
+        if key in cfg:
+            return [point(base, ratio) for ratio in sorted(cfg[key], reverse=True)]
+    return [base]
+
+
+def seam_cut_product(packet_a, packet_b, spec):
+    """psi_A (x) psi_B of the two Gaussians cut at x = +-L/2, not periodized: a full-band state."""
+    def cut(packet):
+        psi = np.exp(
+            -((spec.x - packet.center) ** 2) / (4.0 * packet.sigma**2)
+            + 1j * packet.momentum * spec.x
+        )
+        return psi / math.sqrt(float(np.sum(np.abs(psi) ** 2)) * spec.dx)
+
+    return Wavefunction2P(np.outer(cut(packet_a), cut(packet_b)), spec)
 
 
 class TestGridSpec:
@@ -519,6 +545,9 @@ class TestLayoutProbe:
         sigma = 0.5 * pot.width
         psi = init_product(replace(pa, sigma=sigma), replace(pb, sigma=sigma), spec)
         yield "material_point_0.5", psi, pot, cfg["dt"], 600, 300
+        # the same packets cut at the seam: every total-momentum channel is kept
+        psi = seam_cut_product(replace(pa, sigma=sigma), replace(pb, sigma=sigma), spec)
+        yield "full_band", psi, pot, cfg["dt"], 600, 300
         cfg, spec, pa, pb, pot = fixture_objects("test_particle.json")
         yield "test_particle", init_product(pa, pb, spec), pot, cfg["dt"], 1250, 625
         # the geometry of the dense-probe benchmark, 128^2, sampled every 75 steps
@@ -527,7 +556,10 @@ class TestLayoutProbe:
 
     @pytest.mark.parametrize(
         "case",
-        ["collision_well", "free", "material_point_0.5", "test_particle", "convergence_small"],
+        [
+            "collision_well", "free", "material_point_0.5", "full_band", "test_particle",
+            "convergence_small",
+        ],
     )
     def test_every_column_against_dense_references(self, monkeypatch, case):
         _, psi, potential, dt, n_steps, sample_every = next(
@@ -546,9 +578,10 @@ class TestLayoutProbe:
             assert np.all(np.abs(np.array(self.readings(sample)) - direct) <= 1e-14 * scale)
         kept = len(samples[0][1].rows)
         if case in ("collision_well", "convergence_small"):
-            assert kept < spec.n and max(max(shape) for shape in shapes) <= 85
-        elif case != "free":
-            assert kept == spec.n  # no dropped row exists to read as zero
+            assert max(max(shape) for shape in shapes) <= 85
+        if case != "free":  # full_band has no dropped row to read as zero
+            assert kept == {"material_point_0.5": 27, "test_particle": 99,
+                            "full_band": spec.n}.get(case, 57)
 
     @pytest.mark.parametrize("n, m_b", [(32, 2.0), (64, 1.0)])
     def test_product_overlap_is_the_grid_quadrature(self, n, m_b):
@@ -598,10 +631,10 @@ class TestLayoutProbe:
         assert max(max(shape) for shape in shapes) <= 85
 
     def test_full_band_state_keeps_every_row_and_column(self, monkeypatch):
-        # material_point at width ratio 0.5: the seam tails fill the momentum band
+        # material_point's packets at width ratio 0.5, cut at the seam: the jump fills the band
         cfg, spec, pa, pb, pot = fixture_objects("material_point.json")
         sigma = 0.5 * pot.width
-        psi = init_product(replace(pa, sigma=sigma), replace(pb, sigma=sigma), spec)
+        psi = seam_cut_product(replace(pa, sigma=sigma), replace(pb, sigma=sigma), spec)
         shapes = self.record_blocks(monkeypatch)
         probe_state(psi)
         assert shapes == [(spec.n, spec.n)]
@@ -638,9 +671,11 @@ class TestLayoutProbe:
         assert [value.hex() for value in observables] == [value.hex() for value in sample]
         assert entanglement_entropy_bits(psi).hex() == sample.entropy_bits.hex()
 
-    def test_product_state_entropy_is_positive_zero(self):
-        # the test_particle pair, whose leading Schmidt weight rounds above 1
-        _, spec, pa, pb, _ = fixture_objects("test_particle.json")
+    @pytest.mark.parametrize("name", ["test_particle", "collision_well"])
+    def test_product_state_entropy_is_positive_zero(self, name):
+        # a certain spectrum reads exactly 0 whichever way its one weight rounds: the
+        # cut collision_well pair read 3.2e-16 bits where its weight rounded below 1
+        _, spec, pa, pb, _ = fixture_objects(f"{name}.json")
         psi = init_product(pa, pb, spec)
         probed = probe_state(psi).entropy_bits
         for entropy in (probed, entanglement_entropy_bits(psi)):
@@ -673,6 +708,16 @@ class TestFixtureOracles:
         ))
         assert abs(coarse.entropy_bits[-1] - fine.entropy_bits[-1]) < 1e-4
 
+    def test_test_particle_does_not_feel_its_box(self):
+        # mass ratio 1 on 128^2, against twice the box at the same dx: periodized
+        # packets leave 5.7e-10 bits between the two runs, packets cut at the seam 5.3e-7
+        point = packaged_points("test_particle")[0]
+        spec = replace(point.spec, n=128)
+        small = evolve_split_step(replace(point, spec=spec))
+        doubled = evolve_split_step(replace(point, spec=replace(spec, n=256, length=80.0)))
+        assert point.spec.length == 40.0 and small.time.size == doubled.time.size == 26
+        assert np.max(np.abs(small.entropy_bits - doubled.entropy_bits)) <= 1e-8
+
 
 class TestTrajectoryRows:
     def test_table_columns_in_header_order(self):
@@ -697,5 +742,40 @@ class TestTrajectoryRows:
 class TestGaussianWave:
     def test_quadrature_normalization(self):
         spec = small_spec()
-        psi = gaussian_wave(spec.x, GaussianPacket(-3.0, 1.2, 2.0), spec.dx)
+        psi = gaussian_wave(spec, GaussianPacket(-3.0, 1.2, 2.0))
         assert np.sum(np.abs(psi) ** 2) * spec.dx == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_packet_at_the_seam_moves_as_one_piece_on_the_circle(self):
+        # periodized, a packet 1 from the seam shifted by dx is the lattice roll of it
+        spec, packet = small_spec(), GaussianPacket(15.0, 1.5, 1.0)
+        shifted = gaussian_wave(spec, replace(packet, center=packet.center + spec.dx))
+        rolled = np.roll(gaussian_wave(spec, packet), 1) * np.exp(1j * packet.momentum * spec.dx)
+        assert np.max(np.abs(shifted - rolled)) <= 1e-14
+        # x = -L/2, which is L/2 on the circle, carries what the mirror point 14 does;
+        # a packet cut at the seam would leave less than e^-100 of that there
+        psi = np.abs(gaussian_wave(spec, packet))
+        assert spec.x[60] == 14.0 and abs(psi[0] - psi[60]) <= 1e-15 * psi[60]
+
+    @pytest.mark.parametrize("name, counts", [
+        ("collision_well", [57]),
+        ("convergence_small", [57]),
+        ("test_particle", [99] * 6),
+        ("material_point", [27, 39, 55, 90]),
+    ])
+    def test_kept_channels_of_every_packaged_point(self, name, counts):
+        layouts = [
+            ChannelLayout(init_product(point.packet_a, point.packet_b, point.spec), point.potential)
+            for point in packaged_points(name)
+        ]
+        assert [len(layout.kept) for layout in layouts] == counts
+
+    @pytest.mark.parametrize(
+        "name", ["collision_well", "convergence_small", "test_particle", "material_point"]
+    )
+    def test_no_packaged_packet_reaches_the_band_edge(self, name):
+        for point in packaged_points(name):
+            n = point.spec.n
+            edge = np.abs(np.fft.fftfreq(n) * n) >= n // 2 - 4  # within 4 points of Nyquist
+            for packet in packet_factors(point.packet_a, point.packet_b, point.spec):
+                weights = np.abs(np.fft.fft(packet)) ** 2
+                assert weights[edge].sum() <= 1e-30 * weights.sum()

@@ -98,7 +98,7 @@ class TestHartreeEvolve:
         t = 3.0
         phase = np.exp(-1j * t * spec.k**2 / 2.0)
         oracle = np.fft.ifft(
-            np.fft.fft(gaussian_wave(spec.x, packet, spec.dx)) * phase
+            np.fft.fft(gaussian_wave(spec, packet)) * phase
         )
         assert np.max(np.abs(psi_a - oracle)) < 1e-10
 
@@ -115,7 +115,7 @@ class TestHartreeEvolve:
         dt, n_steps = fixture.dt, fixture.n_steps
         *_, (_, psi_a, psi_b) = iterate_hartree(fixture)
         # single-particle split-step oracle in the frozen convolved potential
-        psi = gaussian_wave(spec.x, packet_a, spec.dx)
+        psi = gaussian_wave(spec, packet_a)
         half = np.exp(-0.5j * dt * v_static)
         kin = np.exp(-1j * dt * spec.k**2 / 2.0)
         for _ in range(n_steps):

@@ -240,6 +240,15 @@ class TestStackedEntropy:
         for entropy in (spectrum_entropy(above_one[0, :1], 2), *spectrum_entropy(above_one, 2)):
             assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
+    def test_one_weight_rounded_below_one_gives_positive_zero(self):
+        # -(1 - 2.2e-16) log2(1 - 2.2e-16) is about +3.2e-16: a certain spectrum reads 0
+        below_one = np.array([[1.0 - 2.2e-16, 5e-15, 0.0], [1.0 - 4.4e-16, 1e-16, -1e-17]])
+        for entropy in (spectrum_entropy(below_one[0, :1], 2), *spectrum_entropy(below_one, 3)):
+            assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+        # two weights above the dust keep their entropy, however small
+        two = np.array([1.0 - 2e-14, 2e-14])
+        assert spectrum_entropy(two, 2) == -np.sum(two * np.log2(two)) > 0.0
+
     def test_schmidt_entropy_of_a_stack(self):
         rng = np.random.default_rng(17)
         pure = [random_pure_state(rng, 3, 4) for _ in range(4)]
